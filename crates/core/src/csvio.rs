@@ -96,14 +96,28 @@ pub fn parse_jobs(text: &str) -> Result<Vec<AccountedJob>, CsvError> {
     Ok(jobs)
 }
 
-pub(crate) fn parse_job_row(raw: &str, line_no: usize) -> Result<AccountedJob, CsvError> {
-    let fields: Vec<&str> = raw.split(',').collect();
-    if fields.len() != 8 {
+/// Splits a row on `,` into exactly `N` fields, or reports the number of
+/// fields the row actually has.
+fn split_fields<const N: usize>(raw: &str, line_no: usize) -> Result<[&str; N], CsvError> {
+    let mut fields = [""; N];
+    let mut count = 0;
+    for field in raw.split(',') {
+        if let Some(slot) = fields.get_mut(count) {
+            *slot = field;
+        }
+        count += 1;
+    }
+    if count != N {
         return Err(CsvError::new(
             line_no,
-            format!("expected 8 fields, got {}", fields.len()),
+            format!("expected {N} fields, got {count}"),
         ));
     }
+    Ok(fields)
+}
+
+pub(crate) fn parse_job_row(raw: &str, line_no: usize) -> Result<AccountedJob, CsvError> {
+    let fields: [&str; 8] = split_fields(raw, line_no)?;
     let id: u64 = fields[0]
         .parse()
         .map_err(|_| CsvError::new(line_no, format!("bad id {:?}", fields[0])))?;
@@ -140,18 +154,17 @@ fn parse_slots(field: &str, line_no: usize) -> Result<Vec<(String, u8)>, CsvErro
     if field.trim().is_empty() {
         return Ok(Vec::new());
     }
-    field
-        .split(';')
-        .map(|pair| {
-            let (host, idx) = pair
-                .split_once(':')
-                .ok_or_else(|| CsvError::new(line_no, format!("bad gpu slot {pair:?}")))?;
-            let idx: u8 = idx
-                .parse()
-                .map_err(|_| CsvError::new(line_no, format!("bad gpu index in {pair:?}")))?;
-            Ok((host.to_owned(), idx))
-        })
-        .collect()
+    let mut slots = Vec::with_capacity(field.bytes().filter(|&b| b == b';').count() + 1);
+    for pair in field.split(';') {
+        let (host, idx) = pair
+            .split_once(':')
+            .ok_or_else(|| CsvError::new(line_no, format!("bad gpu slot {pair:?}")))?;
+        let idx: u8 = idx
+            .parse()
+            .map_err(|_| CsvError::new(line_no, format!("bad gpu index in {pair:?}")))?;
+        slots.push((host.to_owned(), idx));
+    }
+    Ok(slots)
 }
 
 /// Renders jobs in the [`JOB_HEADER`] schema (the inverse of
@@ -209,13 +222,7 @@ pub fn parse_outages(text: &str) -> Result<Vec<OutageRecord>, CsvError> {
 }
 
 pub(crate) fn parse_outage_row(raw: &str, line_no: usize) -> Result<OutageRecord, CsvError> {
-    let fields: Vec<&str> = raw.split(',').collect();
-    if fields.len() != 3 {
-        return Err(CsvError::new(
-            line_no,
-            format!("expected 3 fields, got {}", fields.len()),
-        ));
-    }
+    let fields: [&str; 3] = split_fields(raw, line_no)?;
     let start = fields[1]
         .parse::<Timestamp>()
         .map_err(|e| CsvError::new(line_no, format!("bad start: {e}")))?;
@@ -356,9 +363,31 @@ mod tests {
 
     #[test]
     fn job_field_count_checked() {
-        let csv = format!("{JOB_HEADER}\n1,a,b\n");
-        let err = parse_jobs(&csv).unwrap_err();
-        assert!(err.to_string().contains("8 fields"), "{err}");
+        let good = "42,train_resnet,2023-01-05T10:00:00Z,2023-01-05T10:03:00Z,2023-01-05T12:00:00Z,2,gpub042:0;gpub042:1,COMPLETED";
+        for (row, want) in [
+            ("1,a,b".to_owned(), "expected 8 fields, got 3"),
+            (format!("{good},extra"), "expected 8 fields, got 9"),
+            (format!("{good},"), "expected 8 fields, got 9"),
+            (",,,,,,,,,,,,".to_owned(), "expected 8 fields, got 13"),
+        ] {
+            let err = parse_jobs(&format!("{JOB_HEADER}\n{row}\n")).unwrap_err();
+            assert_eq!(err.to_string(), format!("CSV line 2: {want}"), "{row:?}");
+            let err = parse_job_row(&row, 7).unwrap_err();
+            assert_eq!(err.to_string(), format!("CSV line 7: {want}"), "{row:?}");
+        }
+        let good = "gpub042,2023-01-05T13:00:00Z,3180";
+        for (row, want) in [
+            (
+                "gpub042,2023-01-05T13:00:00Z".to_owned(),
+                "expected 3 fields, got 2",
+            ),
+            (format!("{good},x"), "expected 3 fields, got 4"),
+            (format!("{good},"), "expected 3 fields, got 4"),
+            ("gpub042".to_owned(), "expected 3 fields, got 1"),
+        ] {
+            let err = parse_outages(&format!("{OUTAGE_HEADER}\n{row}\n")).unwrap_err();
+            assert_eq!(err.to_string(), format!("CSV line 2: {want}"), "{row:?}");
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 use simtime::{Duration, Timestamp};
 use std::fmt;
 
+/// The §V-A keyword heuristic, usable on bare names; shared with the
+/// simulator's [`slurmsim::JobRecord::is_ml`].
+pub use slurmsim::job::is_ml_name;
+
 /// One accounted job, as the Slurm database records it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccountedJob {
@@ -77,26 +81,6 @@ impl fmt::Display for AccountedJob {
             self.elapsed()
         )
     }
-}
-
-/// The §V-A keyword heuristic, usable on bare names.
-pub fn is_ml_name(name: &str) -> bool {
-    const KEYWORDS: [&str; 12] = [
-        "train",
-        "model",
-        "bert",
-        "resnet",
-        "llm",
-        "gpt",
-        "finetune",
-        "epoch",
-        "torch",
-        "tensorflow",
-        "diffusion",
-        "inference",
-    ];
-    let name = name.to_ascii_lowercase();
-    KEYWORDS.iter().any(|k| name.contains(k))
 }
 
 /// One node outage (drain/reboot episode), as the recovery tooling logs it.

@@ -305,27 +305,65 @@ impl FromStr for Timestamp {
     type Err = ParseTimestampError;
 
     /// Parses ISO-8601 `YYYY-MM-DDTHH:MM:SSZ` (the trailing `Z` optional).
+    ///
+    /// The exact canonical shape (what [`Display`](fmt::Display) writes)
+    /// takes a positional fast path; every other input — padded,
+    /// unpadded, signed or multi-`Z` — goes through the general parser.
+    /// Both end in [`Timestamp::from_ymd_hms`], so they accept the same
+    /// set and report the same errors.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim().trim_end_matches('Z');
-        let (date, time) = s
-            .split_once('T')
-            .ok_or_else(|| ParseTimestampError::new("expected YYYY-MM-DDTHH:MM:SS"))?;
-        let mut dp = date.split('-');
-        let year: i32 = dp
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| ParseTimestampError::new("bad year"))?;
-        let month: u32 = dp
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| ParseTimestampError::new("bad month"))?;
-        let day: u32 = dp
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| ParseTimestampError::new("bad day"))?;
-        let (h, m, sec) = parse_hms(time)?;
-        Timestamp::from_ymd_hms(year, month, day, h, m, sec)
+        parse_iso_canonical(s.as_bytes()).unwrap_or_else(|| parse_iso_general(s))
     }
+}
+
+/// The fast path of [`Timestamp::from_str`]: `Some` only for exactly
+/// `YYYY-MM-DDTHH:MM:SS` with an optional single `Z`, every digit ASCII.
+/// The general parser reads the same six numbers from such input.
+fn parse_iso_canonical(b: &[u8]) -> Option<Result<Timestamp, ParseTimestampError>> {
+    let b = match b.len() {
+        19 => b,
+        20 if b[19] == b'Z' => &b[..19],
+        _ => return None,
+    };
+    if b[4] != b'-' || b[7] != b'-' || b[10] != b'T' || b[13] != b':' || b[16] != b':' {
+        return None;
+    }
+    let num = |at: usize, len: usize| {
+        b[at..at + len].iter().try_fold(0u32, |v, &c| {
+            c.is_ascii_digit().then(|| v * 10 + u32::from(c - b'0'))
+        })
+    };
+    Some(Timestamp::from_ymd_hms(
+        num(0, 4)? as i32,
+        num(5, 2)?,
+        num(8, 2)?,
+        num(11, 2)?,
+        num(14, 2)?,
+        num(17, 2)?,
+    ))
+}
+
+/// The general path of [`Timestamp::from_str`].
+fn parse_iso_general(s: &str) -> Result<Timestamp, ParseTimestampError> {
+    let s = s.trim().trim_end_matches('Z');
+    let (date, time) = s
+        .split_once('T')
+        .ok_or_else(|| ParseTimestampError::new("expected YYYY-MM-DDTHH:MM:SS"))?;
+    let mut dp = date.split('-');
+    let year: i32 = dp
+        .next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| ParseTimestampError::new("bad year"))?;
+    let month: u32 = dp
+        .next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| ParseTimestampError::new("bad month"))?;
+    let day: u32 = dp
+        .next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| ParseTimestampError::new("bad day"))?;
+    let (h, m, sec) = parse_hms(time)?;
+    Timestamp::from_ymd_hms(year, month, day, h, m, sec)
 }
 
 impl Add<Duration> for Timestamp {
@@ -498,6 +536,18 @@ mod tests {
         assert_eq!(s, "2024-03-14T03:22:07Z");
         assert_eq!(s.parse::<Timestamp>().unwrap(), t);
         assert_eq!("2024-03-14T03:22:07".parse::<Timestamp>().unwrap(), t);
+        // Padded, unpadded, signed and multi-`Z` inputs miss the fast
+        // path and keep the general parser's answers.
+        for general in [
+            " 2024-03-14T03:22:07Z ",
+            "2024-3-14T3:22:7",
+            "2024-03-14T03:22:07ZZ",
+            "+2024-03-14T03:22:07Z",
+            "02024-03-14T03:22:07Z",
+        ] {
+            assert_eq!(parse_iso_canonical(general.as_bytes()), None, "{general}");
+            assert_eq!(general.parse::<Timestamp>(), Ok(t), "{general}");
+        }
     }
 
     #[test]
@@ -505,6 +555,106 @@ mod tests {
         for bad in ["", "2024-03-14", "not a date", "2024-03-14T25:00:00Z"] {
             assert!(bad.parse::<Timestamp>().is_err(), "{bad}");
         }
+    }
+
+    /// The canonical-shape fast path agrees with the general parser on
+    /// every candidate, `Ok` value and error text alike.
+    fn assert_parsers_agree(s: &str) {
+        let general = parse_iso_general(s);
+        if let Some(fast) = parse_iso_canonical(s.as_bytes()) {
+            assert_eq!(fast, general, "{s:?}");
+        }
+        let parsed = s.parse::<Timestamp>();
+        assert_eq!(parsed, general, "{s:?}");
+        assert_eq!(
+            parsed.map_err(|e| e.to_string()),
+            general.map_err(|e| e.to_string()),
+            "{s:?}"
+        );
+    }
+
+    /// A `YYYY-MM-DDTHH:MM:SS[Z]` string with random digits, biased to
+    /// the range edges `from_ymd_hms` checks.
+    fn canonical_candidate(g: &mut propcheck::Gen) -> String {
+        let year = match g.u32_in(0, 4) {
+            0 => g.u32_in(1900, 1970),
+            1 => g.choose(&[1970, 1972, 2000, 2023, 2024, 2100]),
+            _ => g.u32_in(0, 10_000),
+        };
+        let month = if g.bool() {
+            g.choose(&[0, 1, 2, 4, 6, 9, 11, 12, 13])
+        } else {
+            g.u32_in(0, 100)
+        };
+        let day = if g.bool() {
+            g.choose(&[0, 1, 28, 29, 30, 31, 32])
+        } else {
+            g.u32_in(0, 100)
+        };
+        let hour = if g.bool() {
+            g.choose(&[0, 23, 24])
+        } else {
+            g.u32_in(0, 100)
+        };
+        let (min, sec) = (g.u32_in(0, 100), g.u32_in(0, 100));
+        let z = if g.bool() { "Z" } else { "" };
+        format!("{year:04}-{month:02}-{day:02}T{hour:02}:{min:02}:{sec:02}{z}")
+    }
+
+    #[test]
+    fn fast_path_matches_general_parser() {
+        // Characters a mutation may write: digits, every separator, case and
+        // whitespace variants, a sign, and non-ASCII digits and letters.
+        const SUBSTITUTES: [char; 16] = [
+            '0', '5', '9', '-', 'T', 't', ':', 'Z', 'z', ' ', '\t', '+', 'x', '٣', '９', 'é',
+        ];
+        // Every range edge `from_ymd_hms` checks, at least once.
+        for edge in [
+            "2022-00-01T00:00:00Z",
+            "2022-13-01T00:00:00Z",
+            "2022-04-31T00:00:00Z",
+            "2022-09-31T00:00:00Z",
+            "2023-02-29T00:00:00Z",
+            "2024-02-29T00:00:00Z",
+            "2100-02-29T00:00:00Z",
+            "2000-02-29T00:00:00Z",
+            "2022-01-01T24:00:00Z",
+            "2022-01-01T23:60:00Z",
+            "2022-01-01T23:59:60Z",
+            "1969-12-31T23:59:59Z",
+            "0000-01-01T00:00:00",
+            "1970-01-01T00:00:00Z",
+        ] {
+            assert!(parse_iso_canonical(edge.as_bytes()).is_some(), "{edge}");
+            assert_parsers_agree(edge);
+        }
+        propcheck::run("fast_path_matches_general_parser", 4096, |g| {
+            let canonical = canonical_candidate(g);
+            assert!(parse_iso_canonical(canonical.as_bytes()).is_some());
+            assert_parsers_agree(&canonical);
+
+            let mut chars: Vec<char> = canonical.chars().collect();
+            let at = g.usize_in(0, chars.len());
+            chars[at] = g.choose(&SUBSTITUTES);
+            let mutated: String = chars.iter().collect();
+            assert_parsers_agree(&mutated);
+            let mut deleted = chars.clone();
+            deleted.remove(at);
+            assert_parsers_agree(&deleted.iter().collect::<String>());
+
+            let bare = canonical.trim_end_matches('Z');
+            for variant in [
+                format!(" {canonical}"),
+                format!("{canonical} "),
+                format!("\t{canonical}\n"),
+                bare.to_owned(),
+                format!("{bare}Z"),
+                format!("{bare}ZZ"),
+                format!("{bare}ZZZ"),
+            ] {
+                assert_parsers_agree(&variant);
+            }
+        });
     }
 
     #[test]

@@ -106,26 +106,9 @@ impl JobRecord {
     }
 
     /// The §V-A machine-learning heuristic: a job is ML if its name
-    /// contains an ML-indicative keyword (`train`, `model`, framework and
-    /// architecture names). The paper applies exactly this approximation
-    /// because submission scripts were off limits.
+    /// contains an ML-indicative keyword (see [`is_ml_name`]).
     pub fn is_ml(&self) -> bool {
-        const KEYWORDS: [&str; 12] = [
-            "train",
-            "model",
-            "bert",
-            "resnet",
-            "llm",
-            "gpt",
-            "finetune",
-            "epoch",
-            "torch",
-            "tensorflow",
-            "diffusion",
-            "inference",
-        ];
-        let name = self.name.to_ascii_lowercase();
-        KEYWORDS.iter().any(|k| name.contains(k))
+        is_ml_name(&self.name)
     }
 
     /// Whether the job was running at instant `t`.
@@ -141,6 +124,51 @@ impl JobRecord {
     /// Whether the job was allocated `gpu`.
     pub fn uses_gpu(&self, gpu: GpuId) -> bool {
         self.gpu_ids.contains(&gpu)
+    }
+}
+
+/// The ML-indicative keywords of the §V-A heuristic, in lowercase.
+const ML_KEYWORDS: [&[u8]; 12] = [
+    b"train",
+    b"model",
+    b"bert",
+    b"resnet",
+    b"llm",
+    b"gpt",
+    b"finetune",
+    b"epoch",
+    b"torch",
+    b"tensorflow",
+    b"diffusion",
+    b"inference",
+];
+
+/// The §V-A machine-learning heuristic on a bare job name: true when the
+/// name contains an ML-indicative keyword (`train`, `model`, framework
+/// and architecture names), ignoring ASCII case. The paper applies
+/// exactly this approximation because submission scripts were off
+/// limits.
+///
+/// It runs on every GPU job of Table III, so it does not allocate: names
+/// up to 64 bytes are lowercased into a stack buffer and scanned once,
+/// trying only the keywords that start with the byte at hand; longer
+/// names are compared case-insensitively in place.
+pub fn is_ml_name(name: &str) -> bool {
+    let name = name.as_bytes();
+    let mut buf = [0u8; 64];
+    match buf.get_mut(..name.len()) {
+        Some(lower) => {
+            lower.copy_from_slice(name);
+            lower.make_ascii_lowercase();
+            (0..lower.len()).any(|i| {
+                ML_KEYWORDS
+                    .iter()
+                    .any(|k| k[0] == lower[i] && lower[i..].starts_with(k))
+            })
+        }
+        None => ML_KEYWORDS
+            .iter()
+            .any(|k| name.windows(k.len()).any(|w| w.eq_ignore_ascii_case(k))),
     }
 }
 
@@ -192,6 +220,64 @@ mod tests {
         assert!(record("Llama_MODEL_eval", 8).is_ml());
         assert!(!record("namd_apoa1", 2).is_ml());
         assert!(!record("wrf_forecast", 1).is_ml());
+    }
+
+    /// The heuristic as first written: lowercase a copy, then `contains`.
+    fn is_ml_name_by_allocation(name: &str) -> bool {
+        let name = name.to_ascii_lowercase();
+        ML_KEYWORDS
+            .iter()
+            .any(|k| name.contains(std::str::from_utf8(k).unwrap()))
+    }
+
+    #[test]
+    fn ml_name_matches_allocating_definition() {
+        let long = "x".repeat(60);
+        let names = [
+            String::new(),
+            "TRAIN".to_owned(),
+            "ReSNeT-50".to_owned(),
+            "tRaIn_GPT".to_owned(),
+            "trai".to_owned(),
+            "TRAİN".to_owned(),
+            "straße_model".to_owned(),
+            "ｔｒａｉｎ".to_owned(),
+            "épochs_Ω".to_owned(),
+            format!("{long}gpt"),
+            format!("{long}_GPT"),
+            format!("{long}TORCH"),
+            format!("{long}{long}"),
+            format!("{long}{long}Inference"),
+            format!("{long}tRa{long}"),
+        ];
+        for name in &names {
+            assert_eq!(is_ml_name(name), is_ml_name_by_allocation(name), "{name:?}");
+        }
+        assert!(is_ml_name(&names[10]) && names[10].len() == 64);
+        assert!(is_ml_name(&names[11]) && names[11].len() == 65);
+        assert!(is_ml_name(&names[13]) && names[13].len() > 64);
+
+        // Random names over keyword letters in both cases plus non-ASCII,
+        // with whole keywords spliced in now and then.
+        let chars: Vec<char> = "tRaInMoDeLbErTgPtLlMfInEpOcHzTfDiFuSoN_-0İßÉ"
+            .chars()
+            .collect();
+        propcheck::run("ml_name_matches_allocating_definition", 2048, |g| {
+            let mut name = String::new();
+            for _ in 0..g.usize_in(0, 90) {
+                if g.bool_with(0.02) {
+                    let k = g.choose(&ML_KEYWORDS);
+                    name.push_str(&std::str::from_utf8(k).unwrap().to_ascii_uppercase());
+                } else {
+                    name.push(g.choose(&chars));
+                }
+            }
+            assert_eq!(
+                is_ml_name(&name),
+                is_ml_name_by_allocation(&name),
+                "{name:?}"
+            );
+        });
     }
 
     #[test]

@@ -112,42 +112,27 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     }
     let metrics = MetricsSink::from_flags(&flags)?;
 
-    // Ingest logs. Syslog lines carry no year, so resolve it per file:
-    // prefer a `...YYYYMMDD...` date in the filename (what `simulate`
-    // writes); otherwise probe candidate years on a small line sample and
-    // keep the year that parses best. Either way each file is fully
-    // parsed exactly once.
-    let mut archive = hpclog::archive::Archive::new();
-    let mut skipped_total = 0;
-    {
-        let mut span = obs::span("stage_ingest");
-        for file in cli::collect_log_files(&flags.positionals)? {
-            let text = cli::read_to_string(&file)?;
-            let year = cli::year_from_filename(&file).unwrap_or_else(|| probe_year(&text));
-            let (_, skipped) = archive.ingest_day(&text, year);
-            skipped_total += skipped;
+    // The CSV exports decode on one scoped thread while this thread
+    // ingests the logs. Errors keep the serial order: log errors first,
+    // then --jobs, --cpu-jobs, --outages.
+    let (logs, csvs) = std::thread::scope(|scope| {
+        let csvs = scope.spawn(|| decode_csvs(&flags));
+        let logs = ingest_logs(&flags.positionals);
+        if let Ok((archive, skipped)) = &logs {
+            println!(
+                "ingested {} lines over {} days ({} unparseable lines skipped)",
+                archive.line_count(),
+                archive.day_count(),
+                skipped
+            );
         }
-        span.add_items(archive.line_count() as u64);
-    }
-    println!(
-        "ingested {} lines over {} days ({} unparseable lines skipped)",
-        archive.line_count(),
-        archive.day_count(),
-        skipped_total
-    );
-
-    let gpu_jobs = match flags.value("jobs") {
-        Some(path) => cli::parse_jobs_csv(&cli::read_to_string(path)?, CsvInput::GpuJobs)?,
-        None => Vec::new(),
-    };
-    let cpu_jobs = match flags.value("cpu-jobs") {
-        Some(path) => cli::parse_jobs_csv(&cli::read_to_string(path)?, CsvInput::CpuJobs)?,
-        None => Vec::new(),
-    };
-    let outages = match flags.value("outages") {
-        Some(path) => cli::parse_outages_csv(&cli::read_to_string(path)?)?,
-        None => Vec::new(),
-    };
+        let csvs = csvs
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (logs, csvs)
+    });
+    let (archive, _) = logs?;
+    let (gpu_jobs, cpu_jobs, outages) = csvs?;
 
     let mut pipeline = Pipeline::delta();
     if let Some(w) = flags.value("window") {
@@ -217,6 +202,47 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         println!("metrics written to {}", sink.path.display());
     }
     Ok(())
+}
+
+/// Reads every log file into one archive. Syslog lines carry no year, so
+/// it is resolved per file: a `...YYYYMMDD...` date in the filename
+/// (what `simulate` writes) wins; otherwise candidate years are probed on
+/// a small line sample and the year that parses best is kept. Either way
+/// each file is fully parsed exactly once. Returns the archive and the
+/// number of unparseable lines skipped.
+fn ingest_logs(paths: &[String]) -> Result<(hpclog::archive::Archive, usize), CliError> {
+    let mut archive = hpclog::archive::Archive::new();
+    let mut skipped_total = 0;
+    let mut span = obs::span("stage_ingest");
+    for file in cli::collect_log_files(paths)? {
+        let text = cli::read_to_string(&file)?;
+        let year = cli::year_from_filename(&file).unwrap_or_else(|| probe_year(&text));
+        let (_, skipped) = archive.ingest_day(&text, year);
+        skipped_total += skipped;
+    }
+    span.add_items(archive.line_count() as u64);
+    Ok((archive, skipped_total))
+}
+
+/// The decoded `--jobs`, `--cpu-jobs` and `--outages` exports.
+type Csvs = (Vec<AccountedJob>, Vec<AccountedJob>, Vec<OutageRecord>);
+
+/// Reads and decodes the CSV exports in flag order, stopping at the first
+/// error; an absent flag decodes as empty.
+fn decode_csvs(flags: &cli::Flags) -> Result<Csvs, CliError> {
+    let mut span = obs::span("stage_csv");
+    let jobs = |flag: &str, input: CsvInput| match flags.value(flag) {
+        Some(path) => cli::parse_jobs_csv(&cli::read_to_string(path)?, input),
+        None => Ok(Vec::new()),
+    };
+    let gpu_jobs = jobs("jobs", CsvInput::GpuJobs)?;
+    let cpu_jobs = jobs("cpu-jobs", CsvInput::CpuJobs)?;
+    let outages = match flags.value("outages") {
+        Some(path) => cli::parse_outages_csv(&cli::read_to_string(path)?)?,
+        None => Vec::new(),
+    };
+    span.add_items((gpu_jobs.len() + cpu_jobs.len() + outages.len()) as u64);
+    Ok((gpu_jobs, cpu_jobs, outages))
 }
 
 /// Picks the year under which a sample of the file's lines parses with the

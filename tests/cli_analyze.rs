@@ -1,0 +1,211 @@
+//! `delta_cli analyze` driven as a process: its stdout against the
+//! in-process pipeline, the `stage_csv` span of its CSV decode, and the
+//! error order it keeps while that decode overlaps the log ingest.
+
+use delta_gpu_resilience::cli;
+use delta_gpu_resilience::prelude::*;
+use hpclog::archive::Archive;
+use resilience::csvio;
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cli-analyze-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn delta_cli<I, S>(args: I) -> Output
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<OsStr>,
+{
+    Command::new(env!("CARGO_BIN_EXE_delta_cli"))
+        .args(args)
+        .output()
+        .expect("spawn delta_cli")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8(bytes.to_vec()).expect("UTF-8 output")
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// The `analyze` arguments for a dataset `simulate` wrote to `dir`.
+fn analyze_args(dir: &Path) -> Vec<PathBuf> {
+    let mut args = vec![PathBuf::from("analyze"), dir.join("logs")];
+    for (flag, file) in [
+        ("--jobs", "gpu_jobs.csv"),
+        ("--cpu-jobs", "cpu_jobs.csv"),
+        ("--outages", "outages.csv"),
+    ] {
+        args.extend([PathBuf::from(flag), dir.join(file)]);
+    }
+    args
+}
+
+/// What `analyze` prints for the dataset in `dir`, computed in process:
+/// the serial ingest, `Pipeline::run` and the report renderers, laid out
+/// as the benchmark's oracle lays them out.
+fn expected_stdout(dir: &Path) -> String {
+    let logs = dir.join("logs").display().to_string();
+    let mut archive = Archive::new();
+    let mut skipped = 0;
+    for file in cli::collect_log_files(&[logs]).unwrap() {
+        let year = cli::year_from_filename(&file).expect("simulate names files by date");
+        skipped += archive.ingest_day(&read(&file), year).1;
+    }
+    let gpu_jobs = csvio::parse_jobs(&read(&dir.join("gpu_jobs.csv"))).unwrap();
+    let cpu_jobs = csvio::parse_jobs(&read(&dir.join("cpu_jobs.csv"))).unwrap();
+    let outages = csvio::parse_outages(&read(&dir.join("outages.csv"))).unwrap();
+    // The layout below prints every section, which `analyze` does only
+    // when both exports have rows.
+    assert!(!gpu_jobs.is_empty() && !outages.is_empty());
+    let report = Pipeline::delta().run(&archive, &gpu_jobs, &cpu_jobs, &outages);
+    format!(
+        "ingested {} lines over {} days ({skipped} unparseable lines skipped)\n\
+         \n=== Table I ===\n{}\n=== Table II ===\n{}\n=== Table III ===\n{}\n\
+         === Figure 2 ===\n{}\n=== Findings ===\n{}\n",
+        archive.line_count(),
+        archive.day_count(),
+        report::table1(&report),
+        report::table2(&report),
+        report::table3(&report),
+        report::figure2(&report),
+        Findings::evaluate(&report),
+    )
+}
+
+#[test]
+fn analyze_stdout_matches_in_process_pipeline() {
+    let dir = scratch("oracle");
+    let mut args: Vec<&OsStr> = ["simulate", "--scale", "0.01", "--seed", "7", "--out"]
+        .map(OsStr::new)
+        .to_vec();
+    args.push(dir.as_os_str());
+    let out = delta_cli(args);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+
+    let out = delta_cli(analyze_args(&dir));
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    assert_eq!(text(&out.stdout), expected_stdout(&dir));
+
+    // The CSV decode runs under its own span, counting the rows it read.
+    let prom = dir.join("metrics.prom");
+    let mut args = analyze_args(&dir);
+    args.extend([PathBuf::from("--metrics-out"), prom.clone()]);
+    let out = delta_cli(args);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let rows: usize = ["gpu_jobs.csv", "cpu_jobs.csv", "outages.csv"]
+        .iter()
+        .map(|f| read(&dir.join(f)).lines().skip(1).count())
+        .sum();
+    let metrics = read(&prom);
+    assert!(
+        metrics.contains("obs_span_count{span=\"stage_csv\"} 1\n"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains(&format!("obs_span_items{{span=\"stage_csv\"}} {rows}\n")),
+        "{metrics}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn input_errors_keep_the_serial_order() {
+    let dir = scratch("errors");
+    let log = dir.join("syslog-20230105.log");
+    std::fs::write(
+        &log,
+        "Jan  5 10:00:00 gpub001 kernel: NVRM: Xid (PCI:0000:07:00): 119, GSP timeout\n",
+    )
+    .unwrap();
+    let bad_jobs = dir.join("gpu_jobs.csv");
+    std::fs::write(&bad_jobs, format!("{}\n1,a,b\n", csvio::JOB_HEADER)).unwrap();
+    let bad_cpu = dir.join("cpu_jobs.csv");
+    std::fs::write(&bad_cpu, "not a header\n").unwrap();
+    let bad_outages = dir.join("outages.csv");
+    std::fs::write(&bad_outages, format!("{}\nx\n", csvio::OUTAGE_HEADER)).unwrap();
+    let missing = dir.join("no-such-logs");
+    let flag = |f: &str| PathBuf::from(f);
+
+    // A log error wins over any CSV error, and nothing was ingested.
+    let out = delta_cli([
+        flag("analyze"),
+        missing.clone(),
+        flag("--jobs"),
+        bad_jobs.clone(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = text(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!(
+            "error: {}: no such file or directory\n",
+            missing.display()
+        )),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("CSV line"), "{stderr}");
+    assert_eq!(text(&out.stdout), "");
+
+    // With good logs, the first failing export in flag order is reported,
+    // after the ingest line is already out.
+    let out = delta_cli([
+        flag("analyze"),
+        log.clone(),
+        flag("--jobs"),
+        bad_jobs.clone(),
+        flag("--cpu-jobs"),
+        bad_cpu.clone(),
+        flag("--outages"),
+        bad_outages.clone(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        text(&out.stderr),
+        "error: gpu-jobs export: CSV line 2: expected 8 fields, got 3\n"
+    );
+    assert_eq!(
+        text(&out.stdout),
+        "ingested 1 lines over 1 days (0 unparseable lines skipped)\n"
+    );
+
+    let out = delta_cli([
+        flag("analyze"),
+        log.clone(),
+        flag("--cpu-jobs"),
+        bad_cpu,
+        flag("--outages"),
+        bad_outages.clone(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = text(&out.stderr);
+    assert!(
+        stderr.starts_with("error: cpu-jobs export: CSV line 1: expected header"),
+        "{stderr}"
+    );
+
+    // A missing export is a read error in the same slot of the order.
+    let absent = dir.join("absent.csv");
+    let out = delta_cli([
+        flag("analyze"),
+        log,
+        flag("--jobs"),
+        absent.clone(),
+        flag("--outages"),
+        bad_outages,
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = text(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!("error: reading {}: ", absent.display())),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
