@@ -29,22 +29,26 @@
 //! or how often it runs: every reptition's fault campaign and scheduler
 //! simulation seed forks deterministically from the spec seed, and the
 //! baseline arm of rep `r` shares rep `r`'s seed so the comparison is
-//! paired (the counterfactual re-rolls *decisions*, not *luck*).
+//! paired (the counterfactual re-rolls *decisions*, not *luck*). No knob
+//! changes the GPU job stream, so both arms of a rep schedule the one
+//! workload generated from that seed, and each reads only the
+//! scheduler's counters.
 
 use clustersim::{Cluster, RepairModel};
 use faultsim::{Campaign, FaultConfig};
 use simrng::dist::LogNormal;
 use simrng::Rng;
 use simtime::Phase;
+use slurmsim::workload::JobSpec;
 use slurmsim::{SchedPolicy, Simulation, WorkloadConfig};
 use std::fmt;
 use xid::{ErrorKind, XidCode};
 
 /// Fraction of the two-year Delta study each repetition simulates. At
 /// 0.02 (~a week of pre-op plus ~2.5 weeks of operation over the full
-/// 448-GPU cluster) one paired rep costs on the order of 100 ms — small
-/// enough for an interactive service, large enough that the op phase
-/// sees hundreds of errors.
+/// 448-GPU cluster) one paired rep costs a few tens of milliseconds —
+/// small enough for an interactive service, large enough that the op
+/// phase sees hundreds of errors.
 pub const SIM_SCALE: f64 = 0.02;
 
 /// Defaults for unspecified spec axes.
@@ -507,19 +511,26 @@ pub fn spread(reps: &[RepOutcome], metric: impl Fn(&RepOutcome) -> f64) -> Sprea
 }
 
 /// Runs one arm's repetition: fault campaign, then the scheduler
-/// co-simulation, then the headline metrics.
-fn run_rep(spec: &ScenarioSpec, rep_seed: u64) -> Result<RepOutcome, ScenarioError> {
+/// co-simulation over the rep's GPU workload `jobs` (generated once per
+/// rep by `sim`, whose seed is `rep_seed`), then the headline metrics.
+/// Only the scheduler's counters are read, so no accounting records are
+/// built.
+fn run_rep(
+    spec: &ScenarioSpec,
+    sim: &Simulation<'_>,
+    jobs: &[JobSpec],
+    rep_seed: u64,
+) -> Result<RepOutcome, ScenarioError> {
     let mut config = FaultConfig::delta_scaled(SIM_SCALE);
     config.emit_logs = false;
     config.seed = rep_seed;
     spec.apply(&mut config)?;
 
     let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SIM_SCALE);
-    let outcome = Simulation::new(&cluster, workload, rep_seed)
-        .with_policy(spec.sched)
-        .run(&campaign.ground_truth, &campaign.holds);
+    let stats =
+        sim.clone()
+            .with_policy(spec.sched)
+            .schedule(jobs, &campaign.ground_truth, &campaign.holds);
 
     let op = campaign.config.periods.op;
     let op_hours = op.hours();
@@ -542,7 +553,7 @@ fn run_rep(spec: &ScenarioSpec, rep_seed: u64) -> Result<RepOutcome, ScenarioErr
             0.0
         },
         availability,
-        jobs_killed: outcome.stats.error_kills,
+        jobs_killed: stats.error_kills,
     })
 }
 
@@ -566,18 +577,23 @@ pub fn run_campaign(
     let mut baseline = Vec::with_capacity(spec.reps as usize);
     let mut scenario = Vec::with_capacity(spec.reps as usize);
     let root = Rng::seed_from(spec.seed);
+    // No knob touches the cluster shape, so every arm's campaign runs on
+    // this one.
+    let cluster = Cluster::new(FaultConfig::delta_scaled(SIM_SCALE).spec);
     for rep in 0..spec.reps {
         // One fork per rep; baseline and scenario share it so the
-        // comparison is paired.
+        // comparison is paired, and with it the rep's GPU workload.
         let rep_seed = root.fork(u64::from(rep)).next_u64();
         let span = obs::span("whatif_rep");
-        let base = run_rep(&baseline_spec, rep_seed)?;
+        let sim = Simulation::new(&cluster, WorkloadConfig::delta_scaled(SIM_SCALE), rep_seed);
+        let jobs = sim.gpu_specs();
+        let base = run_rep(&baseline_spec, &sim, &jobs, rep_seed)?;
         done += 1;
         progress(done, total);
         let scen = if spec.is_neutral() {
             base
         } else {
-            run_rep(spec, rep_seed)?
+            run_rep(spec, &sim, &jobs, rep_seed)?
         };
         done += 1;
         progress(done, total);

@@ -43,17 +43,20 @@ use std::time::{Duration, Instant};
 pub const SYNC_REPS: u32 = 4;
 
 /// How long the inline path waits before degrading to a `202`. A rep
-/// costs ~0.2 s, so four reps finish three orders of magnitude sooner
-/// than this unless the box is badly oversubscribed.
+/// (both arms) costs a few tens of milliseconds, so four reps finish more
+/// than two orders of magnitude sooner than this unless the box is badly
+/// oversubscribed.
 const SYNC_WAIT: Duration = Duration::from_secs(60);
 
 /// Finished jobs retained as the result cache; the oldest finished job
 /// is evicted beyond this.
 const MAX_FINISHED_JOBS: usize = 64;
 
-/// Campaign wall-time histogram buckets, in microseconds (100 ms .. 60 s).
+/// Campaign wall-time histogram buckets, in microseconds (10 ms .. 60 s):
+/// a `reps=1` campaign takes a few tens of milliseconds.
 const CAMPAIGN_US_BUCKETS: &[u64] = &[
-    100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000, 30_000_000, 60_000_000,
+    10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
+    30_000_000, 60_000_000,
 ];
 
 /// What-if service tunables.

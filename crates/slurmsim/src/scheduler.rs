@@ -261,6 +261,34 @@ impl<'c> Simulation<'c> {
         self
     }
 
+    /// The GPU job specs [`Simulation::run`] schedules: the workload
+    /// generated from this simulation's seed, sorted by submission time.
+    pub fn gpu_specs(&self) -> Vec<JobSpec> {
+        self.workload
+            .generate(&mut Rng::seed_from(self.seed).fork(1))
+    }
+
+    /// Schedules caller-supplied GPU job specs against the error and
+    /// node-hold timelines and returns only the scheduler counters.
+    ///
+    /// This is the event loop [`Simulation::run`] runs, without the
+    /// accounting records or the CPU pool: given [`Simulation::gpu_specs`]
+    /// it returns exactly `run`'s [`SimulationOutcome::stats`]. `specs`
+    /// must be sorted by submission time; a spec's index is its job id.
+    /// `errors` and `holds` are as for `run`.
+    pub fn schedule(
+        &self,
+        specs: &[JobSpec],
+        errors: &[GpuErrorEvent],
+        holds: &[Outage],
+    ) -> SchedulerStats {
+        let mut span = obs::span("stage_schedule");
+        let stats = self.engine(specs, errors, holds).stats;
+        span.add_items(specs.len() as u64);
+        record_scheduler_metrics(&stats, specs.len(), None);
+        stats
+    }
+
     /// Runs the workload against the error and node-hold timelines.
     ///
     /// `errors` must be sorted by time (campaign outputs are); `holds` are
@@ -268,20 +296,13 @@ impl<'c> Simulation<'c> {
     /// workload window are ignored harmlessly.
     pub fn run(&self, errors: &[GpuErrorEvent], holds: &[Outage]) -> SimulationOutcome {
         let mut span = obs::span("stage_schedule");
-        let root = Rng::seed_from(self.seed);
-        let specs = self.workload.generate(&mut root.fork(1));
-        let cpu_specs = self.workload.generate_cpu(&mut root.fork(2));
-        let mut engine = Engine::new(
-            self.cluster,
-            specs.len(),
-            self.kill,
-            self.requeue,
-            self.policy,
-            root.fork(3),
-        );
-        engine.run(&specs, errors, holds);
+        let specs = self.gpu_specs();
+        let cpu_specs = self
+            .workload
+            .generate_cpu(&mut Rng::seed_from(self.seed).fork(2));
+        let engine = self.engine(&specs, errors, holds);
         let stats = engine.stats;
-        let jobs = engine.into_records(&specs);
+        let jobs = engine.into_records(specs);
         let cpu_jobs = cpu_specs
             .into_iter()
             .enumerate()
@@ -303,25 +324,41 @@ impl<'c> Simulation<'c> {
             stats,
         };
         span.add_items(outcome.jobs.len() as u64 + outcome.cpu_jobs.len() as u64);
-        record_scheduler_metrics(&outcome);
+        record_scheduler_metrics(&stats, outcome.jobs.len(), Some(outcome.cpu_jobs.len()));
         outcome
+    }
+
+    /// The one scheduling event loop behind [`Simulation::run`] and
+    /// [`Simulation::schedule`].
+    fn engine(&self, specs: &[JobSpec], errors: &[GpuErrorEvent], holds: &[Outage]) -> Engine<'c> {
+        let mut engine = Engine::new(
+            self.cluster,
+            specs.len(),
+            self.kill,
+            self.requeue,
+            self.policy,
+            Rng::seed_from(self.seed).fork(3),
+        );
+        engine.run(specs, errors, holds);
+        engine
     }
 }
 
 /// Publishes a finished simulation's scheduling tallies to the global
-/// metrics registry. Write-only.
-fn record_scheduler_metrics(outcome: &SimulationOutcome) {
+/// metrics registry: `gpu_jobs` scheduled, plus the CPU pool when the
+/// caller generated one. Write-only.
+fn record_scheduler_metrics(stats: &SchedulerStats, gpu_jobs: usize, cpu_jobs: Option<usize>) {
     if !obs::is_enabled() {
         return;
     }
-    obs::counter("slurmsim_jobs_scheduled_total", &[("pool", "gpu")])
-        .add(outcome.jobs.len() as u64);
-    obs::counter("slurmsim_jobs_scheduled_total", &[("pool", "cpu")])
-        .add(outcome.cpu_jobs.len() as u64);
-    obs::counter("slurmsim_jobs_killed_total", &[]).add(outcome.stats.error_kills);
-    obs::counter("slurmsim_errors_on_idle_total", &[]).add(outcome.stats.errors_on_idle);
-    obs::counter("slurmsim_requeues_total", &[]).add(outcome.stats.requeues);
-    obs::gauge("slurmsim_peak_queue_depth", &[]).set_max(outcome.stats.peak_queue as u64);
+    obs::counter("slurmsim_jobs_scheduled_total", &[("pool", "gpu")]).add(gpu_jobs as u64);
+    if let Some(cpu_jobs) = cpu_jobs {
+        obs::counter("slurmsim_jobs_scheduled_total", &[("pool", "cpu")]).add(cpu_jobs as u64);
+    }
+    obs::counter("slurmsim_jobs_killed_total", &[]).add(stats.error_kills);
+    obs::counter("slurmsim_errors_on_idle_total", &[]).add(stats.errors_on_idle);
+    obs::counter("slurmsim_requeues_total", &[]).add(stats.requeues);
+    obs::gauge("slurmsim_peak_queue_depth", &[]).set_max(stats.peak_queue as u64);
 }
 
 /// A started job's live state.
@@ -352,15 +389,105 @@ struct RetryState {
     first_start: Timestamp,
 }
 
+/// A finished job's accounting, kept compact until
+/// [`Engine::into_records`] joins it with its spec.
+#[derive(Debug, Clone)]
+struct Placement {
+    /// Start of the first attempt.
+    start: Timestamp,
+    end: Timestamp,
+    /// The last attempt's GPUs, in allocation order.
+    gpus: Vec<GpuId>,
+    state: JobState,
+}
+
+/// The allocation index: answers "which is the first up node with at
+/// least `w` free GPUs" and "how many GPUs sit on fully idle up nodes"
+/// without walking the nodes.
+///
+/// A max-tree over the nodes in index order: leaf `n` holds node `n`'s
+/// free GPU count while the node is up and 0 while it is held, each
+/// inner slot the max of its children. A no-fit answer is one look at
+/// the root; a fit is a leftmost descent, which lands on exactly the node
+/// a first-fit scan in node order would pick. Works for any node count.
+#[derive(Debug, Clone)]
+struct FreeIndex {
+    /// Leaf count: the node count rounded up to a power of two.
+    leaves: usize,
+    /// `tree[leaves + n]` is node `n`'s leaf; `tree[i]` is the max of
+    /// `tree[2i]` and `tree[2i + 1]`; `tree[0]` is unused.
+    tree: Vec<u8>,
+    /// GPUs on up nodes whose every GPU is free (the multi-node pool).
+    idle_gpus: u32,
+}
+
+impl FreeIndex {
+    /// An index over `cluster` with every node up and idle.
+    fn new(cluster: &Cluster) -> Self {
+        let leaves = cluster.node_count().next_power_of_two();
+        let mut index = FreeIndex {
+            leaves,
+            tree: vec![0; 2 * leaves],
+            idle_gpus: 0,
+        };
+        for (n, node) in cluster.nodes().iter().enumerate() {
+            index.set(n, node.gpu_count(), node.gpu_count());
+        }
+        index
+    }
+
+    /// Records that node `n` (with `gpu_count` GPUs) now offers
+    /// `schedulable` free GPUs: its free count while up, 0 while held.
+    fn set(&mut self, n: usize, schedulable: u8, gpu_count: u8) {
+        let mut i = self.leaves + n;
+        if self.tree[i] == gpu_count {
+            self.idle_gpus -= u32::from(gpu_count);
+        }
+        if schedulable == gpu_count {
+            self.idle_gpus += u32::from(gpu_count);
+        }
+        self.tree[i] = schedulable;
+        while i > 1 {
+            i /= 2;
+            let max = self.tree[2 * i].max(self.tree[2 * i + 1]);
+            if self.tree[i] == max {
+                break;
+            }
+            self.tree[i] = max;
+        }
+    }
+
+    /// The lowest-indexed node offering at least `want` GPUs.
+    fn first_fit(&self, want: u8) -> Option<usize> {
+        if self.tree[1] < want {
+            return None;
+        }
+        let mut i = 1;
+        while i < self.leaves {
+            i = if self.tree[2 * i] >= want {
+                2 * i
+            } else {
+                2 * i + 1
+            };
+        }
+        Some(i - self.leaves)
+    }
+}
+
 /// Internal mutable engine.
 struct Engine<'c> {
     cluster: &'c Cluster,
+    /// GPUs in the cluster: the clamp on a job's request.
+    total_gpus: u32,
     kill: KillModel,
     requeue: RequeuePolicy,
     policy: SchedPolicy,
     rng: Rng,
     node_up: Vec<bool>,
     free: Vec<u8>,
+    /// Mirrors `node_up` and `free`; every change to either goes
+    /// through [`Engine::sync_node`].
+    index: FreeIndex,
     /// `owner[node][gpu]` = index into `running`.
     owner: Vec<Vec<Option<usize>>>,
     running: Vec<RunJob>,
@@ -369,8 +496,12 @@ struct Engine<'c> {
     /// Killed jobs waiting out their restart delay: (resume time, spec).
     resume: BinaryHeap<Reverse<(Timestamp, usize)>>,
     retry: std::collections::HashMap<usize, RetryState>,
-    records: Vec<Option<JobRecord>>,
+    placements: Vec<Option<Placement>>,
     stats: SchedulerStats,
+    /// Every attempt's start instant and GPUs, for the hold-window
+    /// property.
+    #[cfg(test)]
+    starts: Vec<(Timestamp, Vec<GpuId>)>,
 }
 
 impl<'c> Engine<'c> {
@@ -384,12 +515,14 @@ impl<'c> Engine<'c> {
     ) -> Self {
         Engine {
             cluster,
+            total_gpus: cluster.gpu_count() as u32,
             kill,
             requeue,
             policy,
             rng,
             node_up: vec![true; cluster.node_count()],
             free: cluster.nodes().iter().map(|n| n.gpu_count()).collect(),
+            index: FreeIndex::new(cluster),
             owner: cluster
                 .nodes()
                 .iter()
@@ -400,8 +533,10 @@ impl<'c> Engine<'c> {
             finish: BinaryHeap::new(),
             resume: BinaryHeap::new(),
             retry: std::collections::HashMap::new(),
-            records: vec![None; job_count],
+            placements: vec![None; job_count],
             stats: SchedulerStats::default(),
+            #[cfg(test)]
+            starts: Vec::new(),
         }
     }
 
@@ -472,8 +607,7 @@ impl<'c> Engine<'c> {
 
     /// Attempts to allocate and start job `idx` at time `t`.
     fn try_start(&mut self, idx: usize, t: Timestamp, specs: &[JobSpec]) -> bool {
-        let total_gpus = self.cluster.gpu_count() as u32;
-        let want = specs[idx].gpus.min(total_gpus).max(1);
+        let want = specs[idx].gpus.min(self.total_gpus).max(1);
         let alloc = self.find_allocation(want);
         let Some(gpus) = alloc else { return false };
         let run_idx = self.running.len();
@@ -481,7 +615,10 @@ impl<'c> Engine<'c> {
             let n = gpu.node.index() as usize;
             self.owner[n][gpu.index as usize] = Some(run_idx);
             self.free[n] -= 1;
+            self.sync_node(n);
         }
+        #[cfg(test)]
+        self.starts.push((t, gpus.clone()));
         let duration = self
             .retry
             .get(&idx)
@@ -502,7 +639,51 @@ impl<'c> Engine<'c> {
 
     /// Finds GPUs for a `want`-wide job: single-node first-fit for jobs
     /// that fit on one node, whole-node accumulation for larger jobs.
+    /// The index answers a no-fit without touching a node.
     fn find_allocation(&self, want: u32) -> Option<Vec<GpuId>> {
+        let nodes = self.cluster.nodes();
+        let found = if want <= 8 {
+            self.index.first_fit(want as u8).map(|n| {
+                let node = &nodes[n];
+                let mut gpus = Vec::with_capacity(want as usize);
+                for g in 0..node.gpu_count() {
+                    if self.owner[n][g as usize].is_none() {
+                        gpus.push(GpuId::new(node.id(), g));
+                        if gpus.len() as u32 == want {
+                            break;
+                        }
+                    }
+                }
+                gpus
+            })
+        } else if self.index.idle_gpus < want {
+            None
+        } else {
+            // Multi-node: accumulate fully idle nodes.
+            let mut gpus = Vec::with_capacity(want as usize);
+            for (n, node) in nodes.iter().enumerate() {
+                if self.node_up[n] && self.free[n] == node.gpu_count() {
+                    gpus.extend(node.gpus());
+                    if gpus.len() as u32 >= want {
+                        break;
+                    }
+                }
+            }
+            Some(gpus)
+        };
+        #[cfg(test)]
+        assert_eq!(
+            found,
+            self.scan_allocation(want),
+            "allocation index disagrees with the scan for a {want}-GPU job"
+        );
+        found
+    }
+
+    /// The reference allocator: a first-fit walk over every node, which
+    /// [`Engine::find_allocation`] must answer identically.
+    #[cfg(test)]
+    fn scan_allocation(&self, want: u32) -> Option<Vec<GpuId>> {
         let nodes = self.cluster.nodes();
         if want <= 8 {
             for (n, node) in nodes.iter().enumerate() {
@@ -534,6 +715,23 @@ impl<'c> Engine<'c> {
             }
         }
         None
+    }
+
+    /// Pushes node `n`'s `node_up`/`free` state into the index.
+    fn sync_node(&mut self, n: usize) {
+        let schedulable = if self.node_up[n] { self.free[n] } else { 0 };
+        self.index
+            .set(n, schedulable, self.cluster.nodes()[n].gpu_count());
+    }
+
+    /// Frees GPUs a finished or killed attempt held.
+    fn release(&mut self, gpus: &[GpuId]) {
+        for gpu in gpus {
+            let n = gpu.node.index() as usize;
+            self.owner[n][gpu.index as usize] = None;
+            self.free[n] += 1;
+            self.sync_node(n);
+        }
     }
 
     /// Starts whatever the drain policy allows: strict FIFO stops at the
@@ -574,13 +772,14 @@ impl<'c> Engine<'c> {
             return;
         }
         let state = specs[self.running[run_idx].spec_idx].baseline_state;
-        self.finalize(run_idx, t, state, specs);
+        self.finalize(run_idx, t, state);
     }
 
     /// A hold only toggles schedulability: per §V-C the drain lets
     /// resident jobs run to completion, so nothing is killed here.
     fn on_hold_edge(&mut self, node: usize, down: bool) {
         self.node_up[node] = !down;
+        self.sync_node(node);
     }
 
     fn on_error(&mut self, ev: &GpuErrorEvent, specs: &[JobSpec]) {
@@ -666,7 +865,7 @@ impl<'c> Engine<'c> {
                 _ => done_this_attempt,
             };
             self.stats.lost_gpu_hours += gpus * lost.as_hours_f64();
-            self.finalize(run_idx, t, JobState::NodeFail, specs);
+            self.finalize(run_idx, t, JobState::NodeFail);
             return;
         }
 
@@ -692,66 +891,63 @@ impl<'c> Engine<'c> {
         // Release the GPUs without writing a record.
         self.running[run_idx].done = true;
         let gpus_vec = std::mem::take(&mut self.running[run_idx].gpus);
-        for gpu in gpus_vec {
-            let n = gpu.node.index() as usize;
-            self.owner[n][gpu.index as usize] = None;
-            self.free[n] += 1;
-        }
+        self.release(&gpus_vec);
         self.resume
             .push(Reverse((t + self.requeue.restart_delay, spec_idx)));
     }
 
-    /// Writes the job's record and releases its GPUs.
-    fn finalize(&mut self, run_idx: usize, end: Timestamp, state: JobState, specs: &[JobSpec]) {
+    /// Records the job's placement and releases its GPUs.
+    fn finalize(&mut self, run_idx: usize, end: Timestamp, state: JobState) {
         let run = &mut self.running[run_idx];
         run.done = true;
-        let spec = &specs[run.spec_idx];
-        let mut nodes: Vec<NodeId> = run.gpus.iter().map(|g| g.node).collect();
-        nodes.dedup();
-        let record_start = self
-            .retry
-            .get(&run.spec_idx)
-            .map(|r| r.first_start)
-            .unwrap_or(run.start);
-        self.records[run.spec_idx] = Some(JobRecord {
-            id: JobId(run.spec_idx as u64),
-            name: spec.name.clone(),
-            submit: spec.submit,
-            start: record_start,
+        let (spec_idx, start) = (run.spec_idx, run.start);
+        let gpus = std::mem::take(&mut run.gpus);
+        self.release(&gpus);
+        self.placements[spec_idx] = Some(Placement {
+            start: self.retry.get(&spec_idx).map_or(start, |r| r.first_start),
             // A job killed at its start instant still occupies one second
             // of accounting so elapsed times stay positive.
-            end: end.max(run.start + simtime::Duration::from_secs(1)),
-            gpus: run.gpus.len() as u32,
-            nodes,
-            gpu_ids: run.gpus.clone(),
+            end: end.max(start + simtime::Duration::from_secs(1)),
+            gpus,
             state,
         });
-        let gpus = std::mem::take(&mut self.running[run_idx].gpus);
-        for gpu in gpus {
-            let n = gpu.node.index() as usize;
-            self.owner[n][gpu.index as usize] = None;
-            self.free[n] += 1;
-        }
     }
 
-    /// Converts accumulated records, synthesising CANCELLED records for
-    /// jobs that never started (queued past the end of the trace).
-    fn into_records(self, specs: &[JobSpec]) -> Vec<JobRecord> {
-        self.records
+    /// Joins each placement with its spec into a [`JobRecord`],
+    /// synthesising CANCELLED records for jobs that never started (queued
+    /// past the end of the trace).
+    fn into_records(self, specs: Vec<JobSpec>) -> Vec<JobRecord> {
+        self.placements
             .into_iter()
+            .zip(specs)
             .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|| JobRecord {
+            .map(|(i, (placed, spec))| match placed {
+                Some(p) => {
+                    let mut nodes: Vec<NodeId> = p.gpus.iter().map(|g| g.node).collect();
+                    nodes.dedup();
+                    JobRecord {
+                        id: JobId(i as u64),
+                        name: spec.name,
+                        submit: spec.submit,
+                        start: p.start,
+                        end: p.end,
+                        gpus: p.gpus.len() as u32,
+                        nodes,
+                        gpu_ids: p.gpus,
+                        state: p.state,
+                    }
+                }
+                None => JobRecord {
                     id: JobId(i as u64),
-                    name: specs[i].name.clone(),
-                    submit: specs[i].submit,
-                    start: specs[i].submit,
-                    end: specs[i].submit,
-                    gpus: specs[i].gpus,
+                    name: spec.name,
+                    submit: spec.submit,
+                    start: spec.submit,
+                    end: spec.submit,
+                    gpus: spec.gpus,
                     nodes: Vec::new(),
                     gpu_ids: Vec::new(),
                     state: JobState::Cancelled,
-                })
+                },
             })
             .collect()
     }
@@ -821,7 +1017,7 @@ mod tests {
                 Rng::seed_from(1),
             );
             engine.run(&specs, &[], &[hold]);
-            let records = engine.into_records(&specs);
+            let records = engine.into_records(specs.clone());
             assert_eq!(
                 records[2].start,
                 t0 + Duration::from_secs(expect_start),
@@ -1094,7 +1290,7 @@ mod tests {
         );
         engine.run(&specs, errors, &[]);
         let stats = engine.stats;
-        let mut records = engine.into_records(&specs);
+        let mut records = engine.into_records(specs.to_vec());
         (records.remove(0), stats)
     }
 
@@ -1161,5 +1357,147 @@ mod tests {
         assert_eq!(rec.state, JobState::NodeFail, "{rec:?}");
         assert_eq!(rec.end, Timestamp::from_unix(1_999));
         assert_eq!(stats.error_kills, 1);
+    }
+
+    /// A random cluster shape: the tiny and Delta specs, one with more
+    /// than 128 GPU nodes, and small odd ones (down to none at all).
+    fn random_cluster(g: &mut propcheck::Gen) -> ClusterSpec {
+        match g.usize_in(0, 4) {
+            0 => ClusterSpec::tiny(),
+            1 => ClusterSpec::delta(),
+            2 => ClusterSpec {
+                four_way_nodes: g.u16_in(120, 150),
+                eight_way_nodes: g.u16_in(9, 20),
+                cpu_nodes: 0,
+            },
+            _ => ClusterSpec {
+                four_way_nodes: g.u16_in(0, 6),
+                eight_way_nodes: g.u16_in(0, 4),
+                cpu_nodes: 0,
+            },
+        }
+    }
+
+    /// Disjoint hold windows per node, as the fault campaign merges them.
+    fn random_holds(g: &mut propcheck::Gen, cluster: &Cluster, t0: Timestamp) -> Vec<Outage> {
+        let mut holds = Vec::new();
+        for node in cluster.nodes() {
+            let mut t = t0 + Duration::from_secs(g.u64_below(24 * 3600));
+            for _ in 0..g.usize_in(0, 4) {
+                let duration = Duration::from_secs(g.u64_in(60, 12 * 3600));
+                holds.push(Outage {
+                    node: node.id(),
+                    start: t,
+                    duration,
+                    action: xid::RecoveryAction::NodeReboot,
+                });
+                t = t + duration + Duration::from_secs(g.u64_in(1, 24 * 3600));
+            }
+        }
+        holds
+    }
+
+    /// Errors sorted by time over valid GPUs, mixing GPU- and node-scoped
+    /// kinds, sticky-fate kinds and kinds that never kill.
+    fn random_errors(
+        g: &mut propcheck::Gen,
+        cluster: &Cluster,
+        t0: Timestamp,
+    ) -> Vec<GpuErrorEvent> {
+        const KINDS: [ErrorKind; 7] = [
+            ErrorKind::GspError,
+            ErrorKind::FallenOffBus,
+            ErrorKind::NvlinkError,
+            ErrorKind::MmuError,
+            ErrorKind::ContainedMemoryError,
+            ErrorKind::PmuSpiError,
+            ErrorKind::RowRemapEvent,
+        ];
+        let mut errors: Vec<GpuErrorEvent> = (0..g.usize_in(0, 80))
+            .map(|i| {
+                let node = cluster.nodes()[g.usize_in(0, cluster.node_count())];
+                GpuErrorEvent::new(
+                    t0 + Duration::from_secs(g.u64_below(3 * 24 * 3600)),
+                    GpuId::new(node.id(), g.u8_in(0, node.gpu_count())),
+                    g.choose(&KINDS),
+                    IncidentId(i as u64),
+                )
+            })
+            .collect();
+        errors.sort_by_key(|e| e.time);
+        errors
+    }
+
+    /// About two jobs per GPU over two days: mostly single-node widths,
+    /// some multi-node ones up to past the cluster size.
+    fn random_specs(g: &mut propcheck::Gen, total_gpus: u32, t0: Timestamp) -> Vec<JobSpec> {
+        let mut specs: Vec<JobSpec> = (0..2 * total_gpus as usize + 8)
+            .map(|i| {
+                let gpus = if g.bool_with(0.9) {
+                    g.u32_in(1, 9)
+                } else {
+                    g.u32_in(9, total_gpus + 17)
+                };
+                JobSpec {
+                    submit: t0 + Duration::from_secs(g.u64_below(2 * 24 * 3600)),
+                    name: format!("job{i}"),
+                    gpus,
+                    duration: Duration::from_secs(g.u64_in(1, 24 * 3600)),
+                    baseline_state: if g.bool() {
+                        JobState::Completed
+                    } else {
+                        JobState::Failed
+                    },
+                }
+            })
+            .collect();
+        specs.sort_by_key(|s| s.submit);
+        specs
+    }
+
+    /// The allocation index answers every query with the GPUs the linear
+    /// scan picks (`find_allocation` asserts it in test builds), and no
+    /// attempt starts on a node strictly inside one of that node's hold
+    /// windows — over random cluster shapes, workloads, hold windows and
+    /// error streams, under both policies, with requeue on and off.
+    #[test]
+    fn allocation_index_matches_the_scan_and_honours_holds() {
+        propcheck::run("allocation_index_matches_the_scan", 32, |g| {
+            let cluster = Cluster::new(random_cluster(g));
+            let t0 = Timestamp::from_unix(1_000_000);
+            let specs = random_specs(g, cluster.gpu_count() as u32, t0);
+            let holds = random_holds(g, &cluster, t0);
+            let errors = if cluster.node_count() == 0 {
+                Vec::new()
+            } else {
+                random_errors(g, &cluster, t0)
+            };
+            let policy = g.choose(&[SchedPolicy::Fifo, SchedPolicy::Backfill]);
+            let requeue = if g.bool() {
+                RequeuePolicy::hourly_checkpoints(g.u32_in(1, 4))
+            } else {
+                RequeuePolicy::none()
+            };
+            let mut engine = Engine::new(
+                &cluster,
+                specs.len(),
+                KillModel::delta(),
+                requeue,
+                policy,
+                Rng::seed_from(g.u64()),
+            );
+            engine.run(&specs, &errors, &holds);
+            for (t, gpus) in &engine.starts {
+                for hold in holds
+                    .iter()
+                    .filter(|h| gpus.iter().any(|g| g.node == h.node))
+                {
+                    assert!(
+                        !(hold.start < *t && *t < hold.end()),
+                        "{policy:?}: a job started at {t} inside {hold:?}"
+                    );
+                }
+            }
+        });
     }
 }

@@ -9,9 +9,10 @@
 //! 2. **Determinism** — the same spec + seed yields a byte-identical
 //!    response body across event-loop worker counts {1, 4} × store
 //!    shard layouts {1, 4} × (cold compute, cached, and recomputed
-//!    after a snapshot swap), and those bytes match an offline oracle
-//!    that drives the simulation substrates directly — without going
-//!    through `resilience::scenario`.
+//!    after a snapshot swap), and those bytes — and the `sched` and
+//!    `xid_rate` axes' — match an offline oracle that drives the
+//!    simulation substrates directly, without going through
+//!    `resilience::scenario`.
 //! 3. **Single-flight** — identical specs submitted from N concurrent
 //!    keep-alive connections compute exactly one campaign
 //!    (`servd_whatif_computed_total` advances by one) and every client
@@ -22,6 +23,7 @@
 //! not interleave with another leg's campaigns.
 
 use delta_gpu_resilience::prelude::*;
+use faultsim::rates::CalibratedRates;
 use resilience::scenario::{CampaignResult, RepOutcome, ScenarioSpec, SIM_SCALE};
 use servd::testutil::{connect, get_on, request, request_on, whatif_to_completion};
 use servd::whatif::render_result;
@@ -144,14 +146,31 @@ fn malformed_specs_are_typed_400s() {
 
 // ------------------------------------------------------- offline oracle
 
+/// One arm's knobs, applied to the substrates by hand.
+struct Arm {
+    mttr_scale: f64,
+    sched: SchedPolicy,
+    /// Scales the fault config's hazard rates (an `xid_rate` family).
+    rates: fn(&mut CalibratedRates),
+}
+
+/// Delta as measured: the baseline arm of every campaign.
+const MEASURED: Arm = Arm {
+    mttr_scale: 1.0,
+    sched: SchedPolicy::Backfill,
+    rates: |_| {},
+};
+
 /// Drives the substrates directly — `faultsim` campaign, op-phase
-/// filtering, ledger downtime, `slurmsim` co-simulation — without
-/// touching `resilience::scenario`'s campaign driver. Any divergence
-/// between this and the served numbers is a bug in the scenario layer.
-fn oracle_rep(mttr_scale: f64, sched: SchedPolicy, rep_seed: u64) -> RepOutcome {
+/// filtering, ledger downtime, `slurmsim` co-simulation through
+/// `Simulation::run` (records, CPU pool and all) — without touching
+/// `resilience::scenario`'s campaign driver. Any divergence between this
+/// and the served numbers is a bug in the scenario layer.
+fn oracle_rep(arm: &Arm, rep_seed: u64) -> RepOutcome {
     let mut config = FaultConfig::delta_scaled(SIM_SCALE);
     config.emit_logs = false;
     config.seed = rep_seed;
+    let mttr_scale = arm.mttr_scale;
     if mttr_scale != 1.0 {
         let model = |mean: f64, median: f64| {
             simrng::dist::LogNormal::from_mean_median(mean * mttr_scale, median * mttr_scale)
@@ -159,10 +178,11 @@ fn oracle_rep(mttr_scale: f64, sched: SchedPolicy, rep_seed: u64) -> RepOutcome 
         };
         config.repair = clustersim::RepairModel::new(model(0.88, 0.60), model(24.0, 12.0));
     }
+    (arm.rates)(&mut config.rates);
     let campaign = Campaign::new(config).run();
     let cluster = Cluster::new(campaign.config.spec);
     let outcome = Simulation::new(&cluster, WorkloadConfig::delta_scaled(SIM_SCALE), rep_seed)
-        .with_policy(sched)
+        .with_policy(arm.sched)
         .run(&campaign.ground_truth, &campaign.holds);
     let op = campaign.config.periods.op;
     let op_hours = op.hours();
@@ -188,32 +208,43 @@ fn oracle_rep(mttr_scale: f64, sched: SchedPolicy, rep_seed: u64) -> RepOutcome 
     }
 }
 
-/// The full oracle body for `mttr_scale=0.5&reps=2&seed=9`: paired rep
-/// seeds forked exactly as the scenario layer documents, baseline and
-/// scenario arms driven directly.
-fn oracle_body() -> String {
-    let spec = ScenarioSpec::parse(
-        &[
-            ("mttr_scale".to_owned(), "0.5".to_owned()),
-            ("reps".to_owned(), "2".to_owned()),
-            ("seed".to_owned(), "9".to_owned()),
-        ],
-        32,
-    )
-    .expect("valid spec");
-    let root = Rng::seed_from(9);
+/// The full oracle body for `query` (which must carry `seed` and
+/// `reps`): paired rep seeds forked exactly as the scenario layer
+/// documents, the baseline arm as measured and the scenario arm under
+/// `scenario`, both driven directly.
+fn oracle_body_for(query: &str, scenario: &Arm) -> String {
+    let pairs: Vec<(String, String)> = query
+        .split('&')
+        .map(|kv| {
+            let (k, v) = kv.split_once('=').expect("key=value");
+            (k.to_owned(), v.to_owned())
+        })
+        .collect();
+    let spec = ScenarioSpec::parse(&pairs, 32).expect("valid spec");
+    let root = Rng::seed_from(spec.seed);
     let mut baseline = Vec::new();
-    let mut scenario = Vec::new();
-    for rep in 0..2u64 {
+    let mut scenario_reps = Vec::new();
+    for rep in 0..u64::from(spec.reps) {
         let rep_seed = root.fork(rep).next_u64();
-        baseline.push(oracle_rep(1.0, SchedPolicy::Backfill, rep_seed));
-        scenario.push(oracle_rep(0.5, SchedPolicy::Backfill, rep_seed));
+        baseline.push(oracle_rep(&MEASURED, rep_seed));
+        scenario_reps.push(oracle_rep(scenario, rep_seed));
     }
     render_result(&CampaignResult {
         spec,
         baseline,
-        scenario,
+        scenario: scenario_reps,
     })
+}
+
+/// The oracle body for `mttr_scale=0.5&reps=2&seed=9`.
+fn oracle_body() -> String {
+    oracle_body_for(
+        "mttr_scale=0.5&reps=2&seed=9",
+        &Arm {
+            mttr_scale: 0.5,
+            ..MEASURED
+        },
+    )
 }
 
 // ------------------------------------------------ determinism matrix
@@ -282,6 +313,44 @@ fn long_campaigns_answer_202_and_poll_to_the_same_bytes() {
     assert_eq!(hit.status, 200);
     assert_eq!(hit.header("X-Cache"), Some("hit"));
     assert_eq!(hit.body, polled.body);
+    server.shutdown();
+}
+
+/// The `sched` and `xid_rate` axes against the substrate oracle: the
+/// served campaign shares one generated workload between its two arms
+/// and reads only the scheduler's counters, while the oracle runs the
+/// full `Simulation::run` per arm, so any divergence between the two
+/// scheduling entry points shows up here.
+#[test]
+fn sched_and_xid_rate_axes_match_the_substrate_oracle() {
+    let _guard = suite_lock();
+    let store = empty_store(1);
+    let server = serve(store, 2, 2);
+    let addr = server.addr();
+    let cases = [
+        (
+            "sched=fifo&reps=2&seed=21",
+            Arm {
+                sched: SchedPolicy::Fifo,
+                ..MEASURED
+            },
+        ),
+        (
+            "xid_rate=119:3&reps=2&seed=22",
+            Arm {
+                rates: |r| {
+                    r.gsp_per_gpu_hour.0 *= 3.0;
+                    r.gsp_per_gpu_hour.1 *= 3.0;
+                },
+                ..MEASURED
+            },
+        ),
+    ];
+    for (query, arm) in &cases {
+        let resp = request(addr, "GET", &format!("/whatif?{query}"), b"");
+        assert_eq!(resp.status, 200, "{query}: {}", resp.text());
+        assert_eq!(resp.text(), oracle_body_for(query, arm), "{query}");
+    }
     server.shutdown();
 }
 
