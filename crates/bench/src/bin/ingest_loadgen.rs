@@ -35,11 +35,7 @@ fn main() {
     banner("live ingest load generator (E16)", options);
 
     let study = run_study(options, true);
-    let mut log = Vec::new();
-    for line in study.campaign.archive.iter() {
-        log.extend_from_slice(line.to_string().as_bytes());
-        log.push(b'\n');
-    }
+    let (log, _) = study.campaign.render_log();
     let gpu_csv = csvio::render_jobs(&bridge::jobs(&study.outcome.jobs));
     let cpu_csv = csvio::render_jobs(&bridge::jobs(&study.outcome.cpu_jobs));
     let out_csv = csvio::render_outages(&bridge::outages(study.campaign.ledger.outages()));

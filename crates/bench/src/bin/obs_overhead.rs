@@ -21,12 +21,11 @@
 
 use bench::{banner, run_study, RunOptions, DEFAULT_SEED};
 use delta_gpu_resilience::bridge;
-use hpclog::archive::Archive;
 use resilience::incremental::StreamingPipeline;
 use resilience::{report, Pipeline};
 use std::time::Instant;
 
-/// See E12: the scaled calendar stays inside one year at scale ≤ 0.25.
+/// The scaled calendar stays inside one year at scale ≤ 0.25.
 const LOG_YEAR: i32 = 2022;
 /// The CI gate on enabled/disabled wall-time ratio in `--smoke` mode.
 const SMOKE_BUDGET: f64 = 1.10;
@@ -38,7 +37,7 @@ fn main() {
     banner("Observability overhead (E14)", options);
     let study = run_study(options, true);
     let archive = &study.campaign.archive;
-    let log = render_log(archive);
+    let (log, _) = study.campaign.render_log();
     let gpu_csv = resilience::csvio::render_jobs(&bridge::jobs(&study.outcome.jobs));
     let cpu_csv = resilience::csvio::render_jobs(&bridge::jobs(&study.outcome.cpu_jobs));
     let out_csv =
@@ -231,13 +230,4 @@ fn render_all(r: &resilience::StudyReport) -> String {
         report::figure2(r),
         r.availability_estimate()
     )
-}
-
-fn render_log(archive: &Archive) -> Vec<u8> {
-    let mut out = Vec::new();
-    for line in archive.iter() {
-        out.extend_from_slice(line.to_string().as_bytes());
-        out.push(b'\n');
-    }
-    out
 }

@@ -27,7 +27,7 @@ use servd::{ServerConfig, StoreHandle, StudyStore, WhatifConfig};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
@@ -191,7 +191,9 @@ fn shed_probe(smoke: bool) {
         human_ns(idle_p99)
     );
 
-    // Fill the worker + queue with long-running distinct campaigns.
+    // Fill the worker + queue with long-running distinct campaigns. The
+    // first must be off the queue before the other two are submitted, or
+    // the third finds both slots still taken and draws a 429.
     let mut filler = connect(&addr);
     let reps = if smoke { 6 } else { 16 };
     let mut pending = Vec::new();
@@ -199,6 +201,9 @@ fn shed_probe(smoke: bool) {
         let path = format!("/whatif?seed={seed}&reps={reps}");
         let resp = testutil::request_on(&mut filler, "GET", &path, b"");
         expect(&resp, 202, &path);
+        if seed == 7000 {
+            wait_until_dequeued(&mut filler, &resp);
+        }
         pending.push(path);
     }
 
@@ -315,6 +320,21 @@ fn expect(resp: &TestResponse, status: u16, context: &str) {
         resp.status,
         resp.text()
     );
+}
+
+/// Polls the job a `202` names until the worker has taken it off the
+/// queue: its status reads `running` (or it already finished).
+fn wait_until_dequeued(conn: &mut TcpStream, accepted: &TestResponse) {
+    let poll = accepted.poll_url();
+    for _ in 0..500 {
+        let resp = testutil::request_on(conn, "GET", &poll, b"");
+        if resp.status == 200 || resp.text().contains("\"status\":\"running\"") {
+            return;
+        }
+        expect(&resp, 202, &poll);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("shed probe: the worker did not start the first filler campaign ({poll}) within 500 polls 10 ms apart");
 }
 
 /// Measures `count` sequential idle GETs of `/tables/1`; returns sorted

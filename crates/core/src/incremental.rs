@@ -18,9 +18,10 @@
 //! coalesce fold → assemble. Each stage has a streaming twin that is the
 //! *same code*:
 //!
-//! * **Scan** — [`hpclog::stream::LenientScan`] replicates the lenient
-//!   scan rule-for-rule and carries the partial line, line counter and
-//!   out-of-order anchor across chunk (and checkpoint) boundaries.
+//! * **Scan** — [`hpclog::stream::LenientScan`] feeds every line through
+//!   the batch lenient scan's own line classifier and carries the partial
+//!   line, line counter and out-of-order anchor across chunk (and
+//!   checkpoint) boundaries.
 //! * **Order** — the scan rejects clock regressions, so accepted events
 //!   leave it in non-decreasing time order. The only reordering the batch
 //!   sort can then perform is *within* one timestamp, stably by host. The

@@ -40,9 +40,13 @@
 //! * [`burst`] — inter-arrival burstiness and episode detection,
 //!   recovering the flapping structure of §IV from the error stream.
 //! * [`pipeline`] — the end-to-end driver: raw [`hpclog::archive::Archive`]
-//!   plus job and outage records in, a [`pipeline::StudyReport`] out. The
-//!   lenient entry point ([`Pipeline::run_lenient`]) never panics or
-//!   aborts: defective input lands in a [`pipeline::QuarantineReport`].
+//!   plus job and outage records in, a [`pipeline::StudyReport`] out. Four
+//!   entry points produce a report through one canonical event order and
+//!   one assembly tail: [`Pipeline::run`] (archive),
+//!   [`Pipeline::run_lenient`] (raw bytes; never panics or aborts:
+//!   defective input lands in a [`pipeline::QuarantineReport`]),
+//!   [`Pipeline::run_events`] (pre-extracted events) and the
+//!   [`StreamingPipeline`].
 //! * [`incremental`] — the streaming twin of [`pipeline`]: log bytes and
 //!   job records in arbitrary-sized batches, bounded live state, and
 //!   versioned checkpoint/restore — proven byte-equivalent to the batch
@@ -50,8 +54,8 @@
 //! * [`checkpoint`] — the hand-rolled versioned snapshot container the
 //!   streaming engine serializes into (magic, version, typed decode
 //!   errors; no external serialization crates).
-//! * [`error`] — the typed failure taxonomy the strict entry points
-//!   return instead of `Box<dyn Error>`.
+//! * [`error`] — the typed failure taxonomy strict CSV decoding returns
+//!   instead of `Box<dyn Error>`.
 //! * [`findings`] — programmatic checks of the paper's headline findings
 //!   (i)–(vii) against a computed report.
 //! * [`scenario`] — counterfactual campaigns over the simulation
@@ -97,7 +101,6 @@ pub mod impact;
 pub mod incremental;
 pub mod job;
 pub mod markdown;
-pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod rollup;

@@ -15,9 +15,8 @@
 //! * [`RollupCube`] — per-civil-bucket error counts (total and per
 //!   studied kind), built per store shard from time-sorted columns and
 //!   k-way merged with [`hpclog::shard::merge_sorted_by`], the same
-//!   kernel the ingest pipeline and scatter-gather store use — so the
-//!   merged cube is byte-identical whether the store has 1 shard or 8,
-//!   by construction.
+//!   kernel the scatter-gather store uses — so the merged cube is
+//!   byte-identical whether the store has 1 shard or 8, by construction.
 //! * [`impact_cells`] — distinct GPU-failed jobs per bucket of their
 //!   termination instant, total and per attributed kind.
 //! * [`availability_cells`] — node-outage downtime seconds apportioned

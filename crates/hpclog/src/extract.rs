@@ -25,25 +25,10 @@ pub struct ExtractStats {
     pub extracted: u64,
     /// XID events dropped by the study-inclusion filter (XID 13/43/etc.).
     pub excluded: u64,
-    /// Per-category reject counts from lenient scans (zero on the strict
-    /// paths, which fold every reject into `malformed`).
+    /// Per-category reject counts from lenient scans (zero on the
+    /// line-at-a-time [`XidExtractor::extract`] paths, which fold every
+    /// reject into `malformed`).
     pub quarantined: QuarantineCounts,
-}
-
-impl ExtractStats {
-    /// Folds another extractor's counters into this one.
-    ///
-    /// Every field is a plain sum, so merging per-shard stats in any order
-    /// reproduces the counters a single serial scan would have produced —
-    /// the property `hpclog::shard` relies on.
-    pub fn merge(&mut self, other: &ExtractStats) {
-        self.lines_seen += other.lines_seen;
-        self.xid_lines += other.xid_lines;
-        self.malformed += other.malformed;
-        self.extracted += other.extracted;
-        self.excluded += other.excluded;
-        self.quarantined.merge(&other.quarantined);
-    }
 }
 
 /// Extracts structured XID events from log lines.
@@ -166,34 +151,11 @@ impl XidExtractor {
 
     /// Streams a reader line by line, extracting events without loading
     /// the file into memory — the shape real multi-gigabyte day files
-    /// require. Accepts any [`std::io::Read`]; pass `&mut reader` to keep
-    /// ownership.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error, with events extracted so far
-    /// lost (re-run from a clean extractor after fixing the source).
-    pub fn scan_reader<R: std::io::Read>(&mut self, reader: R) -> std::io::Result<Vec<XidEvent>> {
-        use std::io::BufRead;
-        let before = self.stats;
-        let mut span = obs::span("stage_scan");
-        let mut events = Vec::new();
-        let buffered = std::io::BufReader::new(reader);
-        for line in buffered.lines() {
-            if let Some(ev) = self.extract_raw(&line?) {
-                events.push(ev);
-            }
-        }
-        span.add_items(self.stats.lines_seen - before.lines_seen);
-        record_scan_metrics(&before, &self.stats);
-        Ok(events)
-    }
-
-    /// Streams a reader like [`scan_reader`](Self::scan_reader), but never
-    /// fails: every line the strict path would choke on is classified and
-    /// recorded in `ledger` instead, and I/O errors end the scan early
+    /// require — and never fails: every defective line is classified and
+    /// recorded in `ledger`, and an I/O error ends the scan early
     /// (recorded via [`QuarantineLedger::record_io_error`]) rather than
-    /// discarding the events already extracted.
+    /// discarding the events already extracted. Accepts any
+    /// [`std::io::Read`]; pass `&mut reader` to keep ownership.
     ///
     /// Rejection categories, checked in order per line:
     ///
@@ -236,68 +198,88 @@ impl XidExtractor {
                 }
             }
             line_no += 1;
-            while raw.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-                raw.pop();
-            }
-            if raw.is_empty() {
-                continue;
-            }
-            self.stats.lines_seen += 1;
-            if raw.len() > ledger.max_line_bytes() {
-                self.quarantine(ledger, QuarantineCategory::OversizedLine, line_no, &raw);
-                continue;
-            }
-            let text = match std::str::from_utf8(&raw) {
-                Ok(t) => t,
-                Err(_) => {
-                    self.quarantine(ledger, QuarantineCategory::Encoding, line_no, &raw);
-                    continue;
-                }
-            };
-            let line = match LogLine::parse_with_year(text, self.year) {
-                Ok(line) => line,
-                Err(err) => {
-                    let category = match err.kind() {
-                        LogLineErrorKind::MissingField => QuarantineCategory::Truncated,
-                        LogLineErrorKind::BadTimestamp => QuarantineCategory::MalformedTimestamp,
-                    };
-                    self.quarantine(ledger, category, line_no, &raw);
-                    continue;
-                }
-            };
-            let xid = match XidEvent::parse_body(line.time, &line.host, &line.body) {
-                Some(Ok(ev)) => {
-                    self.stats.xid_lines += 1;
-                    Some(ev)
-                }
-                Some(Err(_)) => {
-                    self.stats.xid_lines += 1;
-                    self.stats.malformed += 1;
-                    self.quarantine(ledger, QuarantineCategory::BadXid, line_no, &raw);
-                    continue;
-                }
-                None => None,
-            };
-            if prev_accepted.is_some_and(|prev| line.time < prev) {
-                self.quarantine(ledger, QuarantineCategory::OutOfOrder, line_no, &raw);
-                continue;
-            }
-            prev_accepted = Some(line.time);
-            if let Some(ev) = xid {
-                if self.studied_only && !ev.kind().is_studied() {
-                    self.stats.excluded += 1;
-                } else {
-                    self.stats.extracted += 1;
-                    events.push(ev);
-                }
-            }
+            self.scan_line(&raw, line_no, &mut prev_accepted, ledger, &mut events);
         }
         span.add_items(self.stats.lines_seen - before.lines_seen);
         record_scan_metrics(&before, &self.stats);
         events
     }
 
-    pub(crate) fn quarantine(
+    /// Classifies one physical line with the lenient rules documented on
+    /// [`scan_reader_lenient`](Self::scan_reader_lenient) — the only copy
+    /// of them: the batch scan and the resumable [`crate::stream`] scanner
+    /// both feed every line through here.
+    ///
+    /// `raw` may still carry its `\n` terminator and any `\r`s before it;
+    /// they are trimmed here. `line_no` is the line's 1-based physical
+    /// number (empty lines consume one too) and `prev_accepted` the
+    /// out-of-order anchor, which the caller owns because it spans lines.
+    /// Accepted events go to `events`, rejects to `ledger`.
+    pub(crate) fn scan_line(
+        &mut self,
+        raw: &[u8],
+        line_no: u64,
+        prev_accepted: &mut Option<Timestamp>,
+        ledger: &mut QuarantineLedger,
+        events: &mut Vec<XidEvent>,
+    ) {
+        let end = raw
+            .iter()
+            .rposition(|&b| b != b'\n' && b != b'\r')
+            .map_or(0, |last| last + 1);
+        let raw = &raw[..end];
+        if raw.is_empty() {
+            return;
+        }
+        self.stats.lines_seen += 1;
+        if raw.len() > ledger.max_line_bytes() {
+            self.quarantine(ledger, QuarantineCategory::OversizedLine, line_no, raw);
+            return;
+        }
+        let Ok(text) = std::str::from_utf8(raw) else {
+            self.quarantine(ledger, QuarantineCategory::Encoding, line_no, raw);
+            return;
+        };
+        let line = match LogLine::parse_with_year(text, self.year) {
+            Ok(line) => line,
+            Err(err) => {
+                let category = match err.kind() {
+                    LogLineErrorKind::MissingField => QuarantineCategory::Truncated,
+                    LogLineErrorKind::BadTimestamp => QuarantineCategory::MalformedTimestamp,
+                };
+                self.quarantine(ledger, category, line_no, raw);
+                return;
+            }
+        };
+        let xid = match XidEvent::parse_body(line.time, &line.host, &line.body) {
+            Some(Ok(ev)) => {
+                self.stats.xid_lines += 1;
+                Some(ev)
+            }
+            Some(Err(_)) => {
+                self.stats.xid_lines += 1;
+                self.stats.malformed += 1;
+                self.quarantine(ledger, QuarantineCategory::BadXid, line_no, raw);
+                return;
+            }
+            None => None,
+        };
+        if prev_accepted.is_some_and(|prev| line.time < prev) {
+            self.quarantine(ledger, QuarantineCategory::OutOfOrder, line_no, raw);
+            return;
+        }
+        *prev_accepted = Some(line.time);
+        if let Some(ev) = xid {
+            if self.studied_only && !ev.kind().is_studied() {
+                self.stats.excluded += 1;
+            } else {
+                self.stats.extracted += 1;
+                events.push(ev);
+            }
+        }
+    }
+
+    fn quarantine(
         &mut self,
         ledger: &mut QuarantineLedger,
         category: QuarantineCategory,
@@ -313,9 +295,9 @@ impl XidExtractor {
 /// global metrics registry.
 ///
 /// Strictly write-only (nothing here feeds back into extraction), and
-/// purely additive: every scan path — serial, sharded, streaming —
-/// emits its deltas through this one function, so the totals agree
-/// across execution modes whenever the scanned bytes do.
+/// purely additive: every scan path — archive, batch lenient,
+/// streaming — emits its deltas through this one function, so the totals
+/// agree across execution modes whenever the scanned bytes do.
 pub fn record_scan_metrics(before: &ExtractStats, after: &ExtractStats) {
     if !obs::is_enabled() {
         return;
@@ -414,28 +396,17 @@ mod tests {
     }
 
     #[test]
-    fn scan_reader_streams_from_io() {
-        let text = format!("{XID_LINE}\n{NOISE}\n{XID_LINE}\n");
+    fn lenient_scan_reads_any_reader() {
+        let text = format!("{XID_LINE}\n{XID_LINE}\n{NOISE}\n");
         let mut ex = XidExtractor::new(2024);
-        let events = ex.scan_reader(text.as_bytes()).unwrap();
+        let mut ledger = QuarantineLedger::new();
+        let events = ex.scan_reader_lenient(text.as_bytes(), &mut ledger);
         assert_eq!(events.len(), 2);
         assert_eq!(ex.stats().lines_seen, 3);
         // A mut reference works too (C-RW-VALUE).
         let mut cursor = std::io::Cursor::new(XID_LINE.as_bytes());
-        let events = ex.scan_reader(&mut cursor).unwrap();
+        let events = ex.scan_reader_lenient(&mut cursor, &mut ledger);
         assert_eq!(events.len(), 1);
-    }
-
-    #[test]
-    fn scan_reader_propagates_io_errors() {
-        struct Broken;
-        impl std::io::Read for Broken {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk on fire"))
-            }
-        }
-        let mut ex = XidExtractor::new(2024);
-        assert!(ex.scan_reader(Broken).is_err());
     }
 
     #[test]
@@ -445,19 +416,19 @@ mod tests {
     }
 
     #[test]
-    fn lenient_matches_strict_on_clean_input() {
+    fn lenient_matches_line_extraction_on_clean_input() {
         let later_xid =
             "Mar 14 03:25:00 gpub042 kernel: NVRM: Xid (PCI:0000:27:00): 79, pid=77, GPU has fallen off the bus.";
         let text = format!("{XID_LINE}\n{NOISE}\n{SOFTWARE_XID}\n{later_xid}\n");
-        let mut strict = XidExtractor::new(2024);
-        let expect = strict.scan_reader(text.as_bytes()).unwrap();
+        let mut per_line = XidExtractor::new(2024);
+        let expect = per_line.scan(text.lines());
         let mut lenient = XidExtractor::new(2024);
         let mut ledger = QuarantineLedger::new();
         let events = lenient.scan_reader_lenient(text.as_bytes(), &mut ledger);
         assert_eq!(events, expect);
         assert!(ledger.is_empty());
         assert_eq!(lenient.stats().quarantined.total(), 0);
-        assert_eq!(lenient.stats().extracted, strict.stats().extracted);
+        assert_eq!(lenient.stats().extracted, per_line.stats().extracted);
     }
 
     #[test]

@@ -21,14 +21,17 @@
 //! * [`pattern`] — the filtering engine: glob/capture patterns compiled once
 //!   and matched against millions of lines without regex dependencies.
 //! * [`extract`] — the Stage-I extractor: lines in, [`nvrm::XidEvent`]s out,
-//!   tolerant of interleaved noise.
+//!   tolerant of interleaved noise; its lenient scan classifies every
+//!   defective line into the quarantine ledger, with the per-line rules
+//!   written once and shared with [`stream`].
 //! * [`archive`] — per-day log consolidation, mirroring Delta's collection.
 //! * [`quarantine`] — the reject ledger lenient readers feed: per-category
 //!   counts plus a bounded reservoir of exemplar bad lines.
-//! * [`shard`] — host-sharded parallel extraction with a deterministic
-//!   k-way merge back into the canonical `(time, host, seq)` order.
-//! * [`stream`] — the resumable lenient scanner: the same classification as
-//!   [`extract`], fed in arbitrary-sized byte chunks, with snapshotable
+//! * [`shard`] — the canonical `(time, host, seq)` event order every
+//!   pipeline entry path produces, and the k-way merge kernel the serving
+//!   store and rollup cubes merge per-shard results with.
+//! * [`stream`] — the resumable lenient scanner: the same line classifier
+//!   as [`extract`], fed in arbitrary-sized byte chunks, with snapshotable
 //!   cross-line state (partial-line carry, line counter, order anchor).
 //! * [`chaos`] — seeded corruption injection for resilience testing:
 //!   truncation, invalid UTF-8, clock skew, interleaving, duplication.

@@ -109,14 +109,6 @@ impl QuarantineCounts {
         self.counts.iter().sum()
     }
 
-    /// Adds another counter set into this one (order-insensitive sums, so
-    /// per-shard counts merge to exactly the serial totals).
-    pub fn merge(&mut self, other: &QuarantineCounts) {
-        for (slot, add) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *slot += add;
-        }
-    }
-
     /// The raw per-category counters, indexed in [`QuarantineCategory::ALL`]
     /// order (for checkpointing).
     pub fn to_array(&self) -> [u64; QuarantineCategory::ALL.len()] {

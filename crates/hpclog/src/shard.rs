@@ -1,93 +1,39 @@
-//! Host-sharded parallel ingestion with a deterministic merge.
-//!
-//! Stage I is embarrassingly parallel along the cluster's natural hardware
-//! axis: every syslog line names exactly one host, and no Stage-II
-//! computation (coalescing keys on `(host, pci, kind)`) ever combines
-//! events from different hosts. This module partitions an [`Archive`] into
-//! per-host shards, extracts each shard independently on a
-//! [`std::thread::scope`] worker pool, and k-way merges the per-shard event
-//! streams back into one totally ordered stream.
+//! The canonical event order, and the k-way merge kernel.
 //!
 //! # The ordering invariant
 //!
-//! Serial replay yields events in `(time, seq)` order, where `seq` is the
-//! line's global replay index (its position in [`Archive::iter`]). That
-//! order is *not* recoverable from per-host shards: when two hosts log at
-//! the same second, their relative `seq` order is lost at the shard
-//! boundary. The pipeline therefore defines one **canonical order** —
-//! `(time, host, seq)` — and both paths produce it:
+//! A scan yields events in `(time, seq)` order, where `seq` is the source
+//! line's position in the scanned stream. The pipeline defines one
+//! **canonical order** — `(time, host, seq)` — and every entry path
+//! produces it:
 //!
 //! * `seq` is unique, so the triple is a total order (no ties, no
 //!   tie-break ambiguity, no dependence on sort stability).
-//! * Within one host, `time` is non-decreasing in `seq` (each shard
-//!   preserves replay order), so every shard stream is already sorted by
-//!   the full key and a heap merge of shards *is* the canonical order.
-//! * A serial event stream reaches the same order via a **stable** sort on
-//!   the `(time, host)` prefix: stability preserves `seq` order inside
-//!   each `(time, host)` tie class, which realises the full triple without
+//! * A batch event stream reaches it via a **stable** sort on the
+//!   `(time, host)` prefix: stability preserves `seq` order inside each
+//!   `(time, host)` tie class, which realises the full triple without
 //!   materialising `seq` at all ([`canonical_sort`]).
+//! * The streaming engine (`resilience::incremental`) reproduces it
+//!   online: the lenient scan rejects clock regressions, so it only has
+//!   to buffer the events of the newest second and release them in the
+//!   same stable host order once time moves on.
 //!
-//! Canonical order differs from serial replay order only in the relative
-//! placement of *different hosts* within one timestamp — which no
-//! aggregate in the pipeline can observe, because no stage merges across
-//! hosts. The analysis numbers are identical; the canonical order merely
-//! pins the report's event listing to one byte sequence for every entry
-//! path and thread count.
+//! Canonical order differs from scan order only in the relative placement
+//! of *different hosts* within one timestamp — which no aggregate in the
+//! pipeline can observe, because no stage merges across hosts (coalescing
+//! keys on `(host, pci, kind)`). The analysis numbers are identical; the
+//! canonical order merely pins the report's event listing to one byte
+//! sequence for every entry path.
+//!
+//! # The merge kernel
+//!
+//! [`merge_sorted_by`] k-way merges streams that are each already sorted.
+//! `servd`'s scatter-gather store merges per-shard query slices through
+//! it, and the rollup layer merges per-shard cube cells by bucket start.
 
-use crate::archive::Archive;
-use crate::extract::{ExtractStats, XidExtractor};
-use crate::line::{LogLine, LogLineErrorKind};
 use crate::nvrm::XidEvent;
-use crate::quarantine::{QuarantineCategory, QuarantineLedger};
-use simtime::Timestamp;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// An extracted event tagged with the global replay index of its source
-/// line (its position in [`Archive::iter`] order).
-pub type SeqEvent = (u64, XidEvent);
-
-/// All of one host's log lines, in global replay order, each tagged with
-/// its replay index.
-#[derive(Debug)]
-pub struct HostShard<'a> {
-    /// The hostname every line in this shard carries.
-    pub host: &'a str,
-    /// `(replay index, line)` pairs; the index is strictly increasing.
-    pub lines: Vec<(u64, &'a LogLine)>,
-}
-
-/// Partitions an archive into per-host shards.
-///
-/// Shards come back sorted by hostname (a `BTreeMap` walk), so the
-/// partition itself is deterministic; every line of the archive lands in
-/// exactly one shard, tagged with its global replay index.
-pub fn shard_by_host(archive: &Archive) -> Vec<HostShard<'_>> {
-    let mut by_host: BTreeMap<&str, Vec<(u64, &LogLine)>> = BTreeMap::new();
-    for (seq, line) in archive.iter().enumerate() {
-        by_host
-            .entry(line.host.as_str())
-            .or_default()
-            .push((seq as u64, line));
-    }
-    by_host
-        .into_iter()
-        .map(|(host, lines)| HostShard { host, lines })
-        .collect()
-}
-
-/// Extracts one shard's events, preserving the replay-index tags.
-///
-/// The extractor accumulates this shard's counters; merge per-shard stats
-/// with [`ExtractStats::merge`] to recover the serial totals.
-pub fn extract_shard(shard: &HostShard<'_>, extractor: &mut XidExtractor) -> Vec<SeqEvent> {
-    shard
-        .lines
-        .iter()
-        .filter_map(|&(seq, line)| extractor.extract(line).map(|ev| (seq, ev)))
-        .collect()
-}
+use std::collections::BinaryHeap;
 
 /// One stream's head, queued for the generic k-way merge. Ordered by the
 /// caller's comparator, ties broken by stream index so the merge is a
@@ -128,15 +74,14 @@ impl<T, C: Fn(&T, &T) -> std::cmp::Ordering> Ord for Pending<'_, T, C> {
 /// O(n log k) with no element clones. Elements that compare equal come
 /// out in stream-index order, so the result is a deterministic function
 /// of the inputs (and, when the merge key is unique across streams — the
-/// pipeline's `(time, host, seq)` triple, the serving store's global row
-/// id — independent of how items are distributed over streams).
+/// serving store's global row id — independent of how items are
+/// distributed over streams).
 ///
-/// This is the one merge kernel in the workspace: the sharded ingest
-/// pipeline merges per-host event streams through it, `servd`'s
-/// scatter-gather store merges per-shard query slices with the same
-/// machinery, and the rollup layer merges per-shard cube cells by bucket
-/// start (summing equal starts afterwards) — which is why a rollup cube
-/// is byte-identical whether the store was built with 1 shard or 8.
+/// This is the one merge kernel in the workspace: `servd`'s
+/// scatter-gather store merges per-shard query slices through it, and the
+/// rollup layer merges per-shard cube cells by bucket start (summing
+/// equal starts afterwards) — which is why a rollup cube is
+/// byte-identical whether the store was built with 1 shard or 8.
 pub fn merge_sorted_by<T, C: Fn(&T, &T) -> std::cmp::Ordering>(
     streams: Vec<Vec<T>>,
     cmp: C,
@@ -169,519 +114,68 @@ pub fn merge_sorted_by<T, C: Fn(&T, &T) -> std::cmp::Ordering>(
     out
 }
 
-/// K-way merges per-shard event streams into canonical
-/// `(time, host, seq)` order.
-///
-/// Each input stream must itself be sorted by that key — which every
-/// stream produced by [`extract_shard`] is (see the module docs). A thin
-/// wrapper over [`merge_sorted_by`]; the result is independent of the
-/// order in which the streams are supplied because the triple is unique.
-pub fn merge_events(streams: Vec<Vec<SeqEvent>>) -> Vec<XidEvent> {
-    merge_sorted_by(streams, |a: &SeqEvent, b: &SeqEvent| {
-        let ka: (Timestamp, &str, u64) = (a.1.time, a.1.host.as_str(), a.0);
-        let kb: (Timestamp, &str, u64) = (b.1.time, b.1.host.as_str(), b.0);
-        ka.cmp(&kb)
-    })
-    .into_iter()
-    .map(|(_, ev)| ev)
-    .collect()
-}
-
 /// Stable-sorts events into canonical order.
 ///
 /// A **stable** sort by the `(time, host)` prefix: on any stream whose
-/// equal-`(time, host)` runs are already in replay order (serial
-/// extraction output, or a [`merge_events`] result), this realises the
-/// full `(time, host, seq)` total order without carrying `seq`.
+/// equal-`(time, host)` runs are already in scan order (the output of any
+/// extractor), this realises the full `(time, host, seq)` total order
+/// without carrying `seq`.
 pub fn canonical_sort(events: &mut [XidEvent]) {
     events.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.host.cmp(&b.host)));
-}
-
-/// Shards `archive` by host and extracts every shard on `threads` scoped
-/// workers, returning the canonically ordered event stream and the merged
-/// counters.
-///
-/// `template` supplies the extractor configuration (resolution year and
-/// study filter); each shard gets a fresh extractor cloned from it, so the
-/// template's own counters are not double-counted (pass a fresh one).
-/// Shards are handed out through an atomic cursor, so whichever worker is
-/// free takes the next shard — the >1M-line storm host does not serialise
-/// the tail — while results are reassembled by shard index, making the
-/// output identical at every thread count, including `threads == 1`.
-pub fn extract_sharded(
-    archive: &Archive,
-    template: &XidExtractor,
-    threads: usize,
-) -> (Vec<XidEvent>, ExtractStats) {
-    let mut span = obs::span("stage_shard_extract");
-    let shards = shard_by_host(archive);
-    let workers = threads.max(1).min(shards.len().max(1));
-    let mut results: Vec<(Vec<SeqEvent>, ExtractStats)> = if workers <= 1 {
-        shards
-            .iter()
-            .map(|shard| {
-                let mut ex = template.fresh();
-                let events = extract_shard(shard, &mut ex);
-                (events, ex.stats())
-            })
-            .collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut collected: Vec<Option<(Vec<SeqEvent>, ExtractStats)>> = Vec::new();
-        collected.resize_with(shards.len(), || None);
-        let mut per_worker = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let shards = &shards;
-                    scope.spawn(move || {
-                        let mut mine = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(shard) = shards.get(idx) else { break };
-                            let mut ex = template.fresh();
-                            let events = extract_shard(shard, &mut ex);
-                            mine.push((idx, (events, ex.stats())));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (idx, result) in per_worker.drain(..).flatten() {
-            collected[idx] = Some(result);
-        }
-        collected
-            .into_iter()
-            .map(|slot| slot.expect("every shard index was claimed exactly once"))
-            .collect()
-    };
-    let mut stats = ExtractStats::default();
-    let mut streams = Vec::with_capacity(results.len());
-    for (events, shard_stats) in results.drain(..) {
-        stats.merge(&shard_stats);
-        streams.push(events);
-    }
-    span.add_items(stats.lines_seen);
-    if obs::is_enabled() {
-        obs::counter("hpclog_shards_extracted_total", &[]).add(streams.len() as u64);
-        obs::gauge("hpclog_shard_merge_depth", &[]).set_max(streams.len() as u64);
-        crate::extract::record_scan_metrics(&ExtractStats::default(), &stats);
-    }
-    (merge_events(streams), stats)
-}
-
-impl XidExtractor {
-    /// A fresh extractor with this one's configuration and zeroed counters.
-    pub fn fresh(&self) -> Self {
-        if self.studied_only {
-            XidExtractor::studied_only(self.year)
-        } else {
-            XidExtractor::new(self.year)
-        }
-    }
-}
-
-/// What one line of a lenient scan turned out to be, as decided by the
-/// parallel classification phase. Everything order-dependent (quarantine
-/// recording, the monotonic-clock anchor, counter updates) is deferred to
-/// the serial fold.
-enum LineClass {
-    /// Rejected; the category fully determines the counter updates.
-    Reject(QuarantineCategory),
-    /// Parsed cleanly: the line's timestamp, plus the XID event if the
-    /// body was an `NVRM: Xid` message.
-    Accepted(Timestamp, Option<XidEvent>),
-}
-
-/// Classifies one raw line exactly as the serial lenient scan would,
-/// *excluding* the order-dependent out-of-order check.
-fn classify(raw: &[u8], year: i32, max_line_bytes: usize) -> LineClass {
-    if raw.len() > max_line_bytes {
-        return LineClass::Reject(QuarantineCategory::OversizedLine);
-    }
-    let Ok(text) = std::str::from_utf8(raw) else {
-        return LineClass::Reject(QuarantineCategory::Encoding);
-    };
-    let line = match LogLine::parse_with_year(text, year) {
-        Ok(line) => line,
-        Err(err) => {
-            return LineClass::Reject(match err.kind() {
-                LogLineErrorKind::MissingField => QuarantineCategory::Truncated,
-                LogLineErrorKind::BadTimestamp => QuarantineCategory::MalformedTimestamp,
-            });
-        }
-    };
-    match XidEvent::parse_body(line.time, &line.host, &line.body) {
-        Some(Ok(ev)) => LineClass::Accepted(line.time, Some(ev)),
-        Some(Err(_)) => LineClass::Reject(QuarantineCategory::BadXid),
-        None => LineClass::Accepted(line.time, None),
-    }
-}
-
-/// Splits a buffered stream into `(line number, byte range)` spans with
-/// the exact semantics of the serial `read_until`-based loop: physical
-/// lines are delimited by `\n`, every physical line consumes a line
-/// number, trailing `\n`/`\r` bytes are trimmed, and lines that are empty
-/// after trimming are dropped (they carry no data to lose).
-fn split_lines(buf: &[u8]) -> Vec<(u64, std::ops::Range<usize>)> {
-    let mut spans = Vec::new();
-    let mut line_no: u64 = 0;
-    let mut start = 0usize;
-    while start < buf.len() {
-        let end = match buf[start..].iter().position(|&b| b == b'\n') {
-            Some(p) => start + p + 1,
-            None => buf.len(),
-        };
-        line_no += 1;
-        let mut trimmed = end;
-        while trimmed > start && (buf[trimmed - 1] == b'\n' || buf[trimmed - 1] == b'\r') {
-            trimmed -= 1;
-        }
-        if trimmed > start {
-            spans.push((line_no, start..trimmed));
-        }
-        start = end;
-    }
-    spans
-}
-
-/// Reads the whole stream leniently: an I/O failure records one ledger
-/// entry and ends the read, keeping only complete lines — the partial
-/// line the failure interrupted is dropped, exactly as the serial scan's
-/// `read_until` drops it.
-fn read_all_lenient<R: std::io::Read>(mut reader: R, ledger: &mut QuarantineLedger) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        match reader.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                ledger.record_io_error();
-                match buf.iter().rposition(|&b| b == b'\n') {
-                    Some(p) => buf.truncate(p + 1),
-                    None => buf.clear(),
-                }
-                break;
-            }
-        }
-    }
-    buf
-}
-
-impl XidExtractor {
-    /// A chunk-parallel [`scan_reader_lenient`](Self::scan_reader_lenient):
-    /// identical events, identical counters, identical ledger — including
-    /// the reservoir-sampled exemplars — at every thread count.
-    ///
-    /// The scan runs in three phases:
-    ///
-    /// 1. **Read + split** (serial): buffer the stream and split it into
-    ///    line spans, replicating the serial loop's line numbering and
-    ///    trimming. Lenient scans already presume re-runnable sources;
-    ///    buffering trades O(stream) memory for parallelism.
-    /// 2. **Classify** (parallel): UTF-8 validation, syslog parsing and
-    ///    XID body parsing — the dominant cost — on chunk shards handed
-    ///    out through an atomic cursor.
-    /// 3. **Fold** (serial): walk the classifications in line order,
-    ///    applying the out-of-order anchor, the study filter, every
-    ///    counter, and all ledger recording. The anchor is inherently
-    ///    sequential and the exemplar reservoir is sampled from a seeded
-    ///    stream where record *order* determines which exemplars survive,
-    ///    so this phase cannot be parallelised without changing results.
-    pub fn scan_reader_lenient_sharded<R: std::io::Read>(
-        &mut self,
-        reader: R,
-        ledger: &mut QuarantineLedger,
-        threads: usize,
-    ) -> Vec<XidEvent> {
-        let before = self.stats;
-        let mut stage = obs::span("stage_scan");
-        let buf = read_all_lenient(reader, ledger);
-        let spans = split_lines(&buf);
-        let year = self.year;
-        let max_line_bytes = ledger.max_line_bytes();
-        let workers = threads.max(1).min(spans.len().max(1));
-        let classes: Vec<LineClass> = if workers <= 1 {
-            spans
-                .iter()
-                .map(|(_, span)| classify(&buf[span.clone()], year, max_line_bytes))
-                .collect()
-        } else {
-            // Over-decompose so a chunk dense in cheap noise lines cannot
-            // straggle the pool.
-            let chunk_count = (workers * 8).min(spans.len());
-            let chunk_size = spans.len().div_ceil(chunk_count);
-            let chunks: Vec<&[(u64, std::ops::Range<usize>)]> = spans.chunks(chunk_size).collect();
-            let cursor = AtomicUsize::new(0);
-            let mut collected: Vec<Option<Vec<LineClass>>> = Vec::new();
-            collected.resize_with(chunks.len(), || None);
-            let per_worker = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let chunks = &chunks;
-                        let buf = &buf;
-                        scope.spawn(move || {
-                            let mut mine = Vec::new();
-                            loop {
-                                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(chunk) = chunks.get(idx) else { break };
-                                let classed: Vec<LineClass> = chunk
-                                    .iter()
-                                    .map(|(_, span)| {
-                                        classify(&buf[span.clone()], year, max_line_bytes)
-                                    })
-                                    .collect();
-                                mine.push((idx, classed));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("classify worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (idx, classed) in per_worker.into_iter().flatten() {
-                collected[idx] = Some(classed);
-            }
-            collected
-                .into_iter()
-                .flat_map(|slot| slot.expect("every chunk index was claimed exactly once"))
-                .collect()
-        };
-        debug_assert_eq!(classes.len(), spans.len());
-        // Phase 3: the serial fold. Byte-for-byte the same observable
-        // effects as the serial scan's per-line tail.
-        let mut events = Vec::new();
-        let mut prev_accepted: Option<Timestamp> = None;
-        for ((line_no, span), class) in spans.into_iter().zip(classes) {
-            let raw = &buf[span];
-            self.stats.lines_seen += 1;
-            match class {
-                LineClass::Reject(category) => {
-                    if category == QuarantineCategory::BadXid {
-                        self.stats.xid_lines += 1;
-                        self.stats.malformed += 1;
-                    }
-                    self.quarantine(ledger, category, line_no, raw);
-                }
-                LineClass::Accepted(time, xid) => {
-                    if xid.is_some() {
-                        self.stats.xid_lines += 1;
-                    }
-                    if prev_accepted.is_some_and(|prev| time < prev) {
-                        self.quarantine(ledger, QuarantineCategory::OutOfOrder, line_no, raw);
-                        continue;
-                    }
-                    prev_accepted = Some(time);
-                    if let Some(ev) = xid {
-                        if self.studied_only && !ev.kind().is_studied() {
-                            self.stats.excluded += 1;
-                        } else {
-                            self.stats.extracted += 1;
-                            events.push(ev);
-                        }
-                    }
-                }
-            }
-        }
-        stage.add_items(self.stats.lines_seen - before.lines_seen);
-        crate::extract::record_scan_metrics(&before, &self.stats);
-        events
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archive::Archive;
+    use crate::nvrm::PciAddr;
+    use simtime::Timestamp;
+    use xid::XidCode;
 
-    const HOSTS: [&str; 3] = ["gpub001", "gpub002", "gpub077"];
-
-    fn xid_line(t: Timestamp, host: &str) -> LogLine {
-        LogLine::new(
-            t,
-            host,
-            "kernel",
-            "NVRM: Xid (PCI:0000:27:00): 79, pid=9, GPU has fallen off the bus.",
-        )
-    }
-
-    fn noise_line(t: Timestamp, host: &str) -> LogLine {
-        LogLine::new(t, host, "kernel", "usb 3-2: new high-speed USB device")
-    }
-
-    fn mixed_archive() -> Archive {
-        let mut archive = Archive::new();
-        let base = Timestamp::from_ymd_hms(2024, 3, 14, 3, 0, 0).unwrap();
-        for i in 0..60u64 {
-            let t = base + simtime::Duration::from_secs(i * 7);
-            let host = HOSTS[(i % 3) as usize];
-            if i % 2 == 0 {
-                archive.push(xid_line(t, host));
-            } else {
-                archive.push(noise_line(t, host));
-            }
-            // Same-second lines on a *different* host: exercises the
-            // cross-host tie the canonical order must pin down.
-            if i % 5 == 0 {
-                archive.push(xid_line(t, HOSTS[((i + 1) % 3) as usize]));
-            }
-        }
-        archive
-    }
-
-    fn serial_reference(archive: &Archive) -> (Vec<XidEvent>, ExtractStats) {
-        let mut ex = XidExtractor::studied_only(2024);
-        let mut events: Vec<XidEvent> = archive.iter().filter_map(|l| ex.extract(l)).collect();
-        canonical_sort(&mut events);
-        (events, ex.stats())
+    #[test]
+    fn merge_interleaves_sorted_streams_and_breaks_ties_by_stream() {
+        let streams = vec![
+            vec![(1, 'a'), (4, 'a'), (4, 'b')],
+            vec![],
+            vec![(2, 'c'), (4, 'c')],
+        ];
+        let merged = merge_sorted_by(streams, |x: &(u32, char), y| x.0.cmp(&y.0));
+        assert_eq!(
+            merged,
+            vec![(1, 'a'), (2, 'c'), (4, 'a'), (4, 'b'), (4, 'c')]
+        );
     }
 
     #[test]
-    fn every_line_lands_in_exactly_one_shard() {
-        let archive = mixed_archive();
-        let shards = shard_by_host(&archive);
-        let mut seqs: Vec<u64> = shards
-            .iter()
-            .flat_map(|s| s.lines.iter().map(|&(seq, _)| seq))
-            .collect();
-        seqs.sort_unstable();
-        let expect: Vec<u64> = (0..archive.line_count() as u64).collect();
-        assert_eq!(seqs, expect);
-        // Hostnames are unique and sorted; per-shard seqs strictly increase.
-        for pair in shards.windows(2) {
-            assert!(pair[0].host < pair[1].host);
-        }
-        for shard in &shards {
-            assert!(shard.lines.iter().all(|(_, l)| l.host == shard.host));
-            assert!(shard.lines.windows(2).all(|w| w[0].0 < w[1].0));
-        }
-    }
-
-    #[test]
-    fn sharded_extraction_matches_serial_at_every_thread_count() {
-        let archive = mixed_archive();
-        let (expect_events, expect_stats) = serial_reference(&archive);
-        let template = XidExtractor::studied_only(2024);
-        for threads in [1, 2, 3, 4, 8] {
-            let (events, stats) = extract_sharded(&archive, &template, threads);
-            assert_eq!(events, expect_events, "threads={threads}");
-            assert_eq!(stats, expect_stats, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn merge_is_stream_order_independent() {
-        let archive = mixed_archive();
-        let shards = shard_by_host(&archive);
-        let extract_all = |reversed: bool| {
-            let mut streams: Vec<Vec<SeqEvent>> = shards
-                .iter()
-                .map(|s| {
-                    let mut ex = XidExtractor::studied_only(2024);
-                    extract_shard(s, &mut ex)
-                })
-                .collect();
-            if reversed {
-                streams.reverse();
-            }
-            merge_events(streams)
+    fn canonical_sort_orders_hosts_within_a_second_stably() {
+        let t = Timestamp::from_ymd_hms(2024, 3, 14, 3, 0, 0).unwrap();
+        let ev = |secs, host: &str, code| {
+            XidEvent::new(
+                t + simtime::Duration::from_secs(secs),
+                host,
+                PciAddr::for_gpu_index(0),
+                XidCode::new(code),
+                "",
+            )
         };
-        assert_eq!(extract_all(false), extract_all(true));
-    }
-
-    #[test]
-    fn empty_archive_yields_empty_stream() {
-        let archive = Archive::new();
-        let template = XidExtractor::studied_only(2024);
-        let (events, stats) = extract_sharded(&archive, &template, 4);
-        assert!(events.is_empty());
-        assert_eq!(stats, ExtractStats::default());
-    }
-
-    #[test]
-    fn split_lines_matches_read_until_semantics() {
-        let buf = b"abc\r\r\n\n\r\nxyz";
-        let spans = split_lines(buf);
-        // Line 1 = "abc" (CRs trimmed), lines 2 and 3 empty (skipped but
-        // numbered), line 4 = trailing bytes with no newline.
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].0, 1);
-        assert_eq!(&buf[spans[0].1.clone()], b"abc");
-        assert_eq!(spans[1].0, 4);
-        assert_eq!(&buf[spans[1].1.clone()], b"xyz");
-    }
-
-    #[test]
-    fn sharded_lenient_matches_serial_with_corruption() {
-        use crate::chaos::{ChaosConfig, ChaosInjector};
-        let archive = mixed_archive();
-        for rate in [0.0, 0.05, 0.35] {
-            let mut chaos = ChaosInjector::new(ChaosConfig::uniform(rate, 0x5AD));
-            let corrupt = chaos.corrupt_archive(&archive);
-            let mut serial_ex = XidExtractor::studied_only(2024);
-            let mut serial_ledger = QuarantineLedger::new();
-            let expect = serial_ex.scan_reader_lenient(corrupt.as_slice(), &mut serial_ledger);
-            for threads in [1, 2, 4, 8] {
-                let mut ex = XidExtractor::studied_only(2024);
-                let mut ledger = QuarantineLedger::new();
-                let events =
-                    ex.scan_reader_lenient_sharded(corrupt.as_slice(), &mut ledger, threads);
-                assert_eq!(events, expect, "rate={rate} threads={threads}");
-                assert_eq!(
-                    ex.stats(),
-                    serial_ex.stats(),
-                    "rate={rate} threads={threads}"
-                );
-                assert_eq!(
-                    ledger.counts(),
-                    serial_ledger.counts(),
-                    "rate={rate} threads={threads}"
-                );
-                assert_eq!(
-                    ledger.exemplars(),
-                    serial_ledger.exemplars(),
-                    "rate={rate} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_lenient_drops_partial_line_on_io_error() {
-        struct Flaky {
-            fed: bool,
-        }
-        impl std::io::Read for Flaky {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.fed {
-                    return Err(std::io::Error::other("disk on fire"));
-                }
-                self.fed = true;
-                // One complete line plus the head of a second.
-                let text = "Mar 14 03:22:07 gpub042 kernel: NVRM: Xid (PCI:0000:27:00): 79, \
-                            pid=1234, GPU has fallen off the bus.\nMar 14 03:2";
-                buf[..text.len()].copy_from_slice(text.as_bytes());
-                Ok(text.len())
-            }
-        }
-        let mut ex = XidExtractor::new(2024);
-        let mut ledger = QuarantineLedger::new();
-        let events = ex.scan_reader_lenient_sharded(Flaky { fed: false }, &mut ledger, 4);
-        assert_eq!(events.len(), 1);
-        assert_eq!(ledger.io_errors(), 1);
-        // The partial second line is dropped, not quarantined as truncated.
-        assert_eq!(ledger.total(), 0);
-        assert_eq!(ex.stats().lines_seen, 1);
+        let mut events = vec![
+            ev(1, "gpub002", 79),
+            ev(0, "gpub009", 31),
+            ev(1, "gpub001", 94),
+            ev(1, "gpub002", 48),
+        ];
+        canonical_sort(&mut events);
+        let order: Vec<(u64, &str, u16)> = events
+            .iter()
+            .map(|e| (e.time.unix() - t.unix(), e.host.as_str(), e.code.value()))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, "gpub009", 31),
+                (1, "gpub001", 94),
+                (1, "gpub002", 79),
+                (1, "gpub002", 48),
+            ]
+        );
     }
 }

@@ -7,18 +7,19 @@
 //! chunks. [`LenientScan`] is that shape: feed it byte slices in any
 //! batching and it produces exactly the events, counters, and quarantine
 //! records the one-shot scan would have produced on the concatenated
-//! stream. All cross-line state — the partial-line carry, the physical
-//! line counter, and the out-of-order anchor — lives in the scanner and
-//! can be captured as a plain-data [`ScanSnapshot`] for checkpointing.
+//! stream. Both hand every completed line to the one lenient line
+//! classifier on [`XidExtractor`]; what lives here is only the cross-line
+//! state — the partial-line carry, the physical line counter, and the
+//! out-of-order anchor — which can be captured as a plain-data
+//! [`ScanSnapshot`] for checkpointing.
 //!
 //! Equivalence with the batch scan is the contract, not an aspiration:
 //! `core`'s differential suite replays full campaigns through this type at
 //! batch sizes from one byte upward and byte-compares every surface.
 
 use crate::extract::{ExtractStats, XidExtractor};
-use crate::line::{LogLine, LogLineErrorKind};
 use crate::nvrm::XidEvent;
-use crate::quarantine::{QuarantineCategory, QuarantineLedger};
+use crate::quarantine::QuarantineLedger;
 use simtime::Timestamp;
 
 /// Incremental, restartable equivalent of
@@ -112,8 +113,8 @@ impl LenientScan {
     }
 
     /// Feeds the next chunk of the byte stream, in any size down to a
-    /// single byte. Completed lines are classified exactly as
-    /// [`XidExtractor::scan_reader_lenient`] classifies them; accepted
+    /// single byte. Completed lines go through the same classifier as
+    /// [`XidExtractor::scan_reader_lenient`]; accepted
     /// events are appended to `events` and rejects recorded in `ledger`.
     /// Bytes after the last newline are carried until the next call (or
     /// [`finish`](Self::finish)).
@@ -127,15 +128,17 @@ impl LenientScan {
         self.bytes_fed += bytes.len() as u64;
         let mut rest = bytes;
         while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-            if self.carry.is_empty() {
+            self.line_no += 1;
+            let line = if self.carry.is_empty() {
                 // Fast path: the whole line sits in this chunk.
-                let mut line = rest[..pos].to_vec();
-                self.process_line(&mut line, ledger, events);
+                &rest[..pos]
             } else {
                 self.carry.extend_from_slice(&rest[..pos]);
-                let mut line = std::mem::take(&mut self.carry);
-                self.process_line(&mut line, ledger, events);
-            }
+                &self.carry[..]
+            };
+            self.extractor
+                .scan_line(line, self.line_no, &mut self.prev_accepted, ledger, events);
+            self.carry.clear();
             rest = &rest[pos + 1..];
         }
         self.carry.extend_from_slice(rest);
@@ -155,82 +158,16 @@ impl LenientScan {
             return;
         }
         let before = self.extractor.stats();
-        let mut line = std::mem::take(&mut self.carry);
-        self.process_line(&mut line, ledger, events);
-        crate::extract::record_scan_metrics(&before, &self.extractor.stats());
-    }
-
-    /// One physical line, classified with the exact rules (and rule order)
-    /// of [`XidExtractor::scan_reader_lenient`]. `line` excludes the
-    /// terminating `\n` but may end in `\r`s, which are trimmed here like
-    /// the batch scan trims them.
-    fn process_line(
-        &mut self,
-        raw: &mut Vec<u8>,
-        ledger: &mut QuarantineLedger,
-        events: &mut Vec<XidEvent>,
-    ) {
         self.line_no += 1;
-        let line_no = self.line_no;
-        while raw.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-            raw.pop();
-        }
-        if raw.is_empty() {
-            return;
-        }
-        self.extractor.stats.lines_seen += 1;
-        if raw.len() > ledger.max_line_bytes() {
-            self.extractor
-                .quarantine(ledger, QuarantineCategory::OversizedLine, line_no, raw);
-            return;
-        }
-        let text = match std::str::from_utf8(raw) {
-            Ok(t) => t,
-            Err(_) => {
-                self.extractor
-                    .quarantine(ledger, QuarantineCategory::Encoding, line_no, raw);
-                return;
-            }
-        };
-        let line = match LogLine::parse_with_year(text, self.extractor.year) {
-            Ok(line) => line,
-            Err(err) => {
-                let category = match err.kind() {
-                    LogLineErrorKind::MissingField => QuarantineCategory::Truncated,
-                    LogLineErrorKind::BadTimestamp => QuarantineCategory::MalformedTimestamp,
-                };
-                self.extractor.quarantine(ledger, category, line_no, raw);
-                return;
-            }
-        };
-        let xid = match XidEvent::parse_body(line.time, &line.host, &line.body) {
-            Some(Ok(ev)) => {
-                self.extractor.stats.xid_lines += 1;
-                Some(ev)
-            }
-            Some(Err(_)) => {
-                self.extractor.stats.xid_lines += 1;
-                self.extractor.stats.malformed += 1;
-                self.extractor
-                    .quarantine(ledger, QuarantineCategory::BadXid, line_no, raw);
-                return;
-            }
-            None => None,
-        };
-        if self.prev_accepted.is_some_and(|prev| line.time < prev) {
-            self.extractor
-                .quarantine(ledger, QuarantineCategory::OutOfOrder, line_no, raw);
-            return;
-        }
-        self.prev_accepted = Some(line.time);
-        if let Some(ev) = xid {
-            if self.extractor.studied_only && !ev.kind().is_studied() {
-                self.extractor.stats.excluded += 1;
-            } else {
-                self.extractor.stats.extracted += 1;
-                events.push(ev);
-            }
-        }
+        self.extractor.scan_line(
+            &self.carry,
+            self.line_no,
+            &mut self.prev_accepted,
+            ledger,
+            events,
+        );
+        self.carry.clear();
+        crate::extract::record_scan_metrics(&before, &self.extractor.stats());
     }
 
     /// Captures the scanner's complete cross-line state as plain data.
@@ -266,6 +203,7 @@ impl LenientScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quarantine::QuarantineCategory;
 
     const XID_LINE: &str =
         "Mar 14 03:22:07 gpub042 kernel: NVRM: Xid (PCI:0000:27:00): 79, pid=1234, GPU has fallen off the bus.";

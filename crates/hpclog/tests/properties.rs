@@ -1,12 +1,13 @@
 //! Property tests: log line and NVRM body round trips, pattern-engine
-//! invariants, archive conservation, and the shard/merge determinism
-//! contract — on the in-repo `propcheck` harness.
+//! invariants, archive conservation, and streamed-vs-batch equivalence of
+//! the lenient scan — on the in-repo `propcheck` harness.
 
 use hpclog::archive::Archive;
+use hpclog::chaos::{ChaosConfig, ChaosInjector};
 use hpclog::extract::XidExtractor;
 use hpclog::pattern::Pattern;
 use hpclog::quarantine::QuarantineLedger;
-use hpclog::shard;
+use hpclog::stream::LenientScan;
 use hpclog::{Duration, LogLine, PciAddr, Timestamp, XidEvent};
 use propcheck::{run, run_shrinking, shrink_vec, Gen};
 use xid::XidCode;
@@ -137,7 +138,7 @@ fn archive_conserves_lines() {
 /// (few enough that cross-host timestamp ties are common), a mix of noise,
 /// studied XIDs and study-excluded XIDs, error bursts, exact duplicate
 /// lines, and a push order scrambled away from time order — the regimes
-/// that stress the shard boundary and the canonical merge.
+/// that stress the scan's order anchor and the canonical order.
 fn gen_lines(g: &mut Gen) -> Vec<LogLine> {
     let hosts: Vec<String> = (1..=g.usize_in(1, 5)).map(|_| hostname(g)).collect();
     let mut t = study_time(g);
@@ -209,115 +210,78 @@ fn build_archive(lines: &[LogLine]) -> Archive {
     archive
 }
 
-/// The shard-merge determinism property: for any generated archive,
-/// `merge(extract(shards(archive))) == canonical_sort(extract(archive))`,
-/// with identical extraction counters, at every thread count. On failure
-/// the line set shrinks to a minimal counterexample.
+/// One lenient-scan case: clean lines, the chaos applied to their
+/// rendering, and the chunk size the stream is fed in.
+#[derive(Debug, Clone)]
+struct ScanCase {
+    lines: Vec<LogLine>,
+    chaos_rate: f64,
+    chaos_seed: u64,
+    chunk: usize,
+}
+
+/// Feeding the bytes to the resumable scanner in `chunk`-sized pieces is
+/// observationally identical to the batch lenient scan under generated
+/// corruption: same events, same counters, same ledger counts, same
+/// reservoir exemplars. On failure the line set shrinks to a minimal
+/// counterexample.
 #[test]
-fn shard_merge_equals_sorted_serial_extract() {
+fn streamed_lenient_scan_matches_batch() {
     run_shrinking(
-        "shard_merge_equals_sorted_serial_extract",
-        200,
-        gen_lines,
-        |lines| shrink_vec(lines),
-        |lines| {
-            let archive = build_archive(lines);
-            let mut serial = XidExtractor::studied_only(2024);
-            let mut expect: Vec<XidEvent> =
-                archive.iter().filter_map(|l| serial.extract(l)).collect();
-            shard::canonical_sort(&mut expect);
-            let template = XidExtractor::studied_only(2024);
-            for threads in [1, 2, 4, 8] {
-                let (events, stats) = shard::extract_sharded(&archive, &template, threads);
-                if events != expect {
-                    return Err(format!(
-                        "threads={threads}: merged {} events != serial {}",
-                        events.len(),
-                        expect.len()
-                    ));
-                }
-                if stats != serial.stats() {
-                    return Err(format!(
-                        "threads={threads}: stats {stats:?} != {:?}",
-                        serial.stats()
-                    ));
-                }
+        "streamed_lenient_scan_matches_batch",
+        128,
+        |g| ScanCase {
+            lines: gen_lines(g),
+            chaos_rate: g.f64_in(0.0, 0.3),
+            chaos_seed: g.u64(),
+            chunk: g.usize_in(1, 4097),
+        },
+        |case| {
+            shrink_vec(&case.lines)
+                .into_iter()
+                .map(|lines| ScanCase {
+                    lines,
+                    ..case.clone()
+                })
+                .collect()
+        },
+        |case| {
+            let archive = build_archive(&case.lines);
+            let config = ChaosConfig::uniform(case.chaos_rate, case.chaos_seed);
+            let bytes = ChaosInjector::new(config).corrupt_archive(&archive);
+            let mut batch = XidExtractor::studied_only(2024);
+            let mut batch_ledger = QuarantineLedger::new();
+            let expect = batch.scan_reader_lenient(bytes.as_slice(), &mut batch_ledger);
+            let mut scan = LenientScan::studied_only(2024);
+            let mut ledger = QuarantineLedger::new();
+            let mut events = Vec::new();
+            for piece in bytes.chunks(case.chunk) {
+                scan.feed(piece, &mut ledger, &mut events);
+            }
+            scan.finish(&mut ledger, &mut events);
+            if events != expect {
+                return Err(format!(
+                    "streamed {} events != batch {}",
+                    events.len(),
+                    expect.len()
+                ));
+            }
+            if scan.stats() != batch.stats() {
+                return Err(format!("stats {:?} != {:?}", scan.stats(), batch.stats()));
+            }
+            if ledger.counts() != batch_ledger.counts() {
+                return Err(format!(
+                    "ledger counts {:?} != {:?}",
+                    ledger.counts(),
+                    batch_ledger.counts()
+                ));
+            }
+            if ledger.exemplars() != batch_ledger.exemplars() {
+                return Err("reservoir exemplars differ".to_owned());
             }
             Ok(())
         },
     );
-}
-
-/// Sharding is an exact partition: every replay index appears in exactly
-/// one shard, shard hostnames are unique and sorted, and per-shard indices
-/// strictly increase (replay order is preserved inside a shard).
-#[test]
-fn shard_partition_is_exact() {
-    run("shard_partition_is_exact", 200, |g| {
-        let archive = build_archive(&gen_lines(g));
-        let shards = shard::shard_by_host(&archive);
-        let mut seqs: Vec<u64> = Vec::new();
-        for pair in shards.windows(2) {
-            assert!(pair[0].host < pair[1].host);
-        }
-        for s in &shards {
-            assert!(s.lines.iter().all(|(_, l)| l.host == s.host));
-            assert!(s.lines.windows(2).all(|w| w[0].0 < w[1].0));
-            seqs.extend(s.lines.iter().map(|&(seq, _)| seq));
-        }
-        seqs.sort_unstable();
-        let expect: Vec<u64> = (0..archive.line_count() as u64).collect();
-        assert_eq!(seqs, expect);
-    });
-}
-
-/// The k-way merge is independent of the order in which shard streams are
-/// supplied: any permutation of the inputs yields the same output.
-#[test]
-fn merge_is_stream_order_invariant() {
-    run("merge_is_stream_order_invariant", 200, |g| {
-        let archive = build_archive(&gen_lines(g));
-        let shards = shard::shard_by_host(&archive);
-        let mut streams: Vec<Vec<shard::SeqEvent>> = shards
-            .iter()
-            .map(|s| {
-                let mut ex = XidExtractor::studied_only(2024);
-                shard::extract_shard(s, &mut ex)
-            })
-            .collect();
-        let forward = shard::merge_events(streams.clone());
-        // A seeded Fisher-Yates permutation of the stream list.
-        for i in (1..streams.len()).rev() {
-            let j = g.usize_in(0, i + 1);
-            streams.swap(i, j);
-        }
-        assert_eq!(shard::merge_events(streams), forward);
-    });
-}
-
-/// The chunk-parallel lenient scan is observationally identical to the
-/// serial one under generated corruption: same events, same counters,
-/// same ledger counts, same reservoir exemplars.
-#[test]
-fn sharded_lenient_scan_matches_serial() {
-    run("sharded_lenient_scan_matches_serial", 64, |g| {
-        use hpclog::chaos::{ChaosConfig, ChaosInjector};
-        let archive = build_archive(&gen_lines(g));
-        let rate = g.f64_in(0.0, 0.3);
-        let mut chaos = ChaosInjector::new(ChaosConfig::uniform(rate, g.u64()));
-        let corrupt = chaos.corrupt_archive(&archive);
-        let mut serial = XidExtractor::studied_only(2024);
-        let mut serial_ledger = QuarantineLedger::new();
-        let expect = serial.scan_reader_lenient(corrupt.as_slice(), &mut serial_ledger);
-        let threads = g.usize_in(2, 9);
-        let mut sharded = XidExtractor::studied_only(2024);
-        let mut ledger = QuarantineLedger::new();
-        let events = sharded.scan_reader_lenient_sharded(corrupt.as_slice(), &mut ledger, threads);
-        assert_eq!(events, expect, "threads={threads}");
-        assert_eq!(sharded.stats(), serial.stats());
-        assert_eq!(ledger.counts(), serial_ledger.counts());
-        assert_eq!(ledger.exemplars(), serial_ledger.exemplars());
-    });
 }
 
 /// Render → ingest preserves the archive byte-for-byte.

@@ -10,8 +10,8 @@
 //! secondary indexes (per-host and per-kind posting lists). Every shard
 //! also keeps its rows' *global row ids*: because shards partition the
 //! canonical row sequence, k-way merging per-shard result streams by
-//! global row id (the same [`hpclog::shard::merge_sorted_by`] kernel the
-//! ingest pipeline uses) reconstructs exactly the single-store row
+//! global row id (the [`hpclog::shard::merge_sorted_by`] kernel the
+//! rollup cubes merge with too) reconstructs exactly the single-store row
 //! order, so a scattered scan renders byte-identical to the unsharded
 //! renderer. `tests/shard_equivalence.rs` holds that invariant across
 //! shard counts and chaos rates.

@@ -42,6 +42,16 @@ impl TestResponse {
     pub fn text(&self) -> String {
         String::from_utf8(self.body.clone()).expect("UTF-8 response body")
     }
+
+    /// The `/whatif/jobs/:id` URL a `202` body names (panics if absent).
+    pub fn poll_url(&self) -> String {
+        self.text()
+            .split("\"poll\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("202 body carries a poll URL")
+            .to_owned()
+    }
 }
 
 /// Connects with `TCP_NODELAY` set, so one-write requests hit the wire
@@ -100,13 +110,7 @@ pub fn whatif_to_completion(
     if first.status != 202 {
         return first;
     }
-    let text = first.text();
-    let poll = text
-        .split("\"poll\":\"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .expect("202 body carries a poll URL")
-        .to_owned();
+    let poll = first.poll_url();
     for _ in 0..tries {
         std::thread::sleep(std::time::Duration::from_millis(100));
         let resp = request(addr, "GET", &poll, b"");

@@ -2,13 +2,15 @@
 //! committed golden corrupt corpus (`tests/fixtures/`) and against seeded
 //! chaos at storm scale. The contract under test: `run_lenient` never
 //! panics, every defect is classified into exactly one quarantine
-//! category, and clean input leaves the ledger empty.
+//! category, and clean input leaves the ledger empty and agrees with the
+//! archive path (`Pipeline::run`).
 
 use delta_gpu_resilience::prelude::*;
+use hpclog::archive::Archive;
 use hpclog::chaos::{ChaosConfig, ChaosInjector};
 use hpclog::extract::XidExtractor;
 use hpclog::{QuarantineCategory, QuarantineLedger};
-use resilience::csvio;
+use resilience::{csvio, markdown};
 
 const GOLDEN_LOG: &[u8] = include_bytes!("fixtures/corrupt_golden.log");
 const CLEAN_LOG: &str = include_str!("fixtures/clean.log");
@@ -113,17 +115,54 @@ fn clean_input_produces_empty_ledger() {
     assert!(quarantine.ledger.exemplars().is_empty());
     assert_eq!(report.coalesce_summary.errors, 3);
 
-    // And the strict path agrees exactly on the same input.
-    let strict = pipeline
-        .run_csv(
-            CLEAN_LOG.as_bytes(),
-            GOLDEN_YEAR,
-            &gpu_jobs,
-            &gpu_jobs,
-            &outages,
-        )
-        .expect("clean input must satisfy the strict path too");
+    // And the archive path agrees exactly on the same input.
+    let mut archive = Archive::new();
+    let (_, skipped) = archive.ingest_day(CLEAN_LOG, GOLDEN_YEAR);
+    assert_eq!(skipped, 0, "clean input must parse on the archive path too");
+    let strict = pipeline.run(&archive, &[], &[], &[]);
     assert_eq!(strict.coalesce_summary, report.coalesce_summary);
+}
+
+#[test]
+fn strict_and_lenient_agree_on_clean_bytes() {
+    // Cross-path anchor: on a clean rendered campaign, the lenient byte
+    // path and the archive path must agree on every aggregate the renders
+    // show (the canonical event order makes them byte-identical).
+    const SCALE: f64 = 0.02;
+    const SEED: u64 = 0xFEED;
+    let mut config = FaultConfig::delta_scaled(SCALE);
+    config.seed = SEED;
+    let campaign = Campaign::new(config).run();
+    let cluster = Cluster::new(campaign.config.spec);
+    let workload = WorkloadConfig::delta_scaled(SCALE);
+    let outcome =
+        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
+    let gpu_jobs = bridge::jobs(&outcome.jobs);
+    let cpu_jobs = bridge::jobs(&outcome.cpu_jobs);
+    let outages = bridge::outages(campaign.ledger.outages());
+    let mut pipeline = Pipeline::delta();
+    pipeline.periods = campaign.config.periods;
+    let strict = pipeline.run(&campaign.archive, &gpu_jobs, &cpu_jobs, &outages);
+    // The scaled calendar starts Jan 1 2022 and ends before New Year.
+    let (log, _) = campaign.render_log();
+    let (lenient, q) = pipeline.run_lenient(
+        log.as_slice(),
+        2022,
+        &csvio::render_jobs(&gpu_jobs),
+        &csvio::render_jobs(&cpu_jobs),
+        &csvio::render_outages(&outages),
+    );
+    assert!(q.is_clean(), "{:?}", q.ledger.counts());
+    assert_eq!(
+        lenient.coalesce_summary.errors,
+        strict.coalesce_summary.errors
+    );
+    assert_eq!(markdown::table1_md(&lenient), markdown::table1_md(&strict));
+    assert_eq!(markdown::table2_md(&lenient), markdown::table2_md(&strict));
+    assert_eq!(
+        lenient.availability.availability_empirical(),
+        strict.availability.availability_empirical()
+    );
 }
 
 #[test]

@@ -37,14 +37,11 @@ fn snapshot_report() -> StudyReport {
         Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
     let mut pipeline = Pipeline::delta();
     pipeline.periods = campaign.config.periods;
-    // The parallel driver is the production path under test elsewhere;
-    // snapshotting through it also pins its output to the committed bytes.
-    pipeline.run_parallel(
+    pipeline.run(
         &campaign.archive,
         &bridge::jobs(&outcome.jobs),
         &bridge::jobs(&outcome.cpu_jobs),
         &bridge::outages(campaign.ledger.outages()),
-        4,
     )
 }
 

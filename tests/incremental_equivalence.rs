@@ -12,7 +12,7 @@
 //! across restore.
 
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::{ChaosConfig, ChaosInjector};
+use hpclog::chaos::ChaosConfig;
 use hpclog::PciAddr;
 use resilience::checkpoint::Checkpoint;
 use resilience::incremental::StreamingPipeline;
@@ -78,23 +78,14 @@ fn dataset(scale: f64, seed: u64, chaos_rate: f64) -> Dataset {
     let mut config = FaultConfig::delta_scaled(scale);
     config.seed = seed;
     config.emit_logs = true;
+    config.chaos =
+        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, seed));
     let campaign = Campaign::new(config).run();
     let cluster = Cluster::new(campaign.config.spec);
     let workload = WorkloadConfig::delta_scaled(scale);
     let outcome =
         Simulation::new(&cluster, workload, seed).run(&campaign.ground_truth, &campaign.holds);
-    let log = if chaos_rate > 0.0 {
-        let mut chaos =
-            ChaosInjector::new(ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, seed));
-        chaos.corrupt_archive(&campaign.archive)
-    } else {
-        let mut out = Vec::new();
-        for line in campaign.archive.iter() {
-            out.extend_from_slice(line.to_string().as_bytes());
-            out.push(b'\n');
-        }
-        out
-    };
+    let (log, _) = campaign.render_log();
     let mut pipeline = Pipeline::delta();
     pipeline.periods = campaign.config.periods;
     Dataset {

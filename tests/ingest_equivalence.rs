@@ -20,7 +20,7 @@
 //! from `resilience::report` over a batch run of the identical corpus.
 
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::{ChaosConfig, ChaosInjector};
+use hpclog::chaos::ChaosConfig;
 use resilience::csvio;
 use servd::{IngestConfig, ServerConfig, StoreHandle, StudyStore};
 use std::net::TcpStream;
@@ -49,23 +49,14 @@ fn dataset(chaos_rate: f64) -> Dataset {
     let mut config = FaultConfig::delta_scaled(SCALE);
     config.seed = SEED;
     config.emit_logs = true;
+    config.chaos =
+        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
     let campaign = Campaign::new(config).run();
     let cluster = Cluster::new(campaign.config.spec);
     let workload = WorkloadConfig::delta_scaled(SCALE);
     let outcome =
         Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let log = if chaos_rate > 0.0 {
-        let mut chaos =
-            ChaosInjector::new(ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-        chaos.corrupt_archive(&campaign.archive)
-    } else {
-        let mut out = Vec::new();
-        for line in campaign.archive.iter() {
-            out.extend_from_slice(line.to_string().as_bytes());
-            out.push(b'\n');
-        }
-        out
-    };
+    let (log, _) = campaign.render_log();
     let mut pipeline = Pipeline::delta();
     pipeline.periods = campaign.config.periods;
     Dataset {

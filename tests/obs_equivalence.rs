@@ -1,8 +1,8 @@
 //! The no-perturbation proof for the observability layer: running the
 //! study with the `obs` registry **enabled** must produce byte-identical
 //! rendered surfaces to the uninstrumented run, in every execution mode —
-//! serial, parallel at {1, 4, 8} threads, streaming at chunk {7, 1024} —
-//! over clean and 5%-corrupted logs. And because instrumentation hangs off
+//! batch and streaming at chunk {7, 1024} — over clean and 5%-corrupted
+//! logs. And because instrumentation hangs off
 //! the same code paths everywhere, the *invariant* counters (lines
 //! scanned, events coalesced, merges, attribution hits) must agree across
 //! all modes for the same dataset.
@@ -13,7 +13,7 @@
 //! `crates/obs`, against private instances.)
 
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::{ChaosConfig, ChaosInjector};
+use hpclog::chaos::ChaosConfig;
 use obs::registry::{counter_total, MetricSnapshot};
 use resilience::csvio;
 use resilience::incremental::StreamingPipeline;
@@ -25,7 +25,7 @@ static GLOBAL_OBS: Mutex<()> = Mutex::new(());
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0x0B5;
-/// The scaled calendar stays inside 2022 (see E12/E13).
+/// The scaled calendar stays inside 2022 (see E13).
 const LOG_YEAR: i32 = 2022;
 
 /// The mode-invariant counters: whatever path the bytes take, these
@@ -50,23 +50,14 @@ fn dataset(chaos_rate: f64) -> Dataset {
     let mut config = FaultConfig::delta_scaled(SCALE);
     config.seed = SEED;
     config.emit_logs = true;
+    config.chaos =
+        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
     let campaign = Campaign::new(config).run();
     let cluster = Cluster::new(campaign.config.spec);
     let workload = WorkloadConfig::delta_scaled(SCALE);
     let outcome =
         Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let log = if chaos_rate > 0.0 {
-        let mut chaos =
-            ChaosInjector::new(ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-        chaos.corrupt_archive(&campaign.archive)
-    } else {
-        let mut out = Vec::new();
-        for line in campaign.archive.iter() {
-            out.extend_from_slice(line.to_string().as_bytes());
-            out.push(b'\n');
-        }
-        out
-    };
+    let (log, _) = campaign.render_log();
     let mut pipeline = Pipeline::delta();
     pipeline.periods = campaign.config.periods;
     Dataset {
@@ -151,27 +142,6 @@ fn instrumented_runs_are_byte_identical_and_counters_agree_across_modes() {
         let (r, q) = out.expect("serial leg ran");
         assert_eq!(render_all(&r, &q), oracle, "chaos={chaos_rate} serial");
         legs.push(("serial".to_owned(), deltas));
-
-        for threads in [1usize, 4, 8] {
-            let mut out = None;
-            let deltas = deltas_of(|| {
-                out = Some(d.pipeline.run_lenient_parallel(
-                    d.log.as_slice(),
-                    LOG_YEAR,
-                    &d.gpu_csv,
-                    &d.cpu_csv,
-                    &d.out_csv,
-                    threads,
-                ))
-            });
-            let (r, q) = out.expect("parallel leg ran");
-            assert_eq!(
-                render_all(&r, &q),
-                oracle,
-                "chaos={chaos_rate} threads={threads}"
-            );
-            legs.push((format!("threads={threads}"), deltas));
-        }
 
         for chunk in [7usize, 1024] {
             let mut out = None;

@@ -15,7 +15,7 @@
 //! is a single 25-hour bucket.
 
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::{ChaosConfig, ChaosInjector};
+use hpclog::chaos::ChaosConfig;
 use hpclog::{PciAddr, XidEvent};
 use resilience::csvio;
 use servd::testutil::{connect, get_on};
@@ -39,23 +39,14 @@ fn study(chaos_rate: f64) -> (StudyReport, QuarantineReport) {
     let mut config = FaultConfig::delta_scaled(SCALE);
     config.seed = SEED;
     config.emit_logs = true;
+    config.chaos =
+        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
     let campaign = Campaign::new(config).run();
     let cluster = Cluster::new(campaign.config.spec);
     let workload = WorkloadConfig::delta_scaled(SCALE);
     let outcome =
         Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let log = if chaos_rate > 0.0 {
-        let mut chaos =
-            ChaosInjector::new(ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-        chaos.corrupt_archive(&campaign.archive)
-    } else {
-        let mut out = Vec::new();
-        for line in campaign.archive.iter() {
-            out.extend_from_slice(line.to_string().as_bytes());
-            out.push(b'\n');
-        }
-        out
-    };
+    let (log, _) = campaign.render_log();
     let mut pipeline = Pipeline::delta();
     pipeline.periods = campaign.config.periods;
     pipeline.run_lenient(

@@ -12,7 +12,7 @@
 //! pinning are wrong in any observable way, one of these legs diverges.
 
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::{ChaosConfig, ChaosInjector};
+use hpclog::chaos::ChaosConfig;
 use hpclog::{PciAddr, XidEvent};
 use resilience::csvio;
 use servd::{ServerConfig, StoreHandle, StudyStore};
@@ -42,23 +42,14 @@ fn dataset(chaos_rate: f64) -> Dataset {
     let mut config = FaultConfig::delta_scaled(SCALE);
     config.seed = SEED;
     config.emit_logs = true;
+    config.chaos =
+        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
     let campaign = Campaign::new(config).run();
     let cluster = Cluster::new(campaign.config.spec);
     let workload = WorkloadConfig::delta_scaled(SCALE);
     let outcome =
         Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let log = if chaos_rate > 0.0 {
-        let mut chaos =
-            ChaosInjector::new(ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-        chaos.corrupt_archive(&campaign.archive)
-    } else {
-        let mut out = Vec::new();
-        for line in campaign.archive.iter() {
-            out.extend_from_slice(line.to_string().as_bytes());
-            out.push(b'\n');
-        }
-        out
-    };
+    let (log, _) = campaign.render_log();
     let mut pipeline = Pipeline::delta();
     pipeline.periods = campaign.config.periods;
     Dataset {
