@@ -46,7 +46,7 @@ impl Checkpoint {
     /// Current format version. Bumped on any wire-format change; older
     /// readers reject newer snapshots with
     /// [`CheckpointError::UnsupportedVersion`] instead of misparsing them.
-    pub const VERSION: u32 = 1;
+    pub const VERSION: u32 = 2;
     /// Trailing end marker, guarding against silent truncation at a field
     /// boundary.
     pub(crate) const END_MARKER: u32 = 0x444E_4521; // "END!"

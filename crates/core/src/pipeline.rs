@@ -88,8 +88,10 @@ impl Pipeline {
     /// consolidated log *will* contain truncated lines, interleaved
     /// writes and the occasional clock regression, and discarding three
     /// months of analysis over one bad byte is the wrong trade.
-    /// `log_year` resolves the year-less syslog stamps (the wire format
-    /// drops the year; the consolidated day files carry it out of band).
+    /// `log_year` is the starting year for the year-less syslog stamps
+    /// (the wire format drops the year); the scan advances it when the
+    /// clock crosses New Year (see
+    /// [`XidExtractor::scan_reader_lenient`]).
     ///
     /// Callers that must treat any defect as fatal check
     /// [`QuarantineReport::is_clean`] on the result.
@@ -319,7 +321,8 @@ impl QuarantineReport {
     /// Reject fraction above which [`Caveat::HighRejectRate`] is raised.
     pub const HIGH_REJECT_RATE: f64 = 0.05;
 
-    pub(crate) fn from_scan(ledger: QuarantineLedger, stats: ExtractStats) -> Self {
+    /// Derives the caveats of a log scan from its ledger and counters.
+    pub fn from_scan(ledger: QuarantineLedger, stats: ExtractStats) -> Self {
         let mut caveats = Vec::new();
         if ledger.io_errors() > 0 {
             caveats.push(Caveat::InputIoError);

@@ -9,7 +9,6 @@
 //! system used.
 
 use crate::line::LogLine;
-use simtime::{Duration, Timestamp};
 use std::collections::BTreeMap;
 
 /// An in-memory, per-day consolidated log archive.
@@ -55,19 +54,6 @@ impl Archive {
     /// Total number of lines.
     pub fn line_count(&self) -> usize {
         self.line_count
-    }
-
-    /// The first and last instants present, or `None` if empty.
-    pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
-        let first = self.days.values().next()?.iter().map(|l| l.time).min()?;
-        let last = self
-            .days
-            .values()
-            .next_back()?
-            .iter()
-            .map(|l| l.time)
-            .max()?;
-        Some((first, last))
     }
 
     /// Iterates over all lines in global time order.
@@ -124,53 +110,12 @@ impl Archive {
         }
         (added, skipped)
     }
-
-    /// Merges another archive into this one.
-    pub fn merge(&mut self, other: Archive) {
-        for (_, lines) in other.days {
-            for line in lines {
-                self.push(line);
-            }
-        }
-    }
-
-    /// Retains only lines within `[start, end)`, dropping empty days.
-    pub fn retain_window(&mut self, start: Timestamp, end: Timestamp) {
-        for lines in self.days.values_mut() {
-            lines.retain(|l| l.time >= start && l.time < end);
-        }
-        self.days.retain(|_, v| !v.is_empty());
-        self.line_count = self.days.values().map(Vec::len).sum();
-    }
-
-    /// The total wall-clock coverage (first to last line), zero if empty.
-    pub fn coverage(&self) -> Duration {
-        match self.time_span() {
-            Some((a, b)) => b - a,
-            None => Duration::ZERO,
-        }
-    }
-}
-
-impl Extend<LogLine> for Archive {
-    fn extend<T: IntoIterator<Item = LogLine>>(&mut self, iter: T) {
-        for line in iter {
-            self.push(line);
-        }
-    }
-}
-
-impl FromIterator<LogLine> for Archive {
-    fn from_iter<T: IntoIterator<Item = LogLine>>(iter: T) -> Self {
-        let mut archive = Archive::new();
-        archive.extend(iter);
-        archive
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtime::Timestamp;
 
     fn line_at(day: u32, hour: u32, host: &str) -> LogLine {
         let t = Timestamp::from_ymd_hms(2024, 3, day, hour, 0, 0).unwrap();
@@ -235,49 +180,5 @@ mod tests {
     #[test]
     fn render_missing_day_is_none() {
         assert_eq!(Archive::new().render_day(0), None);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Archive::new();
-        a.push(line_at(14, 1, "n1"));
-        let mut b = Archive::new();
-        b.push(line_at(14, 2, "n2"));
-        b.push(line_at(16, 2, "n2"));
-        a.merge(b);
-        assert_eq!(a.line_count(), 3);
-        assert_eq!(a.day_count(), 2);
-    }
-
-    #[test]
-    fn retain_window_trims() {
-        let mut a = Archive::new();
-        a.push(line_at(14, 1, "n"));
-        a.push(line_at(15, 1, "n"));
-        a.push(line_at(16, 1, "n"));
-        let start = Timestamp::from_ymd_hms(2024, 3, 15, 0, 0, 0).unwrap();
-        let end = Timestamp::from_ymd_hms(2024, 3, 16, 0, 0, 0).unwrap();
-        a.retain_window(start, end);
-        assert_eq!(a.line_count(), 1);
-        assert_eq!(a.day_count(), 1);
-        assert_eq!(a.iter().next().unwrap().time.ymd(), (2024, 3, 15));
-    }
-
-    #[test]
-    fn time_span_and_coverage() {
-        let mut a = Archive::new();
-        assert_eq!(a.time_span(), None);
-        assert_eq!(a.coverage(), Duration::ZERO);
-        a.push(line_at(14, 0, "n"));
-        a.push(line_at(16, 0, "n"));
-        let (first, last) = a.time_span().unwrap();
-        assert_eq!(last - first, Duration::from_days(2));
-        assert_eq!(a.coverage(), Duration::from_days(2));
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let a: Archive = (1..=3).map(|h| line_at(14, h, "n")).collect();
-        assert_eq!(a.line_count(), 3);
     }
 }

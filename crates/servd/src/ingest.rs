@@ -54,7 +54,7 @@
 //! grow server memory or stall the GET path.
 
 use crate::admission::AdmissionPolicy;
-use crate::store::{StoreHandle, StudyStore};
+use crate::store::StoreHandle;
 use resilience::checkpoint::{write_atomic, Checkpoint, CheckpointError, Decoder, Encoder};
 use resilience::incremental::StreamingPipeline;
 use resilience::Pipeline;
@@ -872,7 +872,7 @@ fn publish(
     let mut span = obs::span("servd_ingest_publish");
     let (report, quarantine) = engine.materialize_full();
     span.add_items(report.errors.len() as u64);
-    let snapshot = store.publish(StudyStore::build(report, Some(&quarantine)));
+    let snapshot = store.publish_study(report, &quarantine);
 
     let envelope = encode_envelope(&engine.checkpoint(), applied);
     let ckpt_path = handle.config.dir.join(CKPT_FILE);
@@ -1005,6 +1005,8 @@ pub fn checkpoint_path(dir: &Path) -> PathBuf {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::store::StudyStore;
+    use std::net::TcpStream;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1175,6 +1177,65 @@ mod tests {
                 .offer(IngestStream::Logs, Some(2), b"May 10 03:22:08 h k: y\n"),
             Offer::Accepted { .. }
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn worker_publishes_keep_the_served_shard_count() {
+        use crate::testutil::{connect, get_on, request_on};
+
+        obs::set_enabled(true);
+        let dir = temp_dir("shards");
+        let rec = recover(small_config(&dir), Pipeline::delta(), 2022).unwrap();
+        let (report, quarantine) = rec.engine.materialize_full();
+        let store = Arc::new(StoreHandle::new(StudyStore::build_sharded(
+            report,
+            Some(&quarantine),
+            4,
+        )));
+        let worker = spawn_worker(rec.engine, Arc::clone(&rec.handle), Arc::clone(&store));
+        let server = crate::start_with_ingest(
+            crate::ServerConfig {
+                addr: "127.0.0.1:0".to_owned(),
+                ..crate::ServerConfig::default()
+            },
+            Arc::clone(&store),
+            Some(Arc::clone(&rec.handle)),
+        )
+        .unwrap();
+        let mut conn = connect(server.addr());
+        let mut log = String::new();
+        for (i, host) in ["gpub001", "gpub030", "gpub060", "gpub090"]
+            .iter()
+            .enumerate()
+        {
+            log.push_str(&format!(
+                "May 10 03:22:{i:02} {host} kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, GPU has fallen off the bus\n"
+            ));
+        }
+        let post = request_on(&mut conn, "POST", "/ingest/logs?seq=0", log.as_bytes());
+        assert_eq!(post.status, 200, "{}", post.text());
+        let flush = request_on(&mut conn, "POST", "/ingest/flush", b"");
+        assert_eq!(flush.status, 200, "{}", flush.text());
+        assert_eq!(store.current().store.shard_count(), 4);
+
+        // The counter is process-wide, so only its growth is checked: an
+        // unfiltered, uncached /errors scans all four shards.
+        let scans = |conn: &mut TcpStream| {
+            get_on(conn, "/metrics")
+                .text()
+                .lines()
+                .find_map(|l| l.strip_prefix("servd_scatter_shard_scans_total "))
+                .map_or(0.0, |v| v.parse::<f64>().unwrap())
+        };
+        let before = scans(&mut conn);
+        let errors = get_on(&mut conn, "/errors");
+        assert_eq!(errors.header("X-Cache"), Some("miss"));
+        assert_eq!(errors.text().lines().count(), 5, "{}", errors.text());
+        assert!(scans(&mut conn) >= before + 4.0);
+
+        server.shutdown();
+        worker.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

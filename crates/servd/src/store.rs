@@ -916,7 +916,8 @@ pub struct Published {
 ///
 /// The handle also owns the [`ScanPool`] shard-parallel queries scatter
 /// over, and remembers the initial store's shard count so snapshots
-/// published through the [`SnapshotSink`] path keep the same layout.
+/// published through [`publish_study`](StoreHandle::publish_study) keep
+/// the same layout.
 #[derive(Debug)]
 pub struct StoreHandle {
     current: RwLock<Arc<Published>>,
@@ -927,8 +928,8 @@ pub struct StoreHandle {
 
 impl StoreHandle {
     /// Creates the handle with an initial store (snapshot id 1) and a
-    /// machine-sized scan pool. Later [`SnapshotSink`] publishes rebuild
-    /// with the initial store's shard count.
+    /// machine-sized scan pool. Later live publishes rebuild with the
+    /// initial store's shard count.
     pub fn new(store: StudyStore) -> Self {
         let shards = store.shard_count();
         StoreHandle {
@@ -977,21 +978,29 @@ impl StoreHandle {
         &self.pool
     }
 
-    /// The shard count used for snapshots published via [`SnapshotSink`].
+    /// The shard count every live publish builds with.
     pub fn publish_shards(&self) -> usize {
         self.publish_shards.load(Ordering::Relaxed).max(1)
+    }
+
+    /// Builds a store from a materialized study, sharded like the initial
+    /// store, and publishes it; returns the new snapshot id. The one
+    /// store-build path of live publishes: the ingest worker's and the
+    /// [`SnapshotSink`] impl's.
+    pub fn publish_study(&self, report: StudyReport, quarantine: &QuarantineReport) -> u64 {
+        self.publish(StudyStore::build_sharded(
+            report,
+            Some(quarantine),
+            self.publish_shards(),
+        ))
     }
 }
 
 impl SnapshotSink for StoreHandle {
     /// The streaming pipeline's live-update path: materialized snapshots
-    /// land here and become the served store, sharded like the initial
-    /// store.
+    /// land here and become the served store.
     fn publish(&self, report: StudyReport, quarantine: QuarantineReport) {
-        StoreHandle::publish(
-            self,
-            StudyStore::build_sharded(report, Some(&quarantine), self.publish_shards()),
-        );
+        self.publish_study(report, &quarantine);
     }
 }
 

@@ -27,7 +27,6 @@
 use delta_gpu_resilience::cli::{self, parse_flags, CliError, MetricsSink};
 use delta_gpu_resilience::prelude::*;
 use resilience::csvio;
-use resilience::error::CsvInput;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -112,41 +111,23 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     }
     let metrics = MetricsSink::from_flags(&flags)?;
 
-    // The CSV exports decode on one scoped thread while this thread
-    // ingests the logs. Errors keep the serial order: log errors first,
-    // then --jobs, --cpu-jobs, --outages.
-    let (logs, csvs) = std::thread::scope(|scope| {
-        let csvs = scope.spawn(|| decode_csvs(&flags));
-        let logs = ingest_logs(&flags.positionals);
-        if let Ok((archive, skipped)) = &logs {
-            println!(
-                "ingested {} lines over {} days ({} unparseable lines skipped)",
-                archive.line_count(),
-                archive.day_count(),
-                skipped
-            );
-        }
-        let csvs = csvs
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (logs, csvs)
-    });
-    let (archive, _) = logs?;
-    let (gpu_jobs, cpu_jobs, outages) = csvs?;
+    let inputs = cli::load_study(&flags, |logs| {
+        println!(
+            "ingested {} lines over {} days ({} unparseable lines skipped)",
+            logs.lines(),
+            logs.days,
+            logs.stats.quarantined.total()
+        );
+    })?;
 
-    let mut pipeline = Pipeline::delta();
-    if let Some(w) = flags.value("window") {
-        let secs: u64 = w
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad --window {w:?}")))?;
-        pipeline.coalesce_window = Duration::from_secs(secs);
-    }
+    let mut pipeline = cli::pipeline_from_flags(&flags)?;
     match flags.value("periods").unwrap_or("delta") {
         "delta" => {}
         "auto" => {
-            pipeline.periods = infer_periods(&archive, &gpu_jobs).ok_or_else(|| {
-                CliError::Invalid("cannot infer periods from empty data".to_owned())
-            })?;
+            pipeline.periods =
+                infer_periods(inputs.logs.span, &inputs.gpu_jobs).ok_or_else(|| {
+                    CliError::Invalid("cannot infer periods from empty data".to_owned())
+                })?;
             println!(
                 "inferred calendar: pre-op {} .. op {} .. {}",
                 pipeline.periods.pre_op.start, pipeline.periods.op.start, pipeline.periods.op.end
@@ -158,14 +139,15 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             )))
         }
     }
-    let report_out = pipeline.run(&archive, &gpu_jobs, &cpu_jobs, &outages);
+    let (has_jobs, has_outages) = (!inputs.gpu_jobs.is_empty(), !inputs.outages.is_empty());
+    let (report_out, _) = inputs.run(&pipeline);
 
     println!("\n=== Table I ===\n{}", report::table1(&report_out));
-    if !gpu_jobs.is_empty() {
+    if has_jobs {
         println!("=== Table II ===\n{}", report::table2(&report_out));
         println!("=== Table III ===\n{}", report::table3(&report_out));
     }
-    if !outages.is_empty() {
+    if has_outages {
         println!("=== Figure 2 ===\n{}", report::figure2(&report_out));
     }
     println!("=== Findings ===\n{}", Findings::evaluate(&report_out));
@@ -204,69 +186,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads every log file into one archive. Syslog lines carry no year, so
-/// it is resolved per file: a `...YYYYMMDD...` date in the filename
-/// (what `simulate` writes) wins; otherwise candidate years are probed on
-/// a small line sample and the year that parses best is kept. Either way
-/// each file is fully parsed exactly once. Returns the archive and the
-/// number of unparseable lines skipped.
-fn ingest_logs(paths: &[String]) -> Result<(hpclog::archive::Archive, usize), CliError> {
-    let mut archive = hpclog::archive::Archive::new();
-    let mut skipped_total = 0;
-    let mut span = obs::span("stage_ingest");
-    for file in cli::collect_log_files(paths)? {
-        let text = cli::read_to_string(&file)?;
-        let year = cli::year_from_filename(&file).unwrap_or_else(|| probe_year(&text));
-        let (_, skipped) = archive.ingest_day(&text, year);
-        skipped_total += skipped;
-    }
-    span.add_items(archive.line_count() as u64);
-    Ok((archive, skipped_total))
-}
-
-/// The decoded `--jobs`, `--cpu-jobs` and `--outages` exports.
-type Csvs = (Vec<AccountedJob>, Vec<AccountedJob>, Vec<OutageRecord>);
-
-/// Reads and decodes the CSV exports in flag order, stopping at the first
-/// error; an absent flag decodes as empty.
-fn decode_csvs(flags: &cli::Flags) -> Result<Csvs, CliError> {
-    let mut span = obs::span("stage_csv");
-    let jobs = |flag: &str, input: CsvInput| match flags.value(flag) {
-        Some(path) => cli::parse_jobs_csv(&cli::read_to_string(path)?, input),
-        None => Ok(Vec::new()),
-    };
-    let gpu_jobs = jobs("jobs", CsvInput::GpuJobs)?;
-    let cpu_jobs = jobs("cpu-jobs", CsvInput::CpuJobs)?;
-    let outages = match flags.value("outages") {
-        Some(path) => cli::parse_outages_csv(&cli::read_to_string(path)?)?,
-        None => Vec::new(),
-    };
-    span.add_items((gpu_jobs.len() + cpu_jobs.len() + outages.len()) as u64);
-    Ok((gpu_jobs, cpu_jobs, outages))
-}
-
-/// Picks the year under which a sample of the file's lines parses with the
-/// fewest losses (leap days make wrong years lose lines).
-fn probe_year(text: &str) -> i32 {
-    let sample: Vec<&str> = text.lines().take(500).collect();
-    let mut best = (usize::MAX, 2024);
-    for year in 2022..=2026 {
-        let mut probe = hpclog::archive::Archive::new();
-        let (_, skipped) = probe.ingest_day(&sample.join("\n"), year);
-        if skipped < best.0 {
-            best = (skipped, year);
-        }
-    }
-    best.1
-}
-
-/// Infers a study calendar from the observed data span, keeping Delta's
+/// Infers a study calendar from the observed data span (the first and
+/// last accepted log lines, widened by the job records), keeping Delta's
 /// 273:896-day pre-op/op proportions.
 fn infer_periods(
-    archive: &hpclog::archive::Archive,
-    jobs: &[resilience::AccountedJob],
+    span: Option<(Timestamp, Timestamp)>,
+    jobs: &[AccountedJob],
 ) -> Option<StudyPeriods> {
-    let (mut first, mut last) = archive.time_span()?;
+    let (mut first, mut last) = span?;
     for j in jobs {
         first = first.min(j.submit);
         last = last.max(j.end);
@@ -330,7 +257,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
         Simulation::new(&cluster, workload, seed).run(&campaign.ground_truth, &campaign.holds);
 
     // Per-day log files. `days()` yields exactly the keys `render_day`
-    // accepts, so a miss is a bug in `Archive` — report it, don't panic.
+    // accepts, so a miss is a bug in the campaign's log archive — report
+    // it, don't panic.
     let mut days = 0;
     {
         let mut span = obs::span("stage_write_artifacts");
@@ -411,12 +339,9 @@ mod tests {
 
     #[test]
     fn infer_periods_keeps_delta_ratio() {
-        let mut archive = hpclog::archive::Archive::new();
         let start = Timestamp::from_ymd_hms(2022, 1, 1, 0, 0, 0).unwrap();
         let end = start + Duration::from_days(1169);
-        archive.push(hpclog::LogLine::new(start, "gpub001", "kernel", "first"));
-        archive.push(hpclog::LogLine::new(end, "gpub001", "kernel", "last"));
-        let periods = infer_periods(&archive, &[]).unwrap();
+        let periods = infer_periods(Some((start, end)), &[]).unwrap();
         assert_eq!(periods.pre_op.start, start);
         let pre_days = periods.pre_op.days();
         assert!((pre_days - 273.0).abs() < 1.5, "{pre_days}");
@@ -424,16 +349,8 @@ mod tests {
     }
 
     #[test]
-    fn probe_year_prefers_parseable_year() {
-        // Feb 29 only parses in 2024 among the candidates.
-        let text = "Feb 29 12:00:00 gpub001 kernel: leap day\n";
-        assert_eq!(probe_year(text), 2024);
-    }
-
-    #[test]
     fn infer_periods_empty_is_none() {
-        let archive = hpclog::archive::Archive::new();
-        assert!(infer_periods(&archive, &[]).is_none());
+        assert!(infer_periods(None, &[]).is_none());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!             [--publish-events N] [--publish-secs S] [--addr HOST:PORT] ...
 //! ```
 //!
-//! **Batch mode** ingests the same inputs as `delta-cli analyze` (per-day
-//! syslog files plus optional job/outage CSV exports), runs the lenient
-//! pipeline once, builds the `servd` columnar store, and serves it until
-//! SIGINT/SIGTERM.
+//! **Batch mode** loads the same inputs as `delta-cli analyze` (per-day
+//! syslog files plus optional job/outage CSV exports) through the same
+//! loader ([`delta_gpu_resilience::cli::load_study`]), builds the `servd`
+//! columnar store, and serves it until SIGINT/SIGTERM.
 //!
 //! **Live-ingest mode** (`--ingest-dir`) starts with an empty study — or
 //! the recovered state of a previous run of the same directory — and
@@ -54,8 +54,6 @@
 //! [`delta_gpu_resilience::cli`].
 
 use delta_gpu_resilience::cli::{self, parse_flags, CliError, Flags};
-use delta_gpu_resilience::prelude::*;
-use resilience::error::CsvInput;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
@@ -97,8 +95,9 @@ BATCH INPUTS (as in delta-cli analyze; exclusive with --ingest-dir)
 LIVE INGEST (accept the corpus over POST /ingest/*)
   --ingest-dir DIR    durable state directory (WAL + checkpoint); restarting
                       on the same DIR recovers every acknowledged chunk
-  --year N            year for year-less syslog stamps on a fresh DIR
-                      (default 2024; a recovered checkpoint wins)
+  --year N            starting year for year-less syslog stamps on a fresh
+                      DIR; the scan advances it across New Year (default
+                      2024; a recovered checkpoint's year wins)
   --ingest-queue N    admission queue depth; beyond it POSTs get 429 (default 256)
   --publish-events N  publish a fresh snapshot every N ingested lines (default 5000)
   --publish-secs S    ... or after S seconds, whichever comes first (default 2)
@@ -177,57 +176,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
         ));
     }
 
-    // Ingest per-day logs exactly as `delta-cli analyze` does: year from
-    // the filename when present, otherwise probed from a line sample.
-    let mut log = Vec::new();
-    let mut year = None;
-    {
-        let mut span = obs::span("stage_ingest");
-        let files = cli::collect_log_files(&flags.positionals)?;
-        for file in &files {
-            let bytes = cli::read_bytes(file)?;
-            if year.is_none() {
-                year = cli::year_from_filename(file);
-            }
-            log.extend_from_slice(&bytes);
-            if !log.ends_with(b"\n") {
-                log.push(b'\n');
-            }
-        }
-        span.add_items(files.len() as u64);
-    }
-    let year = year.unwrap_or_else(|| probe_year(&log));
-
-    let gpu_csv = match flags.value("jobs") {
-        Some(path) => cli::read_to_string(path)?,
-        None => String::new(),
-    };
-    let cpu_csv = match flags.value("cpu-jobs") {
-        Some(path) => cli::read_to_string(path)?,
-        None => String::new(),
-    };
-    let out_csv = match flags.value("outages") {
-        Some(path) => cli::read_to_string(path)?,
-        None => String::new(),
-    };
-    // Strict-parse the CSVs first so schema errors surface as clean CLI
-    // errors instead of silent quarantine rows.
-    if !gpu_csv.is_empty() {
-        cli::parse_jobs_csv(&gpu_csv, CsvInput::GpuJobs)?;
-    }
-    if !cpu_csv.is_empty() {
-        cli::parse_jobs_csv(&cpu_csv, CsvInput::CpuJobs)?;
-    }
-    if !out_csv.is_empty() {
-        cli::parse_outages_csv(&out_csv)?;
-    }
-
-    let pipeline = pipeline_from_flags(&flags)?;
-    let (report, quarantine) =
-        pipeline.run_lenient(log.as_slice(), year, &gpu_csv, &cpu_csv, &out_csv);
-    for caveat in &quarantine.caveats {
-        eprintln!("caveat: {caveat:?}");
-    }
+    // Load the study exactly as `delta-cli analyze` does: the same Stage I
+    // over the day files, the same strict CSV decode.
+    let inputs = cli::load_study(&flags, |_| {})?;
+    let (report, quarantine) = inputs.run(&cli::pipeline_from_flags(&flags)?);
     println!(
         "study ready: {} coalesced errors, {} GPU jobs joined, {} outages",
         report.errors.len(),
@@ -298,14 +250,11 @@ fn run_live(flags: &Flags) -> Result<(), CliError> {
             .map_err(|_| CliError::Usage(format!("bad --publish-secs {s:?}")))?;
         ingest_config.publish_every = StdDuration::from_secs(secs);
     }
-    let year: i32 = match flags.value("year") {
-        Some(y) => y
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad --year {y:?}")))?,
-        None => 2024,
-    };
+    let year: i32 = cli::parse_num_flag(flags, "year", 2024)?;
 
-    let pipeline = pipeline_from_flags(flags)?;
+    // `--window` applies only to a fresh directory: a recovered
+    // checkpoint carries its own configuration.
+    let pipeline = cli::pipeline_from_flags(flags)?;
     let recovered = servd::ingest::recover(ingest_config, pipeline, year)?;
     let accepted = recovered.accepted;
     println!(
@@ -355,20 +304,6 @@ fn run_live(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared pipeline construction: the `--window` flag applies in both
-/// modes (in live mode, only to a fresh directory — a recovered
-/// checkpoint carries its own configuration).
-fn pipeline_from_flags(flags: &Flags) -> Result<Pipeline, CliError> {
-    let mut pipeline = Pipeline::delta();
-    if let Some(w) = flags.value("window") {
-        let secs: u64 = w
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad --window {w:?}")))?;
-        pipeline.coalesce_window = Duration::from_secs(secs);
-    }
-    Ok(pipeline)
-}
-
 /// How many host-range shards each published store is split into.
 /// Defaults to the core count (capped at 8, like the scan pool): more
 /// shards than workers only adds merge overhead.
@@ -416,20 +351,4 @@ fn server_config_from_flags(flags: &Flags) -> Result<servd::ServerConfig, CliErr
         ));
     }
     Ok(config)
-}
-
-/// Picks the year under which a sample of the log's lines parses with the
-/// fewest losses (same heuristic as `delta-cli analyze`).
-fn probe_year(log: &[u8]) -> i32 {
-    let text = String::from_utf8_lossy(log);
-    let sample: Vec<&str> = text.lines().take(500).collect();
-    let mut best = (usize::MAX, 2024);
-    for year in 2022..=2026 {
-        let mut probe = hpclog::archive::Archive::new();
-        let (_, skipped) = probe.ingest_day(&sample.join("\n"), year);
-        if skipped < best.0 {
-            best = (skipped, year);
-        }
-    }
-    best.1
 }

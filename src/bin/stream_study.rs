@@ -46,8 +46,10 @@ USAGE:
   --jobs FILE       GPU job export (CSV: id,name,submit,start,end,gpus,gpu_slots,state)
   --cpu-jobs FILE   CPU job export (same schema, gpus=0)
   --outages FILE    outage export (CSV: host,start,duration_secs)
-  --year N          year for year-less syslog stamps (default: from the
-                    first filename's YYYYMMDD, else 2024)
+  --year N          starting year for year-less syslog stamps; the scan
+                    advances it across New Year (default: the first
+                    filename's YYYYMMDD, else the year its lines parse
+                    best under)
   --window SECS     coalescing window Δt (default 20; ignored with --resume)
   --chunk BYTES     log feed granularity (default 1048576)
   --checkpoint FILE write a snapshot after each log file
@@ -127,19 +129,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 Some(y) => y
                     .parse()
                     .map_err(|_| CliError::Usage(format!("bad --year {y:?}")))?,
-                None => files
-                    .first()
-                    .and_then(|f| cli::year_from_filename(f))
-                    .unwrap_or(2024),
+                None => cli::starting_year(&files)?,
             };
-            let mut pipeline = Pipeline::delta();
-            if let Some(w) = flags.value("window") {
-                let secs: u64 = w
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --window {w:?}")))?;
-                pipeline.coalesce_window = Duration::from_secs(secs);
-            }
-            StreamingPipeline::new(pipeline, year)
+            StreamingPipeline::new(cli::pipeline_from_flags(&flags)?, year)
         }
     };
 
