@@ -45,8 +45,9 @@
 //!   one assembly tail: [`Pipeline::run`] (archive),
 //!   [`Pipeline::run_lenient`] (raw bytes; never panics or aborts:
 //!   defective input lands in a [`pipeline::QuarantineReport`]),
-//!   [`Pipeline::run_events`] (pre-extracted events) and the
-//!   [`StreamingPipeline`].
+//!   [`Pipeline::run_events`] (pre-extracted events, what `delta-cli
+//!   analyze` and batch `delta-serve` call after their lenient scan) and
+//!   the [`StreamingPipeline`].
 //! * [`incremental`] — the streaming twin of [`pipeline`]: log bytes and
 //!   job records in arbitrary-sized batches, bounded live state, and
 //!   versioned checkpoint/restore — proven byte-equivalent to the batch

@@ -23,7 +23,8 @@
 //! * [`extract`] — the Stage-I extractor: lines in, [`nvrm::XidEvent`]s out,
 //!   tolerant of interleaved noise; its lenient scan classifies every
 //!   defective line into the quarantine ledger, with the per-line rules
-//!   written once and shared with [`stream`].
+//!   (the syslog-year rule among them) written once and shared with
+//!   [`stream`].
 //! * [`archive`] — per-day log consolidation, mirroring Delta's collection.
 //! * [`quarantine`] — the reject ledger lenient readers feed: per-category
 //!   counts plus a bounded reservoir of exemplar bad lines.
@@ -32,7 +33,8 @@
 //!   store and rollup cubes merge per-shard results with.
 //! * [`stream`] — the resumable lenient scanner: the same line classifier
 //!   as [`extract`], fed in arbitrary-sized byte chunks, with snapshotable
-//!   cross-line state (partial-line carry, line counter, order anchor).
+//!   cross-line state (partial-line carry, line counter, order anchor,
+//!   year reference).
 //! * [`chaos`] — seeded corruption injection for resilience testing:
 //!   truncation, invalid UTF-8, clock skew, interleaving, duplication.
 //!
