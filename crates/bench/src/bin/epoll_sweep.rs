@@ -1,15 +1,17 @@
-//! E17 epoll/scatter sweep: throughput and tail latency of the
+//! E17 epoll/shard sweep: throughput and tail latency of the
 //! event-loop servd core as the store shard count and the concurrent
 //! connection fleet scale.
 //!
 //! One campaign is simulated and frozen once; then, for each shard
 //! count in {1, 2, 4, 8}, a fresh sharded store is served by the epoll
 //! core and hammered by a keep-alive fleet at 10× the E15 connection
-//! count, round-robining the full endpoint surface (the scatter-heavy
-//! `/errors` and `/mtbe` paths included). A second pass holds the
-//! shard count at the machine's scatter width and scales the fleet,
-//! showing how the fixed event-loop threads multiplex a growing
-//! connection count without thread-per-connection cost.
+//! count, round-robining the full endpoint surface (`/errors` and
+//! `/mtbe` included). Every cache miss renders inline on the event loop
+//! that read the request; a multi-shard `/errors` scans its shards one
+//! after another and merges them there. A second pass holds the shard
+//! count at `min(cores, 8)` and scales the fleet, showing how the fixed
+//! event-loop threads multiplex a growing connection count without
+//! thread-per-connection cost.
 //!
 //! ```text
 //! cargo run --release -p bench --bin epoll_sweep [--smoke] [SCALE] [SEED]
@@ -48,7 +50,7 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     let (smoke, options) = parse_args();
-    banner("servd epoll/scatter sweep (E17)", options);
+    banner("servd epoll/shard sweep (E17)", options);
 
     let study = run_study(options, false);
     println!(
@@ -114,9 +116,10 @@ fn main() {
     }
     println!("\nfloor {floor:.0} req/s on {cores} cores — ok");
     println!(
-        "\nReading: shard count changes *where* a scan runs, not what it\n\
-         returns — rates across the shard sweep should be flat-ish on a\n\
-         small machine (scatter pays above one core) while staying\n\
+        "\nReading: shard count changes how an /errors miss scans, not\n\
+         what it returns — every miss renders inline on its event loop,\n\
+         so the shard sweep adds only the per-shard scans and the merge,\n\
+         small next to a socket round trip, while staying\n\
          byte-identical (tests/shard_equivalence.rs). The connection\n\
          scaling pass is the epoll dividend: the fleet grows 10x but the\n\
          event-loop thread count stays fixed, so req/s holds instead of\n\

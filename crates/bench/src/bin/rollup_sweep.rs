@@ -1,14 +1,14 @@
-//! E18 rollup cube sweep: calendar-aware rollup construction cost and
+//! E18 rollup cube sweep: store build cost and calendar-aware rollup
 //! query throughput as the store shard count scales.
 //!
 //! One campaign is simulated and frozen once; then, for each shard
-//! count in {1, 2, 4, 8}, a fresh sharded store is built (including all
-//! 12 pre-aggregated cube sets: 3 timezones × 4 bucket grains) and the
-//! full canonical query surface — every metric × bucket × timezone —
-//! is rendered through `rollup_csv`. Every rendered byte must match the
-//! 1-shard baseline exactly: the k-way cube merge is byte-identical or
-//! the sweep fails. A second pass measures in-process render throughput
-//! per metric, and a final pass serves `/rollup` over HTTP to a
+//! count in {1, 2, 4, 8}, a fresh sharded store is built (no cubes: a
+//! `/rollup` miss folds the one cube or cell set it names) and the full
+//! canonical query surface — every metric × bucket × timezone — is
+//! rendered through `rollup_csv`. Every rendered byte must match the
+//! 1-shard baseline exactly, or the sweep fails. A second pass measures
+//! in-process render throughput per metric, each call folding its own
+//! cube or cell set, and a final pass serves `/rollup` over HTTP to a
 //! keep-alive fleet, which after the first round exercises the
 //! snapshot-scoped response cache.
 //!
@@ -38,8 +38,8 @@ const METRICS: [(&str, RollupMetric); 4] = [
 ];
 
 /// The served request mix: every metric at several grains and
-/// timezones, plus the filtered variants (`host=`, `xid=`, `[from,to)`
-/// window) that bypass or slice the pre-built cubes.
+/// timezones, plus the filtered variants: `host=` (folded from that
+/// host's posting list), `xid=`, and a `[from,to)` window.
 const ENDPOINTS: &[&str] = &[
     "/rollup?metric=errors",
     "/rollup?metric=errors&bucket=hour",
@@ -73,7 +73,7 @@ fn main() {
 
     // -- pass 1: build cost + byte-identity across shard counts --
     println!(
-        "\n-- cube build + canonical sweep ({} queries per store) --",
+        "\n-- store build + canonical sweep ({} queries per store) --",
         queries.len()
     );
     println!("shards  build_s    cells    bytes  vs 1-shard");
@@ -164,11 +164,12 @@ fn main() {
     );
     println!("\nfloor {floor:.0} req/s on {cores} cores — ok");
     println!(
-        "\nReading: cube construction is a one-time snapshot cost (pass 1)\n\
-         and must stay byte-identical however the store is sharded — the\n\
-         sweep re-renders the full metric x bucket x timezone surface per\n\
-         shard count and diffs it against the 1-shard baseline. Pass 2 is\n\
-         the uncached render cost per metric; pass 3 is what clients see,\n\
+        "\nReading: the store build (pass 1) folds no cube; each /rollup\n\
+         miss folds the one it names, and the bytes must stay identical\n\
+         however the store is sharded — the sweep re-renders the full\n\
+         metric x bucket x timezone surface per shard count and diffs it\n\
+         against the 1-shard baseline. Pass 2 is the uncached render cost\n\
+         per metric, fold included; pass 3 is what clients see,\n\
          where the snapshot-scoped response cache collapses repeat\n\
          queries to a memcpy after the first round."
     );

@@ -5,9 +5,10 @@
 //! server (4 shards, 512-trace recorder, 1 s scrape cadence) proves the
 //! observability surface end to end: every response carries an
 //! `X-Trace-Id` that resolves via `/debug/traces?id=`, an uncached
-//! `/errors` trace shows one `shard_scan` span per store shard, a
-//! `/rollup` trace resolves too (it shows *no* scatter spans — rollups
-//! serve pre-merged cubes), `/readyz` answers, `/metrics/history`
+//! `/errors` trace shows one `shard_scan` span per store shard (the
+//! store scans them inline, one after another), a `/rollup` trace
+//! resolves too (it shows *no* `shard_scan` span — a rollup folds its
+//! cube from the report), `/readyz` answers, `/metrics/history`
 //! serves scraped points, and `/metrics` still validates under
 //! [`obs::check`]. Then the E17 160-connection fleet runs back-to-back
 //! against a traced and an untraced server (5 rounds, arm order
@@ -227,8 +228,8 @@ fn functional_pass(report: &resilience::StudyReport) {
     let addr = server.addr().to_string();
     let mut conn = connect(&addr);
 
-    // Uncached /errors scatters over every shard; its trace must show
-    // one shard_scan span per shard once the recorder seals it.
+    // Uncached /errors scans every shard; its trace must show one
+    // shard_scan span per shard once the recorder seals it.
     let errors = get_on(&mut conn, "/errors");
     assert_eq!(errors.status, 200, "/errors status");
     let errors_id = errors
@@ -249,8 +250,8 @@ fn functional_pass(report: &resilience::StudyReport) {
     );
     println!("   /errors trace {errors_id}: {scans} shard_scan spans + merge — ok");
 
-    // Rollups serve pre-merged cubes — the trace resolves but carries
-    // no scatter spans (documented in EXPERIMENTS.md E19).
+    // A rollup folds its cube from the report — the trace resolves but
+    // carries no shard_scan span (documented in EXPERIMENTS.md E19).
     let rollup = get_on(&mut conn, "/rollup?metric=errors&bucket=day");
     assert_eq!(rollup.status, 200, "/rollup status: {}", rollup.text());
     let rollup_id = rollup
@@ -261,9 +262,9 @@ fn functional_pass(report: &resilience::StudyReport) {
     assert_eq!(
         doc.matches("\"name\": \"shard_scan\"").count(),
         0,
-        "/rollup serves pre-merged cubes; trace should show no scatter: {doc}"
+        "/rollup folds its cube from the report; trace should show no shard_scan: {doc}"
     );
-    println!("   /rollup trace {rollup_id}: resolved, zero scatter spans — ok");
+    println!("   /rollup trace {rollup_id}: resolved, zero shard_scan spans — ok");
 
     let readyz = get_on(&mut conn, "/readyz");
     assert_eq!(readyz.status, 200, "/readyz: {}", readyz.text());

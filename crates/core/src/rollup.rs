@@ -13,10 +13,8 @@
 //! The time-bucketed instantiations live here too:
 //!
 //! * [`RollupCube`] — per-civil-bucket error counts (total and per
-//!   studied kind), built per store shard from time-sorted columns and
-//!   k-way merged with [`hpclog::shard::merge_sorted_by`], the same
-//!   kernel the scatter-gather store uses — so the merged cube is
-//!   byte-identical whether the store has 1 shard or 8, by construction.
+//!   studied kind), folded in one linear scan from a time-sorted event
+//!   stream: the report's coalesced errors, or one host's rows.
 //! * [`impact_cells`] — distinct GPU-failed jobs per bucket of their
 //!   termination instant, total and per attributed kind.
 //! * [`availability_cells`] — node-outage downtime seconds apportioned
@@ -85,28 +83,19 @@ impl ErrorCell {
             by_kind: [0; STUDIED_LEN],
         }
     }
-
-    fn absorb(&mut self, other: &ErrorCell) {
-        debug_assert_eq!(self.start, other.start);
-        self.total += other.total;
-        for (into, from) in self.by_kind.iter_mut().zip(other.by_kind) {
-            *into += from;
-        }
-    }
 }
 
-/// A pre-aggregated error rollup for one `(timezone, bucket)` pair:
-/// sparse, sorted cells (only buckets containing at least one event).
+/// An error rollup for one `(timezone, bucket)` pair: sparse, sorted
+/// cells (only buckets containing at least one event).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RollupCube {
-    tz: String,
-    bucket: Bucket,
     cells: Vec<ErrorCell>,
 }
 
 impl RollupCube {
     /// Builds a cube from a **time-ascending** event stream (the order
-    /// every store shard and the canonical pipeline output guarantee).
+    /// the canonical pipeline output and every posting list of the
+    /// serving store's index guarantee).
     /// Because bucketing is monotone, equal bucket keys are consecutive
     /// and the build is one linear scan with no intermediate map.
     pub fn build(
@@ -134,55 +123,7 @@ impl RollupCube {
                 }
             }
         }
-        RollupCube {
-            tz: tz.name().to_owned(),
-            bucket,
-            cells,
-        }
-    }
-
-    /// K-way merges per-shard cubes into the global cube via
-    /// [`hpclog::shard::merge_sorted_by`], summing cells with equal
-    /// starts. Addition is commutative, so the result is independent of
-    /// how rows were distributed over shards: serial ≡ sharded by
-    /// construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is empty or the cubes disagree on
-    /// timezone/bucket — merging unrelated cubes is a logic error.
-    pub fn merge(shards: Vec<RollupCube>) -> RollupCube {
-        assert!(!shards.is_empty(), "merge requires at least one cube");
-        assert!(
-            shards
-                .windows(2)
-                .all(|w| w[0].tz == w[1].tz && w[0].bucket == w[1].bucket),
-            "cannot merge cubes with different timezones or buckets"
-        );
-        let tz = shards[0].tz.clone();
-        let bucket = shards[0].bucket;
-        let streams: Vec<Vec<ErrorCell>> = shards.into_iter().map(|c| c.cells).collect();
-        let merged = hpclog::shard::merge_sorted_by(streams, |a: &ErrorCell, b: &ErrorCell| {
-            a.start.cmp(&b.start)
-        });
-        let mut cells: Vec<ErrorCell> = Vec::with_capacity(merged.len());
-        for cell in merged {
-            match cells.last_mut() {
-                Some(last) if last.start == cell.start => last.absorb(&cell),
-                _ => cells.push(cell),
-            }
-        }
-        RollupCube { tz, bucket, cells }
-    }
-
-    /// The timezone name the cube was bucketed in.
-    pub fn tz(&self) -> &str {
-        &self.tz
-    }
-
-    /// The bucket granularity.
-    pub fn bucket(&self) -> Bucket {
-        self.bucket
+        RollupCube { cells }
     }
 
     /// The sparse cells, ascending by start.
@@ -334,32 +275,6 @@ mod tests {
         assert_eq!(cube.cells()[1].total, 2);
         assert_eq!(cube.cells()[1].by_kind[mmu], 1);
         assert_eq!(cube.cells()[1].by_kind.iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn merge_sums_equal_buckets_and_is_layout_independent() {
-        let tz = Tz::utc();
-        let all: Vec<(Timestamp, ErrorKind)> = (0..100)
-            .map(|i| (t(i * 3000), ErrorKind::GspError))
-            .collect();
-        let whole = RollupCube::build(&tz, Bucket::Hour, all.clone());
-        // Any partition of the rows merges back to the same cube —
-        // including one with an empty shard.
-        let (left, right): (Vec<_>, Vec<_>) = all.iter().partition(|(ts, _)| ts.unix() % 2 == 0);
-        let merged = RollupCube::merge(vec![
-            RollupCube::build(&tz, Bucket::Hour, left),
-            RollupCube::build(&tz, Bucket::Hour, Vec::new()),
-            RollupCube::build(&tz, Bucket::Hour, right),
-        ]);
-        assert_eq!(merged, RollupCube::merge(vec![whole]));
-    }
-
-    #[test]
-    #[should_panic(expected = "different timezones")]
-    fn merge_rejects_mismatched_cubes() {
-        let a = RollupCube::build(&Tz::utc(), Bucket::Day, Vec::new());
-        let b = RollupCube::build(&Tz::america_chicago(), Bucket::Day, Vec::new());
-        let _ = RollupCube::merge(vec![a, b]);
     }
 
     #[test]

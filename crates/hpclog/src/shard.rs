@@ -28,8 +28,8 @@
 //! # The merge kernel
 //!
 //! [`merge_sorted_by`] k-way merges streams that are each already sorted.
-//! `servd`'s scatter-gather store merges per-shard query slices through
-//! it, and the rollup layer merges per-shard cube cells by bucket start.
+//! `servd`'s host-range sharded store merges per-shard query slices
+//! through it.
 
 use crate::nvrm::XidEvent;
 use std::cmp::Reverse;
@@ -77,11 +77,10 @@ impl<T, C: Fn(&T, &T) -> std::cmp::Ordering> Ord for Pending<'_, T, C> {
 /// serving store's global row id — independent of how items are
 /// distributed over streams).
 ///
-/// This is the one merge kernel in the workspace: `servd`'s
-/// scatter-gather store merges per-shard query slices through it, and the
-/// rollup layer merges per-shard cube cells by bucket start (summing
-/// equal starts afterwards) — which is why a rollup cube is
-/// byte-identical whether the store was built with 1 shard or 8.
+/// This is the one merge kernel in the workspace: `servd`'s host-range
+/// sharded store merges per-shard `/errors` slices through it by global
+/// row id, which is why the slice is byte-identical whether the store
+/// was built with 1 shard or 8.
 pub fn merge_sorted_by<T, C: Fn(&T, &T) -> std::cmp::Ordering>(
     streams: Vec<Vec<T>>,
     cmp: C,

@@ -79,8 +79,8 @@ struct StageLog {
 }
 
 /// An in-flight request trace: an id, an epoch instant, and the stages
-/// recorded so far. Shared as `Arc<Trace>` so scatter jobs on the scan
-/// pool can record stages from worker threads.
+/// recorded so far. Shared as `Arc<Trace>`: the connection keeps it
+/// until the response drains, and every open stage guard holds a clone.
 #[derive(Debug)]
 pub struct Trace {
     id: u64,
@@ -100,7 +100,7 @@ impl Trace {
             epoch,
             started_unix_ms,
             // Pre-sized for the full pipeline (queue wait, parse, route,
-            // cache lookup, scatter scans, merge, render, write) so the
+            // cache lookup, shard scans, merge, render, write) so the
             // per-request path allocates once, not on every push.
             stages: Mutex::new(StageLog {
                 stages: Vec::with_capacity(12),
@@ -144,8 +144,7 @@ impl Trace {
     }
 
     /// Opens an RAII stage guard; dropping it records the stage. The
-    /// guard owns an `Arc` clone, so it can outlive the caller's borrow
-    /// (scatter closures on the scan pool need exactly that).
+    /// guard owns an `Arc` clone, so it can outlive the caller's borrow.
     pub fn stage(self: &Arc<Self>, name: &'static str) -> StageGuard {
         StageGuard {
             trace: Arc::clone(self),
@@ -180,7 +179,8 @@ impl Trace {
     /// Seals the trace into an immutable record. The stages recorded so
     /// far are moved out (a trace seals once; this runs per request on
     /// the event loop, so it must not clone every stage) and sorted by
-    /// start offset — scatter stages land in completion order otherwise.
+    /// start offset — stages land in completion order otherwise, and an
+    /// enclosing stage completes after the stages it encloses.
     pub fn seal(&self, endpoint: impl Into<String>, status: u16, total_ns: u64) -> TraceRecord {
         let mut log = self.lock();
         let mut stages = std::mem::take(&mut log.stages);

@@ -17,16 +17,17 @@
 //!        │ publish (SnapshotSink)
 //!        ▼
 //!  StoreHandle ── RwLock<Arc<Published{id, StudyStore}>> ── atomic swap
-//!        │ current(): Arc clone     │ StudyStore = host-range shards
+//!        │ current(): Arc clone     │ StudyStore = report + host-range index
 //!        ▼                          ▼
-//!  router ── ResponseCache ── ScanPool scatter ─ k-way merge (hpclog)
+//!  router ── ResponseCache ── miss: render inline ─ k-way merge (hpclog)
 //!        ▲
 //!  server ── epoll event loops ─ conn state machines ─ timer wheel
 //! ```
 //!
-//! * [`store`] — the columnar snapshot: pre-rendered paper surfaces plus
-//!   sorted column vectors and posting-list indexes answering filtered
-//!   queries by binary search, and the [`StoreHandle`](store::StoreHandle)
+//! * [`store`] — the snapshot: the study report plus a host-range index
+//!   (sorted column vectors and posting lists answering filtered queries
+//!   by binary search), every surface rendered from those two on the
+//!   event loop that asks, and the [`StoreHandle`](store::StoreHandle)
 //!   swap point implementing the core pipeline's
 //!   [`SnapshotSink`](resilience::incremental::SnapshotSink).
 //! * [`router`] — path/query dispatch: `/tables/{1,2,3}`, `/fig2`
@@ -61,7 +62,6 @@
 //!   Format access log to stderr.
 //! * [`epoll`] — the thin epoll/eventfd FFI under the event loops.
 //! * [`wheel`] — the hashed timer wheel arming connection deadlines.
-//! * [`pool`] — the scan pool that shard-parallel queries scatter over.
 //! * [`signal`] — SIGINT/SIGTERM → atomic flag (with [`epoll`], the
 //!   crate's only `unsafe` seams: direct libc bindings).
 //!
@@ -79,7 +79,6 @@ pub mod cache;
 pub mod epoll;
 pub mod http;
 pub mod ingest;
-pub mod pool;
 pub mod router;
 pub mod server;
 pub mod signal;

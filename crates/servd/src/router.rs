@@ -12,10 +12,7 @@ use crate::admission;
 use crate::cache::ResponseCache;
 use crate::http::{Request, Response};
 use crate::ingest::{IngestHandle, IngestStream, Offer};
-use crate::store::{
-    errors_csv_scattered, mtbe_csv_scattered, parse_time, parse_xid, ErrorFilter, RollupMetric,
-    RollupQuery, StoreHandle,
-};
+use crate::store::{parse_time, parse_xid, ErrorFilter, RollupMetric, RollupQuery, StoreHandle};
 use crate::whatif::{self, WhatifHandle};
 use obs::registry::DURATION_US_BUCKETS;
 use obs::{FlightRecorder, HistoryQuery, Trace, Tsdb};
@@ -183,17 +180,11 @@ fn dispatch(
         "/tables/3" => Response::text(200, s.table3()),
         "/fig2" => Response::text(200, s.fig2()),
         "/errors" => match error_filter(req) {
-            Ok(filter) => Response::csv(
-                200,
-                errors_csv_scattered(&published, &filter, store.scan_pool(), trace),
-            ),
+            Ok(filter) => Response::csv(200, s.errors_csv_traced(&filter, trace)),
             Err(msg) => Response::text(400, msg),
         },
         "/mtbe" => match req.query_value("xid").map(parse_xid).transpose() {
-            Ok(kind) => Response::csv(
-                200,
-                mtbe_csv_scattered(&published, kind, store.scan_pool(), trace),
-            ),
+            Ok(kind) => Response::csv(200, s.mtbe_csv(kind)),
             Err(msg) => Response::text(400, format!("{msg}\n")),
         },
         "/rollup" => match rollup_query(req).and_then(|q| s.rollup_csv(&q)) {

@@ -7,8 +7,8 @@
 //! the connections accepted on that loop. Each connection is a small
 //! state machine: socket reads feed the incremental
 //! [`crate::http::Parser`], completed requests are dispatched inline to
-//! [`router::handle`] (handlers are pre-rendered or index-backed; large
-//! scans scatter across the store's own scan pool), and responses drain
+//! [`router::handle`] (a cache miss renders on this thread, from the
+//! snapshot's report or its host-range index), and responses drain
 //! through a buffered non-blocking write with `EPOLLOUT` armed only
 //! while bytes are pending.
 //!
@@ -550,8 +550,7 @@ impl Conn {
     }
 
     /// Runs the parser over buffered bytes and dispatches every
-    /// completed request (inline — handlers are index reads or
-    /// pool-scattered scans).
+    /// completed request (inline — a cache miss renders on this thread).
     ///
     /// With tracing on, each completed request mints a [`Trace`] whose
     /// epoch is the arrival of its first byte: `parse` covers first
@@ -1224,6 +1223,47 @@ mod tests {
         assert!(out.starts_with("HTTP/1.1 503"), "{out}");
         drop(wedge);
         drop(parked);
+        server.shutdown();
+    }
+
+    #[test]
+    fn inverted_error_window_answers_header_only_and_keeps_the_loop() {
+        use hpclog::{PciAddr, XidEvent};
+        use xid::XidCode;
+
+        // One event loop holds the only listener: a handler panic would
+        // take the whole server down with it.
+        let op = simtime::StudyPeriods::delta().op.start;
+        let events = [(100, 119), (5000, 31)].map(|(secs, code)| {
+            XidEvent::new(
+                op + simtime::Duration::from_secs(secs),
+                "gpub001",
+                PciAddr::for_gpu_index(0),
+                XidCode::new(code),
+                "",
+            )
+        });
+        let report = Pipeline::delta().run_events(events.to_vec(), None, &[], &[], &[]);
+        let store = Arc::new(StoreHandle::new(StudyStore::build(report, None)));
+        let config = ServerConfig {
+            workers: 1,
+            ..test_config()
+        };
+        let server = start(config, store).unwrap();
+        // `from` after `to`, with the row at +100 s between them.
+        let (from, to) = (op.unix() + 200, op.unix() + 50);
+        for filter in ["host=gpub001", "xid=119", "host=gpub001&xid=119"] {
+            let resp = get(
+                server.addr(),
+                &format!("/errors?{filter}&from={from}&to={to}"),
+            );
+            assert!(resp.starts_with("HTTP/1.1 200 OK"), "{filter}: {resp}");
+            assert!(
+                resp.ends_with("\r\n\r\ntime,host,pci,xid,kind,merged_lines\n"),
+                "{filter}: {resp}"
+            );
+        }
+        assert!(get(server.addr(), "/healthz").ends_with("ok\n"));
         server.shutdown();
     }
 

@@ -1,25 +1,27 @@
-//! The immutable columnar study store — sharded by host range — and its
-//! atomic snapshot handle.
+//! The immutable study snapshot — the report plus a host-range index
+//! over its coalesced errors — and its atomic snapshot handle.
 //!
 //! A [`StudyStore`] is built once from a finished pipeline run (a
 //! [`StudyReport`] plus, optionally, its [`QuarantineReport`]) and never
-//! mutated afterwards. Construction decomposes the coalesced error set
-//! into one or more host-range *shards* — contiguous ranges of the
-//! sorted host dictionary, balanced by row count — each holding its rows'
+//! mutated afterwards. It keeps the report and one index: the sorted
+//! host dictionary split into one or more host-range *shards* —
+//! contiguous ranges balanced by row count — each holding its rows'
 //! column vectors in the canonical `(time, host)` order plus sorted
-//! secondary indexes (per-host and per-kind posting lists). Every shard
-//! also keeps its rows' *global row ids*: because shards partition the
-//! canonical row sequence, k-way merging per-shard result streams by
-//! global row id (the [`hpclog::shard::merge_sorted_by`] kernel the
-//! rollup cubes merge with too) reconstructs exactly the single-store row
-//! order, so a scattered scan renders byte-identical to the unsharded
-//! renderer. `tests/shard_equivalence.rs` holds that invariant across
-//! shard counts and chaos rates.
+//! per-host and per-kind posting lists. Every shard also keeps its rows'
+//! *global row ids*: because shards partition the canonical row
+//! sequence, k-way merging per-shard result streams by global row id
+//! ([`hpclog::shard::merge_sorted_by`]) reconstructs exactly the
+//! single-shard row order, so every layout renders the same bytes.
+//! `tests/shard_equivalence.rs` holds that invariant across shard
+//! counts and chaos rates.
 //!
-//! Query endpoints slice shard columns with binary searches — a filtered
-//! `/errors` request never scans rows outside the narrowest applicable
-//! index — and multi-shard scans scatter across the handle's
-//! [`ScanPool`] before merging.
+//! Every endpoint renders from those two, on the calling thread, when
+//! the response cache misses: the paper surfaces, `/jobs/impact` and
+//! `/availability` through the offline renderers, `/mtbe` from the
+//! report's stats, `/errors` by binary search over the narrowest posting
+//! list (a filter spanning several shards scans them one by one and
+//! merges), and `/rollup` by folding only the cube or cell set the query
+//! names.
 //!
 //! Serving threads never see a store mid-build: a [`StoreHandle`] holds
 //! the current store behind an `Arc` and swaps it atomically on
@@ -31,18 +33,20 @@
 //! [`SnapshotSink`](resilience::incremental::SnapshotSink) impl,
 //! rebuilding with the same shard count the handle was seeded with.
 
-use crate::pool::ScanPool;
 use resilience::incremental::SnapshotSink;
 use resilience::report;
-use resilience::rollup::{self, AvailabilityCell, ImpactCell, RollupCube};
+use resilience::rollup::{self, RollupCube};
 use resilience::{QuarantineReport, StudyReport};
 use simtime::{Bucket, Phase, Timestamp, Tz};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use xid::{ErrorKind, XidCode};
+
+/// The `/errors` CSV header.
+const ERRORS_HEADER: &str = "time,host,pci,xid,kind,merged_lines\n";
 
 /// A filter over the coalesced error columns (the `/errors` query).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -56,7 +60,7 @@ pub struct ErrorFilter {
     /// Exclusive upper time bound: a row at exactly `to` is *not*
     /// returned, so adjacent `[from, to)` windows tile the timeline
     /// without double-counting — the same contract `/rollup` applies to
-    /// bucket starts.
+    /// bucket starts. A window with `from > to` selects nothing.
     pub to: Option<Timestamp>,
 }
 
@@ -67,10 +71,10 @@ pub struct ErrorFilter {
 /// hosts; a subsequence of a `(time, host)`-sorted sequence is still
 /// time-sorted, so `times` is sorted and every posting list (ascending
 /// local row ids) is in time order, admitting the same binary searches
-/// the unsharded store used.
+/// on every layout.
 #[derive(Debug, Default)]
 struct Shard {
-    /// Global row ids, ascending — the merge key for scatter-gather.
+    /// Global row ids, ascending — the merge key across shards.
     rows: Vec<u32>,
     times: Vec<u64>,
     /// Global host ids (indexes into the store-wide dictionary).
@@ -115,7 +119,7 @@ impl Shard {
     }
 
     /// Slices a time-ordered posting list to the filter's time bounds by
-    /// binary search.
+    /// binary search; an inverted window (`from > to`) slices to nothing.
     fn time_slice<'a>(&self, rows: &'a [u32], filter: &ErrorFilter) -> &'a [u32] {
         let lo = filter.from.map_or(0, |t| {
             rows.partition_point(|&r| self.times[r as usize] < t.unix())
@@ -123,11 +127,11 @@ impl Shard {
         let hi = filter.to.map_or(rows.len(), |t| {
             rows.partition_point(|&r| self.times[r as usize] < t.unix())
         });
-        &rows[lo..hi]
+        &rows[lo..hi.max(lo)]
     }
 }
 
-/// Which pre-aggregated surface a `/rollup` request reads.
+/// Which aggregate surface a `/rollup` request reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollupMetric {
     /// Coalesced error counts per bucket (total or one studied kind).
@@ -203,40 +207,21 @@ impl RollupQuery {
     }
 }
 
-/// The pre-aggregated `/rollup` surfaces for one `(timezone, bucket)`
-/// pair, built at store-construction time.
-#[derive(Debug)]
-struct RollupSet {
-    errors: RollupCube,
-    impact: Vec<ImpactCell>,
-    availability: Vec<AvailabilityCell>,
-}
-
-/// The immutable, columnar serving snapshot of one study.
+/// The immutable serving snapshot of one study: the report, and the
+/// host-range index over its coalesced errors.
 ///
-/// Everything a request can ask for is either pre-rendered at build time
-/// (the paper surfaces, `/jobs/impact`, `/availability` — all of which
-/// must be byte-identical to the offline renderers) or answered from the
-/// shard columns.
+/// Every surface renders from these two on demand. The paper surfaces,
+/// `/jobs/impact` and `/availability` are byte-identical to the offline
+/// renderers because they *are* the offline renderers.
 #[derive(Debug)]
 pub struct StudyStore {
     report: StudyReport,
     caveat_count: usize,
-    // Pre-rendered paper surfaces (byte-identical to `resilience::report`).
-    table1: String,
-    table2: String,
-    table3: String,
-    fig2: String,
-    jobs_impact: String,
-    availability: String,
     // Host dictionary (sorted, deduplicated), the host → shard map, and
     // the host-range shards.
     hosts: Vec<String>,
     shard_of_host: Vec<u32>,
     shards: Vec<Shard>,
-    rows_total: usize,
-    // Pre-aggregated `/rollup` cubes, one set per (builtin tz, bucket).
-    rollups: BTreeMap<(String, Bucket), RollupSet>,
 }
 
 impl StudyStore {
@@ -258,11 +243,6 @@ impl StudyStore {
     ) -> Self {
         let mut span = obs::span("servd_store_build");
         span.add_items(report.errors.len() as u64);
-
-        let table1 = report::table1(&report);
-        let table2 = report::table2(&report);
-        let table3 = report::table3(&report);
-        let fig2 = report::figure2(&report);
 
         let mut hosts: Vec<String> = report.errors.iter().map(|e| e.host.clone()).collect();
         hosts.sort();
@@ -298,55 +278,12 @@ impl StudyStore {
             shard.by_kind.entry(e.kind).or_default().push(local);
         }
 
-        // Pre-aggregate every `/rollup` surface: per-shard error cubes
-        // k-way merged through the same kernel the scatter-gather read
-        // path uses (serial ≡ sharded by construction), plus global
-        // impact and availability cells, for each builtin tz × bucket.
-        let mut rollups = BTreeMap::new();
-        for name in Tz::BUILTIN {
-            let Ok(tz) = Tz::by_name(name) else { continue };
-            for bucket in Bucket::ALL {
-                let per_shard: Vec<RollupCube> = built
-                    .iter()
-                    .map(|s| {
-                        RollupCube::build(
-                            &tz,
-                            bucket,
-                            s.times
-                                .iter()
-                                .zip(&s.kinds)
-                                .map(|(&t, &k)| (Timestamp::from_unix(t), k)),
-                        )
-                    })
-                    .collect();
-                rollups.insert(
-                    (name.to_owned(), bucket),
-                    RollupSet {
-                        errors: RollupCube::merge(per_shard),
-                        impact: rollup::impact_cells(&tz, bucket, &report.impact),
-                        availability: rollup::availability_cells(&tz, bucket, &report.op_outages),
-                    },
-                );
-            }
-        }
-
-        let rows_total = report.errors.len();
-        let jobs_impact = render_jobs_impact(&report);
-        let availability = render_availability(&report);
         StudyStore {
             caveat_count: quarantine.map_or(0, |q| q.caveats.len()),
             report,
-            table1,
-            table2,
-            table3,
-            fig2,
-            jobs_impact,
-            availability,
             hosts,
             shard_of_host,
             shards: built,
-            rows_total,
-            rollups,
         }
     }
 
@@ -357,7 +294,7 @@ impl StudyStore {
 
     /// Number of coalesced error rows stored.
     pub fn error_rows(&self) -> usize {
-        self.rows_total
+        self.report.errors.len()
     }
 
     /// How many host-range shards the store was built with.
@@ -365,53 +302,48 @@ impl StudyStore {
         self.shards.len()
     }
 
-    /// The pre-rendered Table I (byte-identical to [`report::table1`]).
-    pub fn table1(&self) -> &str {
-        &self.table1
+    /// Table I, rendered by [`report::table1`].
+    pub fn table1(&self) -> String {
+        report::table1(&self.report)
     }
 
-    /// The pre-rendered Table II (byte-identical to [`report::table2`]).
-    pub fn table2(&self) -> &str {
-        &self.table2
+    /// Table II, rendered by [`report::table2`].
+    pub fn table2(&self) -> String {
+        report::table2(&self.report)
     }
 
-    /// The pre-rendered Table III (byte-identical to [`report::table3`]).
-    pub fn table3(&self) -> &str {
-        &self.table3
+    /// Table III, rendered by [`report::table3`].
+    pub fn table3(&self) -> String {
+        report::table3(&self.report)
     }
 
-    /// The pre-rendered Figure 2 (byte-identical to [`report::figure2`]).
-    pub fn fig2(&self) -> &str {
-        &self.fig2
+    /// Figure 2, rendered by [`report::figure2`].
+    pub fn fig2(&self) -> String {
+        report::figure2(&self.report)
     }
 
-    /// Which shards a filter can touch: one for a host filter, all
-    /// otherwise (an unknown host touches none).
-    fn shards_for(&self, filter: &ErrorFilter) -> Vec<usize> {
+    /// Resolves a filter's host against the dictionary: the host's global
+    /// id, and the shards the filter can touch — the host's one shard,
+    /// none for an unknown host, every shard without a host filter.
+    fn plan(&self, filter: &ErrorFilter) -> (Option<u32>, Vec<usize>) {
         match &filter.host {
             Some(host) => match self.hosts.binary_search_by(|h| h.as_str().cmp(host)) {
-                Ok(i) => vec![self.shard_of_host[i] as usize],
-                Err(_) => Vec::new(),
+                Ok(i) => (Some(i as u32), vec![self.shard_of_host[i] as usize]),
+                Err(_) => (None, Vec::new()),
             },
-            None => (0..self.shards.len()).collect(),
+            None => (None, (0..self.shards.len()).collect()),
         }
     }
 
-    /// Resolves the filter's host against the dictionary.
-    fn host_id(&self, filter: &ErrorFilter) -> Option<u32> {
-        filter.host.as_ref().and_then(|host| {
-            self.hosts
-                .binary_search_by(|h| h.as_str().cmp(host))
-                .ok()
-                .map(|i| i as u32)
-        })
-    }
-
     /// One shard's `/errors` slice as `(global_row, csv_line)` pairs,
-    /// ascending by global row — the scatter unit and merge input.
-    fn shard_errors(&self, shard: usize, filter: &ErrorFilter) -> Vec<(u32, String)> {
+    /// ascending by global row — the merge input.
+    fn shard_errors(
+        &self,
+        shard: usize,
+        host_id: Option<u32>,
+        filter: &ErrorFilter,
+    ) -> Vec<(u32, String)> {
         let s = &self.shards[shard];
-        let host_id = self.host_id(filter);
         s.select(host_id, filter)
             .into_iter()
             .map(|local| {
@@ -430,60 +362,59 @@ impl StudyStore {
             .collect()
     }
 
-    /// Assembles per-shard `/errors` streams into the final CSV: k-way
-    /// merge by global row id (unique across shards), which provably
-    /// reconstructs the canonical single-store row order.
-    fn assemble_errors(streams: Vec<Vec<(u32, String)>>) -> String {
-        let mut out = String::from("time,host,pci,xid,kind,merged_lines\n");
-        if streams.len() == 1 {
-            if let Some(stream) = streams.into_iter().next() {
-                for (_, line) in stream {
-                    out.push_str(&line);
-                    out.push('\n');
-                }
-            }
-            return out;
-        }
-        for (_, line) in
-            hpclog::shard::merge_sorted_by(streams, |a: &(u32, String), b| a.0.cmp(&b.0))
-        {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders the `/errors` slice as CSV:
     /// `time,host,pci,xid,kind,merged_lines`, rows in canonical order.
-    /// Serial path — scans shards on the calling thread; the scattered
-    /// path ([`errors_csv_scattered`]) produces identical bytes.
     pub fn errors_csv(&self, filter: &ErrorFilter) -> String {
-        let streams: Vec<Vec<(u32, String)>> = self
-            .shards_for(filter)
-            .into_iter()
-            .map(|i| self.shard_errors(i, filter))
-            .collect();
-        if streams.is_empty() {
-            return String::from("time,host,pci,xid,kind,merged_lines\n");
-        }
-        Self::assemble_errors(streams)
+        self.errors_csv_traced(filter, None)
     }
 
-    /// The two `/mtbe` rows (`pre_op`, `op`) for one kind — the per-kind
-    /// scatter unit.
-    fn mtbe_kind_block(&self, k: ErrorKind) -> String {
-        let stats = &self.report.stats;
-        let mut out = String::new();
-        for (phase, label) in [(Phase::PreOp, "pre_op"), (Phase::Op, "op")] {
-            let _ = writeln!(
-                out,
-                "{},{},{label},{},{},{}",
-                k.primary_code(),
-                k.abbreviation(),
-                stats.count(k, phase),
-                fmt_cell(stats.mtbe_system(k, phase)),
-                fmt_cell(stats.mtbe_per_node(k, phase)),
-            );
+    /// [`errors_csv`](Self::errors_csv) with the request's trace riding
+    /// along. A filter that touches several shards scans them one after
+    /// another, each under a `shard_scan` span (detail `shard=N`, its row
+    /// count as items), k-way merges the streams by global row id under
+    /// a `merge` span, and counts into `servd_scatter_queries_total` and
+    /// `servd_scatter_shard_scans_total`. A one-shard scan records
+    /// nothing beyond the caller's spans. Tracing never changes the
+    /// bytes.
+    pub fn errors_csv_traced(
+        &self,
+        filter: &ErrorFilter,
+        trace: Option<&Arc<obs::Trace>>,
+    ) -> String {
+        let (host_id, involved) = self.plan(filter);
+        let scatter = involved.len() > 1;
+        let trace = trace.filter(|_| scatter);
+        if scatter && obs::is_enabled() {
+            obs::counter("servd_scatter_queries_total", &[("endpoint", "errors")]).inc();
+            obs::counter("servd_scatter_shard_scans_total", &[]).add(involved.len() as u64);
+        }
+        let streams: Vec<Vec<(u32, String)>> = involved
+            .into_iter()
+            .map(|i| {
+                let mut scan = trace.map(|t| t.stage("shard_scan"));
+                if let Some(g) = scan.as_mut() {
+                    g.set_detail(format!("shard={i}"));
+                }
+                let stream = self.shard_errors(i, host_id, filter);
+                if let Some(g) = scan.as_mut() {
+                    g.add_items(stream.len() as u64);
+                }
+                stream
+            })
+            .collect();
+        let mut merge = trace.map(|t| t.stage("merge"));
+        if let Some(g) = merge.as_mut() {
+            g.add_items(streams.len() as u64);
+        }
+        let rows = if scatter {
+            hpclog::shard::merge_sorted_by(streams, |a: &(u32, String), b| a.0.cmp(&b.0))
+        } else {
+            streams.into_iter().flatten().collect()
+        };
+        let mut out = String::from(ERRORS_HEADER);
+        for (_, line) in rows {
+            out.push_str(&line);
+            out.push('\n');
         }
         out
     }
@@ -492,27 +423,65 @@ impl StudyStore {
     /// `xid,kind,phase,count,mtbe_system_h,mtbe_node_h`. With `kind`
     /// given, only that kind's rows.
     pub fn mtbe_csv(&self, kind: Option<ErrorKind>) -> String {
+        let stats = &self.report.stats;
         let mut out = String::from("xid,kind,phase,count,mtbe_system_h,mtbe_node_h\n");
         let kinds: Vec<ErrorKind> = match kind {
             Some(k) => vec![k],
             None => ErrorKind::STUDIED.to_vec(),
         };
         for k in kinds {
-            out.push_str(&self.mtbe_kind_block(k));
+            for (phase, label) in [(Phase::PreOp, "pre_op"), (Phase::Op, "op")] {
+                let _ = writeln!(
+                    out,
+                    "{},{},{label},{},{},{}",
+                    k.primary_code(),
+                    k.abbreviation(),
+                    stats.count(k, phase),
+                    fmt_cell(stats.mtbe_system(k, phase)),
+                    fmt_cell(stats.mtbe_per_node(k, phase)),
+                );
+            }
         }
         out
     }
 
     /// Renders `/jobs/impact`: the Table II join as CSV plus the total
-    /// GPU-failed-jobs line (pre-rendered at build/publish time).
+    /// GPU-failed-jobs line.
     pub fn jobs_impact_csv(&self) -> String {
-        self.jobs_impact.clone()
+        let mut out = report::table2_csv(&self.report);
+        let _ = writeln!(
+            out,
+            "total_gpu_failed_jobs,{}",
+            self.report.impact.gpu_failed_jobs()
+        );
+        out
     }
 
-    /// Renders `/availability` as a deterministic JSON object
-    /// (pre-rendered at build/publish time).
+    /// Renders `/availability` as a deterministic JSON object.
     pub fn availability_json(&self) -> String {
-        self.availability.clone()
+        let report = &self.report;
+        let a = &report.availability;
+        let mut out = String::from("{\n");
+        let _ = writeln!(out, "  \"outages\": {},", a.outage_count());
+        let _ = writeln!(out, "  \"mttr_hours\": {},", fmt_json(a.mttr_hours()));
+        let _ = writeln!(
+            out,
+            "  \"total_downtime_node_hours\": {},",
+            fmt_json(Some(a.total_downtime_node_hours()))
+        );
+        let _ = writeln!(out, "  \"mttf_hours\": {},", fmt_json(report.mttf_hours));
+        let _ = writeln!(
+            out,
+            "  \"availability\": {},",
+            fmt_json(report.availability_estimate())
+        );
+        let _ = writeln!(
+            out,
+            "  \"availability_empirical\": {}",
+            fmt_json(Some(a.availability_empirical()))
+        );
+        out.push_str("}\n");
+        out
     }
 
     /// Renders `/snapshot` metadata for a snapshot id assigned by the
@@ -532,33 +501,14 @@ impl StudyStore {
         out
     }
 
-    /// One host's `(time, kind)` events in time order — the on-the-fly
-    /// cube input for host-scoped `/rollup` queries. An unknown host
-    /// yields no events (and therefore an empty cube), matching the
-    /// `/errors` contract.
-    fn host_events(&self, host: &str) -> Vec<(Timestamp, ErrorKind)> {
-        let Ok(i) = self.hosts.binary_search_by(|h| h.as_str().cmp(host)) else {
-            return Vec::new();
-        };
-        let s = &self.shards[self.shard_of_host[i] as usize];
-        s.by_host
-            .get(&(i as u32))
-            .map_or(&[][..], Vec::as_slice)
-            .iter()
-            .map(|&r| {
-                (
-                    Timestamp::from_unix(s.times[r as usize]),
-                    s.kinds[r as usize],
-                )
-            })
-            .collect()
-    }
-
-    /// Renders a `/rollup` query as CSV from the pre-aggregated cubes.
-    /// Rows are sparse (buckets with a zero value are omitted), ascending
-    /// by bucket start, and sliced to `[from, to)` on the bucket *start*.
-    /// Each row leads with the DST-disambiguated civil label of its
-    /// bucket and carries the bucket's UTC span.
+    /// Renders a `/rollup` query as CSV, folding only the cube or cell
+    /// set it names: errors from every coalesced row, or under `host=`
+    /// from that host's posting list (an unknown host folds nothing,
+    /// matching `/errors`). Rows are sparse (buckets with a zero value
+    /// are omitted), ascending by bucket start, and sliced to
+    /// `[from, to)` on the bucket *start*. Each row leads with the
+    /// DST-disambiguated civil label of its bucket and carries the
+    /// bucket's UTC span.
     ///
     /// # Errors
     ///
@@ -573,10 +523,6 @@ impl StudyStore {
         if q.kind.is_some() && q.metric == RollupMetric::Availability {
             return Err("xid filter does not apply to metric=availability".to_owned());
         }
-        let set = self
-            .rollups
-            .get(&(q.tz.clone(), q.bucket))
-            .ok_or_else(|| format!("no rollup cube for tz {:?}", q.tz))?;
         let in_window =
             |start: Timestamp| q.from.is_none_or(|f| start >= f) && q.to.is_none_or(|t| start < t);
         let kind_column = q.kind.and_then(rollup::kind_index);
@@ -585,14 +531,32 @@ impl StudyStore {
         let mut out = String::new();
         match q.metric {
             RollupMetric::Errors | RollupMetric::Mtbe => {
-                // A host filter folds that host's posting list into a
-                // fresh cube; the common unfiltered path reads the
-                // pre-merged one.
-                let host_cube = q
-                    .host
-                    .as_ref()
-                    .map(|host| RollupCube::build(&tz, q.bucket, self.host_events(host)));
-                let cube = host_cube.as_ref().unwrap_or(&set.errors);
+                let cube = match &q.host {
+                    None => RollupCube::build(
+                        &tz,
+                        q.bucket,
+                        self.report.errors.iter().map(|e| (e.time, e.kind)),
+                    ),
+                    Some(host) => {
+                        let filter = ErrorFilter {
+                            host: Some(host.clone()),
+                            ..ErrorFilter::default()
+                        };
+                        let (host_id, involved) = self.plan(&filter);
+                        // A host lives in exactly one shard, so its
+                        // posting list is already in time order.
+                        let events = involved.into_iter().flat_map(|i| {
+                            let s = &self.shards[i];
+                            s.select(host_id, &filter).into_iter().map(move |r| {
+                                (
+                                    Timestamp::from_unix(s.times[r as usize]),
+                                    s.kinds[r as usize],
+                                )
+                            })
+                        });
+                        RollupCube::build(&tz, q.bucket, events)
+                    }
+                };
                 let mtbe = q.metric == RollupMetric::Mtbe;
                 out.push_str(if mtbe {
                     "bucket,start,end,count,mtbe_system_h,mtbe_node_h\n"
@@ -628,7 +592,7 @@ impl StudyStore {
             }
             RollupMetric::Impact => {
                 out.push_str("bucket,start,end,failed_jobs\n");
-                for cell in &set.impact {
+                for cell in rollup::impact_cells(&tz, q.bucket, &self.report.impact) {
                     if !in_window(cell.start) {
                         continue;
                     }
@@ -648,7 +612,7 @@ impl StudyStore {
             }
             RollupMetric::Availability => {
                 out.push_str("bucket,start,end,downtime_node_hours\n");
-                for cell in &set.availability {
+                for cell in rollup::availability_cells(&tz, q.bucket, &self.report.op_outages) {
                     if !in_window(cell.start) {
                         continue;
                     }
@@ -704,134 +668,6 @@ fn partition_by_weight(weights: &[usize], n: usize) -> Vec<u32> {
     assignment
 }
 
-// ------------------------------------------------- scattered renderers
-
-/// The scattered `/errors` renderer: fans the involved shards across
-/// `pool`, then k-way merges the streams by global row id. Byte-identical
-/// to [`StudyStore::errors_csv`] by construction (same per-shard slices,
-/// same merge kernel) — an invariant `tests/shard_equivalence.rs` pins.
-///
-/// When a request [`Trace`](obs::Trace) rides along, every shard scan
-/// records a `shard_scan` child span from its pool thread and the k-way
-/// merge records a `merge` span; the serial fallback records nothing
-/// beyond the router's `render` span. Tracing never changes the bytes.
-pub fn errors_csv_scattered(
-    published: &Arc<Published>,
-    filter: &ErrorFilter,
-    pool: &ScanPool,
-    trace: Option<&Arc<obs::Trace>>,
-) -> String {
-    let store = &published.store;
-    let involved = store.shards_for(filter);
-    if involved.len() <= 1 || pool.threads() == 0 {
-        return store.errors_csv(filter);
-    }
-    if obs::is_enabled() {
-        obs::counter("servd_scatter_queries_total", &[("endpoint", "errors")]).inc();
-        obs::counter("servd_scatter_shard_scans_total", &[]).add(involved.len() as u64);
-    }
-    let snapshot = Arc::clone(published);
-    let query = filter.clone();
-    let shard_ids = involved.clone();
-    let scan_trace = trace.cloned();
-    let streams = pool.run(
-        involved.len(),
-        Arc::new(move |i| {
-            let mut guard = scan_trace.as_ref().map(|t| t.stage("shard_scan"));
-            if let Some(g) = guard.as_mut() {
-                g.set_detail(format!("shard={}", shard_ids[i]));
-            }
-            let stream = snapshot.store.shard_errors(shard_ids[i], &query);
-            if let Some(g) = guard.as_mut() {
-                g.add_items(stream.len() as u64);
-            }
-            stream
-        }),
-    );
-    let mut merge = trace.map(|t| t.stage("merge"));
-    if let Some(g) = merge.as_mut() {
-        g.add_items(streams.len() as u64);
-    }
-    StudyStore::assemble_errors(streams)
-}
-
-/// The scattered `/mtbe` renderer: one pool job per studied kind, blocks
-/// concatenated in the fixed `ErrorKind::STUDIED` order. Byte-identical
-/// to [`StudyStore::mtbe_csv`]. Like [`errors_csv_scattered`], each pool
-/// job records a `kind_scan` child span on the riding trace.
-pub fn mtbe_csv_scattered(
-    published: &Arc<Published>,
-    kind: Option<ErrorKind>,
-    pool: &ScanPool,
-    trace: Option<&Arc<obs::Trace>>,
-) -> String {
-    if kind.is_some() || pool.threads() == 0 {
-        return published.store.mtbe_csv(kind);
-    }
-    if obs::is_enabled() {
-        obs::counter("servd_scatter_queries_total", &[("endpoint", "mtbe")]).inc();
-    }
-    let snapshot = Arc::clone(published);
-    let scan_trace = trace.cloned();
-    let blocks = pool.run(
-        ErrorKind::STUDIED.len(),
-        Arc::new(move |i| {
-            let mut guard = scan_trace.as_ref().map(|t| t.stage("kind_scan"));
-            if let Some(g) = guard.as_mut() {
-                g.set_detail(format!(
-                    "xid={}",
-                    ErrorKind::STUDIED[i].primary_code().value()
-                ));
-            }
-            snapshot.store.mtbe_kind_block(ErrorKind::STUDIED[i])
-        }),
-    );
-    let mut merge = trace.map(|t| t.stage("merge"));
-    if let Some(g) = merge.as_mut() {
-        g.add_items(blocks.len() as u64);
-    }
-    let mut out = String::from("xid,kind,phase,count,mtbe_system_h,mtbe_node_h\n");
-    for block in blocks {
-        out.push_str(&block);
-    }
-    out
-}
-
-fn render_jobs_impact(report: &StudyReport) -> String {
-    let mut out = report::table2_csv(report);
-    let _ = writeln!(
-        out,
-        "total_gpu_failed_jobs,{}",
-        report.impact.gpu_failed_jobs()
-    );
-    out
-}
-
-fn render_availability(report: &StudyReport) -> String {
-    let a = &report.availability;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"outages\": {},", a.outage_count());
-    let _ = writeln!(out, "  \"mttr_hours\": {},", fmt_json(a.mttr_hours()));
-    let _ = writeln!(
-        out,
-        "  \"total_downtime_node_hours\": {},",
-        fmt_json(Some(a.total_downtime_node_hours()))
-    );
-    let _ = writeln!(out, "  \"mttf_hours\": {},", fmt_json(report.mttf_hours));
-    let _ = writeln!(
-        out,
-        "  \"availability\": {},",
-        fmt_json(report.availability_estimate())
-    );
-    let _ = writeln!(
-        out,
-        "  \"availability_empirical\": {}",
-        fmt_json(Some(a.availability_empirical()))
-    );
-    out.push_str("}\n");
-    out
-}
-
 /// Resolves a raw XID code string from a query into a studied kind.
 ///
 /// # Errors
@@ -855,7 +691,8 @@ pub fn parse_xid(raw: &str) -> Result<ErrorKind, String> {
 ///
 /// # Errors
 ///
-/// A human-readable message when neither form parses.
+/// A human-readable message when neither form parses, including when a
+/// date or time field does not fit its type (no field wraps).
 pub fn parse_time(raw: &str) -> Result<Timestamp, String> {
     if raw.bytes().all(|b| b.is_ascii_digit()) && !raw.is_empty() {
         return raw
@@ -863,15 +700,16 @@ pub fn parse_time(raw: &str) -> Result<Timestamp, String> {
             .map(Timestamp::from_unix)
             .map_err(|_| format!("bad time {raw:?}"));
     }
-    let digits: Vec<u64> = raw
+    let fields: Option<Vec<u32>> = raw
         .split(|c: char| !c.is_ascii_digit())
         .filter(|s| !s.is_empty())
-        .map(|s| s.parse().unwrap_or(u64::MAX))
+        .map(|s| s.parse().ok())
         .collect();
-    if let [y, mo, d, h, mi, s] = digits[..] {
-        if let Ok(t) =
-            Timestamp::from_ymd_hms(y as i32, mo as u32, d as u32, h as u32, mi as u32, s as u32)
-        {
+    if let Some(&[y, mo, d, h, mi, s]) = fields.as_deref() {
+        let parsed = i32::try_from(y)
+            .ok()
+            .and_then(|y| Timestamp::from_ymd_hms(y, mo, d, h, mi, s).ok());
+        if let Some(t) = parsed {
             return Ok(t);
         }
     }
@@ -914,33 +752,28 @@ pub struct Published {
 /// held only for the pointer exchange, never during store construction or
 /// rendering, so readers are wait-free in all but the swap instant.
 ///
-/// The handle also owns the [`ScanPool`] shard-parallel queries scatter
-/// over, and remembers the initial store's shard count so snapshots
+/// The handle remembers the initial store's shard count so snapshots
 /// published through [`publish_study`](StoreHandle::publish_study) keep
 /// the same layout.
 #[derive(Debug)]
 pub struct StoreHandle {
     current: RwLock<Arc<Published>>,
     next_id: AtomicU64,
-    pool: ScanPool,
-    publish_shards: AtomicUsize,
+    publish_shards: usize,
 }
 
 impl StoreHandle {
-    /// Creates the handle with an initial store (snapshot id 1) and a
-    /// machine-sized scan pool. Later live publishes rebuild with the
-    /// initial store's shard count.
+    /// Creates the handle with an initial store (snapshot id 1). Later
+    /// live publishes rebuild with the initial store's shard count.
     pub fn new(store: StudyStore) -> Self {
-        let shards = store.shard_count();
         StoreHandle {
+            publish_shards: store.shard_count(),
             current: RwLock::new(Arc::new(Published {
                 id: 1,
                 at: Instant::now(),
                 store,
             })),
             next_id: AtomicU64::new(2),
-            pool: ScanPool::for_machine(),
-            publish_shards: AtomicUsize::new(shards),
         }
     }
 
@@ -973,14 +806,9 @@ impl StoreHandle {
         }
     }
 
-    /// The pool shard-parallel scans scatter over.
-    pub fn scan_pool(&self) -> &ScanPool {
-        &self.pool
-    }
-
     /// The shard count every live publish builds with.
     pub fn publish_shards(&self) -> usize {
-        self.publish_shards.load(Ordering::Relaxed).max(1)
+        self.publish_shards
     }
 
     /// Builds a store from a materialized study, sharded like the initial
@@ -1166,36 +994,30 @@ mod tests {
     }
 
     #[test]
-    fn scattered_renderers_match_serial_ones() {
+    fn inverted_windows_select_nothing() {
         let report = sample_report();
-        let pool = ScanPool::new(4);
-        for n in [1usize, 2, 4, 8] {
-            let published = Arc::new(Published {
-                id: 1,
-                at: Instant::now(),
-                store: StudyStore::build_sharded(report.clone(), None, n),
-            });
-            for filter in [
-                ErrorFilter::default(),
-                ErrorFilter {
-                    host: Some("gpub001".to_owned()),
-                    ..ErrorFilter::default()
-                },
-                ErrorFilter {
-                    kind: Some(ErrorKind::NvlinkError),
-                    ..ErrorFilter::default()
-                },
+        for n in [1usize, 4] {
+            let s = StudyStore::build_sharded(report.clone(), None, n);
+            for (host, kind) in [
+                (None, None),
+                (Some("gpub001"), None),
+                (None, Some(ErrorKind::GspError)),
+                (Some("gpub001"), Some(ErrorKind::GspError)),
             ] {
+                // `[from, to)` with `from` after `to`: rows in between
+                // (100 on gpub001, a GSP row) must not invert the slice.
+                let filter = ErrorFilter {
+                    host: host.map(str::to_owned),
+                    kind,
+                    from: Some(op_time(200)),
+                    to: Some(op_time(50)),
+                };
                 assert_eq!(
-                    errors_csv_scattered(&published, &filter, &pool, None),
-                    published.store.errors_csv(&filter),
+                    s.errors_csv(&filter),
+                    ERRORS_HEADER,
                     "shards={n} filter={filter:?}"
                 );
             }
-            assert_eq!(
-                mtbe_csv_scattered(&published, None, &pool, None),
-                published.store.mtbe_csv(None)
-            );
         }
     }
 
@@ -1240,6 +1062,10 @@ mod tests {
         let iso = op_time(0).to_string();
         assert_eq!(parse_time(&iso).unwrap(), op_time(0));
         assert!(parse_time("not-a-time").is_err());
+        // Fields that do not fit their type are rejected, not wrapped
+        // (these two once read as 2022-01-01 and 2024-01-01).
+        assert!(parse_time("4294969318-01-01T00:00:00Z").is_err());
+        assert!(parse_time("2024-4294967297-01T00:00:00Z").is_err());
     }
 
     #[test]

@@ -107,8 +107,6 @@ SERVER
   --addr A        listen address (default 127.0.0.1:7171; use :0 for ephemeral)
   --threads N     event-loop threads (default 4)
   --max-conns N   connection headroom beyond the loops; over it: 503 (default 64)
-  --shards N      host-range store shards for scatter-gather scans
-                  (default: CPU cores, capped at 8; 1 disables scatter)
 
 OBSERVABILITY
   --trace-capacity N  slowest traces kept per rolling flight-recorder
@@ -128,7 +126,7 @@ ENDPOINTS
   /availability /snapshot /healthz /readyz /metrics
   /rollup?metric=errors|mtbe|impact|availability
          [&bucket=hour|day|week|month] [&tz=UTC|America/Chicago|Europe/Berlin]
-         [&from=] [&to=] [&host=] [&xid=]   pre-aggregated civil-time rollups
+         [&from=] [&to=] [&host=] [&xid=]   civil-time rollups
   /debug/traces[?id=HEX|slowest=N|since=UNIX_MS]   slow/error request traces
   /metrics/history?name=METRIC[&from=][&to=][&step=]   scraped series history
   /whatif?[mttr_scale=X][&xid_rate=XID:MULT]...[&sched=fifo|backfill]
@@ -149,7 +147,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
             "threads",
             "max-conns",
             "window",
-            "shards",
             "ingest-dir",
             "year",
             "ingest-queue",
@@ -187,10 +184,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
         report.availability.outage_count()
     );
 
-    let store = Arc::new(servd::StoreHandle::new(servd::StudyStore::build_sharded(
+    let store = Arc::new(servd::StoreHandle::new(servd::StudyStore::build(
         report,
         Some(&quarantine),
-        shards_from_flags(&flags)?,
     )));
 
     let config = server_config_from_flags(&flags)?;
@@ -271,12 +267,9 @@ fn run_live(flags: &Flags) -> Result<(), CliError> {
         report.impact.gpu_failed_jobs(),
         report.availability.outage_count()
     );
-    // The handle remembers this shard count; every snapshot the ingest
-    // worker publishes keeps the same layout.
-    let store = Arc::new(servd::StoreHandle::new(servd::StudyStore::build_sharded(
+    let store = Arc::new(servd::StoreHandle::new(servd::StudyStore::build(
         report,
         Some(&quarantine),
-        shards_from_flags(flags)?,
     )));
 
     let worker = servd::ingest::spawn_worker(
@@ -302,26 +295,6 @@ fn run_live(flags: &Flags) -> Result<(), CliError> {
     server.shutdown();
     worker.stop();
     Ok(())
-}
-
-/// How many host-range shards each published store is split into.
-/// Defaults to the core count (capped at 8, like the scan pool): more
-/// shards than workers only adds merge overhead.
-fn shards_from_flags(flags: &Flags) -> Result<usize, CliError> {
-    match flags.value("shards") {
-        Some(n) => {
-            let shards: usize = n
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --shards {n:?}")))?;
-            if shards == 0 {
-                return Err(CliError::Usage("--shards must be positive".to_owned()));
-            }
-            Ok(shards)
-        }
-        None => Ok(std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(8)),
-    }
 }
 
 /// Shared server flag parsing (`--addr`, `--threads`, `--max-conns`,

@@ -2,7 +2,7 @@
 //! any shard count must be observationally identical to the unsharded
 //! store — byte-for-byte, on every endpoint, for clean and corrupted
 //! inputs, through both the in-process renderers and a live HTTP
-//! server backed by the scatter-gather scan pool.
+//! server, whose event loops render every cache miss inline.
 //!
 //! Sharding partitions the host dictionary into contiguous ranges and
 //! splits the canonical `(time, host)` row sequence into per-shard
@@ -228,8 +228,8 @@ fn every_shard_count_and_chaos_rate_is_byte_identical_to_unsharded() {
 }
 
 /// HTTP leg: the same bytes must come off the wire whatever the shard
-/// count — the scattered `/errors` and `/mtbe` paths go through the
-/// handle's real scan pool here, not the serial in-process renderers.
+/// count — here `/errors` goes through the router's traced render, which
+/// scans a multi-shard store shard by shard and merges on the event loop.
 #[test]
 fn served_bytes_are_identical_across_shard_counts() {
     let (oracle, quarantine) = study(0.0);

@@ -1,8 +1,8 @@
-//! Torn-response stress for snapshot swaps *under scatter-gather*: a
+//! Torn-response stress for snapshot swaps *across shard layouts*: a
 //! writer publishes a growing sequence of sharded stores — cycling the
-//! shard count 1→2→4→8 so every publish changes the scatter layout —
-//! while many keep-alive connections hammer the scattered `/errors`
-//! and `/mtbe` paths. The strong invariant, inherited from
+//! shard count 1→2→4→8 so every publish changes how an `/errors` miss
+//! scans and merges its shards — while many keep-alive connections
+//! hammer `/errors` and `/mtbe`. The strong invariant, inherited from
 //! `tests/serve_equivalence.rs` and sharpened for sharding: every
 //! response names exactly one snapshot in `X-Snapshot`, and its body
 //! is byte-identical to the offline render of *that* snapshot — never
@@ -100,7 +100,7 @@ fn scattered_responses_are_never_torn_across_sharded_snapshot_swaps() {
     }
 
     // The initial store is already sharded; each later publish cycles
-    // the shard count so the scatter layout changes under the readers.
+    // the shard count so the shard layout changes under the readers.
     let shard_cycle = [1usize, 2, 4, 8];
     let handle = Arc::new(StoreHandle::new(StudyStore::build_sharded(
         reports[0].clone(),
@@ -127,7 +127,7 @@ fn scattered_responses_are_never_torn_across_sharded_snapshot_swaps() {
                 let mut conn = connect(addr);
                 let (mut served, mut distinct_max) = (0u64, 0u64);
                 while !stop.load(Ordering::Relaxed) {
-                    // Alternate the two scattered endpoints per reader.
+                    // Alternate the two endpoints per reader.
                     let (path, table): (&str, &Vec<String>) =
                         if (served as usize + r).is_multiple_of(2) {
                             ("/errors", &expected_errors)
@@ -139,7 +139,7 @@ fn scattered_responses_are_never_torn_across_sharded_snapshot_swaps() {
                     let id: u64 = resp
                         .header("X-Snapshot")
                         .and_then(|v| v.parse().ok())
-                        .expect("every scattered response names its snapshot");
+                        .expect("every store response names its snapshot");
                     let expected = table
                         .get((id - 1) as usize)
                         .unwrap_or_else(|| panic!("unknown snapshot id {id}"));

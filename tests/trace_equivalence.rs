@@ -11,8 +11,9 @@
 //!    difference tracing may make is the presence of `X-Trace-Id`.
 //! 2. **Trace fidelity.** An uncached `/errors` on a 4-shard store
 //!    resolves through `/debug/traces?id=` to a record carrying one
-//!    `shard_scan` span per shard (and a `merge`); `/rollup` resolves
-//!    too, with zero scatter spans (rollups serve pre-merged cubes).
+//!    `shard_scan` span per shard (and a `merge`), recorded inline by
+//!    the store's render; `/rollup` resolves too, with no `shard_scan`
+//!    span (a rollup miss folds its cube from the report).
 //!    `/readyz` flips 200 → 503 when the ingest worker dies.
 //! 3. **History fidelity.** [`obs::Tsdb`] answers exactly what a
 //!    brute-force replay of the scrape-time snapshots answers, through
@@ -184,8 +185,8 @@ fn tracing_never_changes_served_bytes() {
 
 // ------------------------------------------------------------ claim 2
 
-/// A scatter query's trace names every shard it fanned out to; a
-/// rollup's trace shows none (pre-merged cubes).
+/// A multi-shard `/errors` trace names every shard it scanned; a
+/// rollup's trace shows none (its cube folds from the report).
 #[test]
 fn trace_spans_mirror_the_scatter_plan() {
     let (report, quarantine) = study(0.0);
@@ -226,7 +227,7 @@ fn trace_spans_mirror_the_scatter_plan() {
     assert_eq!(
         doc.matches("\"name\": \"shard_scan\"").count(),
         0,
-        "rollups serve pre-merged cubes; no scatter expected: {doc}"
+        "a rollup folds its cube from the report; no shard_scan expected: {doc}"
     );
     server.shutdown();
 }
