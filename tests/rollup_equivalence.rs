@@ -282,8 +282,9 @@ fn rollups_match_brute_force_across_shards_chaos_buckets_timezones() {
     }
 }
 
-/// Filtered legs on one sharded store: kind and host restrictions and
-/// `[from, to)` windows, all against the oracles.
+/// Filtered legs on one sharded store: kind and host restrictions,
+/// `[from, to)` windows, all three at once, and an inverted window, all
+/// against the oracles.
 #[test]
 fn filtered_rollups_match_brute_force() {
     let (report, quarantine) = study(0.0);
@@ -327,6 +328,55 @@ fn filtered_rollups_match_brute_force() {
             oracle_errors(&report, &tz, bucket, None, None, Some(from), Some(to)),
             "{bucket:?}: window diverged"
         );
+        // README's example query: host, kind and window at once.
+        let combined_q = RollupQuery {
+            host: Some(host.clone()),
+            kind: Some(kind),
+            from: Some(from),
+            to: Some(to),
+            ..query(RollupMetric::Errors, bucket, tzname)
+        };
+        let combined = store.rollup_csv(&combined_q).unwrap();
+        assert_eq!(
+            combined,
+            oracle_errors(
+                &report,
+                &tz,
+                bucket,
+                Some(&host),
+                Some(kind),
+                Some(from),
+                Some(to)
+            ),
+            "{bucket:?}: host + xid + window diverged"
+        );
+        if bucket == Bucket::Hour {
+            assert!(
+                combined.lines().count() > 1,
+                "the probe row's hour must survive the combined filter: {combined}"
+            );
+        }
+        // The same filter with `from` and `to` swapped keeps nothing.
+        let inverted_q = RollupQuery {
+            from: Some(to),
+            to: Some(from),
+            ..combined_q
+        };
+        let inverted = store.rollup_csv(&inverted_q).unwrap();
+        assert_eq!(
+            inverted,
+            oracle_errors(
+                &report,
+                &tz,
+                bucket,
+                Some(&host),
+                Some(kind),
+                Some(to),
+                Some(from)
+            ),
+            "{bucket:?}: inverted window diverged"
+        );
+        assert_eq!(inverted, "bucket,start,end,count\n", "{bucket:?}");
         let mtbe_q = RollupQuery {
             kind: Some(kind),
             ..query(RollupMetric::Mtbe, bucket, tzname)
