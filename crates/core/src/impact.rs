@@ -60,52 +60,21 @@ impl JobImpact {
     ///
     /// GPU allocations are exclusive on Delta, so at most one job holds a
     /// GPU at any instant; the join indexes jobs by GPU slot and binary-
-    /// searches by time, making the whole pass `O((J + E) log J)`.
+    /// searches by time, making the whole pass `O((J + E) log J)`. A
+    /// caller that reports repeatedly over a growing job set keeps a
+    /// `JobIndex` instead and pays only the `O(E log J)` searches.
     pub fn compute(jobs: &[AccountedJob], errors: &[CoalescedError], window: Duration) -> Self {
-        // (host, gpu index) -> jobs sorted by start time.
-        let mut slots: HashMap<(&str, u8), Vec<usize>> = HashMap::new();
-        for (idx, job) in jobs.iter().enumerate() {
-            for (host, gpu) in &job.gpu_slots {
-                slots.entry((host.as_str(), *gpu)).or_default().push(idx);
-            }
-        }
-        for list in slots.values_mut() {
-            list.sort_by_key(|&i| jobs[i].start);
-        }
+        let mut slots = SlotLists::default();
+        slots.extend(jobs);
+        slots.join(&SlotLists::default(), errors, window)
+    }
 
-        let mut enc_events: Vec<(ErrorKind, u64)> = Vec::new();
-        let mut fail_events: Vec<(ErrorKind, u64, Timestamp)> = Vec::new();
-        for err in errors {
-            let Some(gpu_index) = err.gpu_index() else {
-                continue;
-            };
-            let Some(list) = slots.get(&(err.host.as_str(), gpu_index)) else {
-                continue;
-            };
-            // Candidates hold the GPU over (start, end] — *inclusive* of
-            // the end instant and *exclusive* of the start instant: a job
-            // killed by this very error terminates exactly at the error
-            // time (the paper's window is "error preceding the failure"),
-            // while a job that started in the same second as the error is
-            // a successor backfilled onto the freed GPU and never saw it.
-            // Allocations are exclusive, so walking back from the last
-            // start < t visits at most the incumbent plus a predecessor
-            // that ended exactly at t.
-            let pos = list.partition_point(|&i| jobs[i].start < err.time);
-            let mut idx = pos;
-            while idx > 0 {
-                idx -= 1;
-                let job = &jobs[list[idx]];
-                if job.end < err.time {
-                    break;
-                }
-                enc_events.push((err.kind, job.id));
-                if !job.completed && job.end - err.time <= window {
-                    fail_events.push((err.kind, job.id, job.end));
-                }
-            }
-        }
-
+    /// The Table II tallies from the join's encounter and attribution
+    /// events.
+    fn tally(
+        enc_events: Vec<(ErrorKind, u64)>,
+        fail_events: Vec<(ErrorKind, u64, Timestamp)>,
+    ) -> Self {
         // The Table II tallies are instantiations of the shared
         // aggregation kernel: group the encounter/attribution event
         // streams by kind, folding distinct job sets. The attribution
@@ -228,65 +197,339 @@ pub const MIX_BUCKETS: [(u32, u32, &str); 8] = [
 /// skipped). Empty buckets produce rows with zero counts and NaN-free
 /// zeroed statistics.
 pub fn job_mix(jobs: &[AccountedJob]) -> Vec<JobMixRow> {
-    let gpu_jobs: Vec<&AccountedJob> = jobs.iter().filter(|j| j.gpus > 0).collect();
-    let total = gpu_jobs.len().max(1) as f64;
-    // Table III through the shared aggregation kernel: group GPU jobs by
-    // mix-bucket index (the buckets are disjoint, so the first match is
-    // the only match), preserving input order within each group.
-    let grouped: BTreeMap<usize, Vec<&AccountedJob>> = crate::rollup::group_fold(
-        gpu_jobs.iter().copied(),
-        |j| {
-            MIX_BUCKETS
-                .iter()
-                .position(|&(lo, hi, _)| j.gpus >= lo && j.gpus <= hi)
-        },
-        |group: &mut Vec<&AccountedJob>, j| group.push(j),
-    );
-    MIX_BUCKETS
-        .iter()
-        .enumerate()
-        .map(|(index, &(lo, hi, label))| {
-            let bucket: &[&AccountedJob] = grouped.get(&index).map_or(&[], Vec::as_slice);
-            let mut mins: Vec<f64> = bucket.iter().map(|j| j.elapsed().as_mins_f64()).collect();
-            mins.sort_by(f64::total_cmp);
-            let (ml, non_ml) = bucket.iter().fold((0.0, 0.0), |(ml, non), j| {
-                if j.is_ml() {
-                    (ml + j.gpu_hours(), non)
-                } else {
-                    (ml, non + j.gpu_hours())
-                }
-            });
-            JobMixRow {
-                label: label.to_owned(),
-                min_gpus: lo,
-                max_gpus: hi,
-                count: bucket.len() as u64,
-                share_pct: bucket.len() as f64 / total * 100.0,
-                mean_mins: mean(&mins).unwrap_or(0.0),
-                p50_mins: if mins.is_empty() {
-                    0.0
-                } else {
-                    percentile_sorted(&mins, 50.0)
-                },
-                p99_mins: if mins.is_empty() {
-                    0.0
-                } else {
-                    percentile_sorted(&mins, 99.0)
-                },
-                ml_gpu_hours_k: ml / 1000.0,
-                non_ml_gpu_hours_k: non_ml / 1000.0,
-            }
-        })
-        .collect()
+    let mut mix = MixFolds::default();
+    mix.extend(jobs);
+    mix.rows(&[])
 }
 
 /// Success rate (completed fraction) of a job set, `None` if empty.
 pub fn success_rate(jobs: &[AccountedJob]) -> Option<f64> {
-    if jobs.is_empty() {
-        None
-    } else {
-        Some(jobs.iter().filter(|j| j.completed).count() as f64 / jobs.len() as f64)
+    rate(jobs.len() as u64, completed(jobs))
+}
+
+fn completed(jobs: &[AccountedJob]) -> u64 {
+    jobs.iter().filter(|j| j.completed).count() as u64
+}
+
+fn rate(jobs: u64, completed: u64) -> Option<f64> {
+    (jobs > 0).then(|| completed as f64 / jobs as f64)
+}
+
+/// The job side of a report, kept as job rows arrive: what
+/// [`JobImpact::compute`], [`job_mix`] and [`success_rate`] would rebuild
+/// from every job on every call.
+///
+/// It holds each GPU's holders sorted stably by start, the Table III
+/// bucket folds (count, sorted elapsed minutes, and ML and non-ML
+/// GPU-hours summed in input order) and the completed count. Extending
+/// it costs the new rows plus an amortized merge; a report from it costs
+/// `O(E log J)` for Table II and one pass over the sorted minutes for
+/// Table III, with every float summed in the order the one-shot
+/// functions sum it, so the rows are bit-identical to theirs.
+///
+/// Every read takes a `tail`: rows that follow the indexed ones in input
+/// order but are not indexed (a streaming view's partial CSV row). They
+/// join and fold as if [`extend`](Self::extend) had taken them.
+#[derive(Debug, Default)]
+pub(crate) struct JobIndex {
+    slots: SlotLists,
+    mix: MixFolds,
+    jobs: u64,
+    completed: u64,
+}
+
+impl JobIndex {
+    /// An index over `jobs`.
+    pub(crate) fn build(jobs: &[AccountedJob]) -> Self {
+        let mut index = JobIndex::default();
+        index.extend(jobs);
+        index
     }
+
+    /// Adds the rows that follow the indexed ones.
+    pub(crate) fn extend(&mut self, jobs: &[AccountedJob]) {
+        self.slots.extend(jobs);
+        self.mix.extend(jobs);
+        self.jobs += jobs.len() as u64;
+        self.completed += completed(jobs);
+    }
+
+    /// [`JobImpact::compute`] over the indexed rows and `tail`.
+    pub(crate) fn impact(
+        &self,
+        tail: &[AccountedJob],
+        errors: &[CoalescedError],
+        window: Duration,
+    ) -> JobImpact {
+        let mut tail_slots = SlotLists::default();
+        tail_slots.extend(tail);
+        self.slots.join(&tail_slots, errors, window)
+    }
+
+    /// [`job_mix`] over the indexed rows and `tail`.
+    pub(crate) fn mix(&self, tail: &[AccountedJob]) -> Vec<JobMixRow> {
+        self.mix.rows(tail)
+    }
+
+    /// [`success_rate`] over the indexed rows and `tail`.
+    pub(crate) fn success_rate(&self, tail: &[AccountedJob]) -> Option<f64> {
+        rate(
+            self.jobs + tail.len() as u64,
+            self.completed + completed(tail),
+        )
+    }
+}
+
+/// What the join needs of a job that held a GPU.
+#[derive(Debug, Clone, Copy)]
+struct Holder {
+    start: Timestamp,
+    end: Timestamp,
+    id: u64,
+    completed: bool,
+}
+
+/// Each GPU's holders, sorted stably by start.
+#[derive(Debug, Default)]
+struct SlotLists {
+    /// Host → its GPUs as `(GPU index, position in lists)`.
+    ids: HashMap<String, Vec<(u8, usize)>>,
+    lists: Vec<Vec<Holder>>,
+}
+
+impl SlotLists {
+    fn extend(&mut self, jobs: &[AccountedJob]) {
+        // Lists that took a holder out of start order, and where.
+        let mut unsorted = Vec::new();
+        for job in jobs {
+            let holder = Holder {
+                start: job.start,
+                end: job.end,
+                id: job.id,
+                completed: job.completed,
+            };
+            for (host, gpu) in &job.gpu_slots {
+                let id = self.list_id(host, *gpu);
+                let list = &mut self.lists[id];
+                if list.last().is_some_and(|last| last.start > holder.start) {
+                    unsorted.push((id, list.len()));
+                }
+                list.push(holder);
+            }
+        }
+        // A list is sorted up to its first out-of-order holder, and every
+        // holder after that came later in input order, so a stable sort
+        // from the first holder that can move equals the stable sort of
+        // the whole list. An export in job-id order puts a backfilled job
+        // after jobs that start later on its GPU; such a holder costs its
+        // displacement, not the list.
+        unsorted.sort_unstable();
+        unsorted.dedup_by_key(|&mut (id, _)| id);
+        for (id, first) in unsorted {
+            let list = &mut self.lists[id];
+            let Some(earliest) = list[first..].iter().map(|h| h.start).min() else {
+                continue;
+            };
+            let from = list[..first].partition_point(|h| h.start <= earliest);
+            list[from..].sort_by_key(|h| h.start);
+        }
+    }
+
+    fn list_id(&mut self, host: &str, gpu: u8) -> usize {
+        let next = self.lists.len();
+        let gpus = match self.ids.get_mut(host) {
+            Some(gpus) => gpus,
+            None => self.ids.entry(host.to_owned()).or_default(),
+        };
+        if let Some(&(_, id)) = gpus.iter().find(|&&(g, _)| g == gpu) {
+            return id;
+        }
+        gpus.push((gpu, next));
+        self.lists.push(Vec::new());
+        next
+    }
+
+    fn holders(&self, host: &str, gpu: u8) -> &[Holder] {
+        self.ids
+            .get(host)
+            .and_then(|gpus| gpus.iter().find(|&&(g, _)| g == gpu))
+            .map_or(&[], |&(_, id)| &self.lists[id])
+    }
+
+    /// The Table II join of `errors` against these holders followed by
+    /// `tail`'s.
+    fn join(&self, tail: &SlotLists, errors: &[CoalescedError], window: Duration) -> JobImpact {
+        let mut enc_events: Vec<(ErrorKind, u64)> = Vec::new();
+        let mut fail_events: Vec<(ErrorKind, u64, Timestamp)> = Vec::new();
+        for err in errors {
+            let Some(gpu) = err.gpu_index() else {
+                continue;
+            };
+            let (base, extra) = (self.holders(&err.host, gpu), tail.holders(&err.host, gpu));
+            holders_at(base, extra, err.time, |job| {
+                enc_events.push((err.kind, job.id));
+                if !job.completed && job.end - err.time <= window {
+                    fail_events.push((err.kind, job.id, job.end));
+                }
+            });
+        }
+        JobImpact::tally(enc_events, fail_events)
+    }
+}
+
+/// Visits the candidate holders of one GPU at an error's instant `t`.
+///
+/// Candidates hold the GPU over (start, end] — *inclusive* of the end
+/// instant and *exclusive* of the start instant: a job killed by this
+/// very error terminates exactly at the error time (the paper's window
+/// is "error preceding the failure"), while a job that started in the
+/// same second as the error is a successor backfilled onto the freed GPU
+/// and never saw it. Allocations are exclusive, so walking back from the
+/// last start < t visits at most the incumbent plus a predecessor that
+/// ended exactly at t.
+///
+/// The walk runs over `base` followed by `tail` in one stable start
+/// order: `tail`'s rows come later in input order, so on equal starts
+/// they sort after `base`'s.
+fn holders_at(base: &[Holder], tail: &[Holder], t: Timestamp, mut visit: impl FnMut(&Holder)) {
+    let mut b = base.partition_point(|h| h.start < t);
+    let mut e = tail.partition_point(|h| h.start < t);
+    loop {
+        let from_tail = match (b, e) {
+            (0, 0) => return,
+            (0, _) => true,
+            (_, 0) => false,
+            _ => tail[e - 1].start >= base[b - 1].start,
+        };
+        let holder = if from_tail {
+            e -= 1;
+            &tail[e]
+        } else {
+            b -= 1;
+            &base[b]
+        };
+        if holder.end < t {
+            return;
+        }
+        visit(holder);
+    }
+}
+
+/// The Table III folds, one per [`MIX_BUCKETS`] entry.
+#[derive(Debug, Default)]
+struct MixFolds([MixFold; MIX_BUCKETS.len()]);
+
+#[derive(Debug, Default)]
+struct MixFold {
+    /// Elapsed minutes, ascending.
+    mins: Vec<f64>,
+    /// Minutes added since `mins` last took them in, ascending.
+    fresh: Vec<f64>,
+    /// GPU-hours of ML jobs, summed in input order.
+    ml_hours: f64,
+    /// GPU-hours of the other jobs, summed in input order.
+    non_ml_hours: f64,
+}
+
+impl MixFold {
+    fn add(&mut self, job: &AccountedJob) {
+        self.fresh.push(job.elapsed().as_mins_f64());
+        if job.is_ml() {
+            self.ml_hours += job.gpu_hours();
+        } else {
+            self.non_ml_hours += job.gpu_hours();
+        }
+    }
+
+    /// Sorts the fresh minutes, and merges them into the rest once they
+    /// outgrow an eighth of it: a minute is merged a bounded number of
+    /// times on average, and a report merges at most a short run.
+    fn settle(&mut self) {
+        self.fresh.sort_by(f64::total_cmp);
+        if self.fresh.len() * 8 > self.mins.len() {
+            self.mins.append(&mut self.fresh);
+            // Two ascending runs: the stable sort merges them in one pass.
+            self.mins.sort_by(f64::total_cmp);
+        }
+    }
+
+    /// This fold with the jobs of `tail` in its bucket added, and every
+    /// minute sorted into `mins`.
+    fn view(&self, bucket: usize, tail: &[AccountedJob]) -> MixFold {
+        let mut mins = Vec::with_capacity(self.mins.len() + self.fresh.len() + tail.len());
+        mins.extend_from_slice(&self.mins);
+        mins.extend_from_slice(&self.fresh);
+        let mut view = MixFold {
+            mins,
+            fresh: Vec::new(),
+            ml_hours: self.ml_hours,
+            non_ml_hours: self.non_ml_hours,
+        };
+        for job in tail.iter().filter(|job| mix_bucket(job) == Some(bucket)) {
+            view.add(job);
+        }
+        view.mins.append(&mut view.fresh);
+        view.mins.sort_by(f64::total_cmp);
+        view
+    }
+}
+
+impl MixFolds {
+    fn extend(&mut self, jobs: &[AccountedJob]) {
+        for job in jobs {
+            if let Some(bucket) = mix_bucket(job) {
+                self.0[bucket].add(job);
+            }
+        }
+        for fold in &mut self.0 {
+            fold.settle();
+        }
+    }
+
+    fn rows(&self, tail: &[AccountedJob]) -> Vec<JobMixRow> {
+        let views: Vec<MixFold> = self
+            .0
+            .iter()
+            .enumerate()
+            .map(|(bucket, fold)| fold.view(bucket, tail))
+            .collect();
+        let total = views.iter().map(|v| v.mins.len()).sum::<usize>().max(1) as f64;
+        MIX_BUCKETS
+            .iter()
+            .zip(&views)
+            .map(|(&(lo, hi, label), view)| {
+                let mins = view.mins.as_slice();
+                JobMixRow {
+                    label: label.to_owned(),
+                    min_gpus: lo,
+                    max_gpus: hi,
+                    count: mins.len() as u64,
+                    share_pct: mins.len() as f64 / total * 100.0,
+                    mean_mins: mean(mins).unwrap_or(0.0),
+                    p50_mins: if mins.is_empty() {
+                        0.0
+                    } else {
+                        percentile_sorted(mins, 50.0)
+                    },
+                    p99_mins: if mins.is_empty() {
+                        0.0
+                    } else {
+                        percentile_sorted(mins, 99.0)
+                    },
+                    ml_gpu_hours_k: view.ml_hours / 1000.0,
+                    non_ml_gpu_hours_k: view.non_ml_hours / 1000.0,
+                }
+            })
+            .collect()
+    }
+}
+
+/// A GPU job's Table III bucket; `None` for a CPU job. The buckets are
+/// disjoint, so the first match is the only match.
+fn mix_bucket(job: &AccountedJob) -> Option<usize> {
+    MIX_BUCKETS
+        .iter()
+        .position(|&(lo, hi, _)| job.gpus >= lo && job.gpus <= hi)
 }
 
 #[cfg(test)]
@@ -583,5 +826,56 @@ mod tests {
             },
         ];
         assert_eq!(success_rate(&jobs), Some(0.5));
+    }
+
+    /// Overlapping jobs on four GPUs: equal starts, a slot listed twice,
+    /// zero-GPU rows, and ends within the window of the errors.
+    fn random_job(g: &mut propcheck::Gen) -> AccountedJob {
+        let start = g.choose(&[100u64, 100, 150, 200]) + g.u64_below(100);
+        let mut slots: Vec<(String, u8)> = (0..g.usize_in(0, 3))
+            .map(|_| (g.choose(&["n1", "n2"]).to_owned(), g.u8_in(0, 2)))
+            .collect();
+        if g.bool_with(0.1) {
+            slots.extend(slots.first().cloned());
+        }
+        AccountedJob {
+            id: g.u64_below(60),
+            name: g.choose(&["train_net", "namd", "llm_eval"]).to_owned(),
+            submit: Timestamp::from_unix(start),
+            start: Timestamp::from_unix(start),
+            end: Timestamp::from_unix(start + g.u64_below(200)),
+            gpus: g.choose(&[0u32, 1, 1, 2, 8, 64, 300]),
+            gpu_slots: slots,
+            completed: g.bool(),
+        }
+    }
+
+    #[test]
+    fn an_index_extended_in_pieces_equals_a_one_shot_build() {
+        propcheck::run("index_extended_in_pieces", 300, |g| {
+            let jobs = g.vec_with(0, 120, random_job);
+            let errors = g.vec_with(0, 16, |g| {
+                let kind = g.choose(&[ErrorKind::GspError, ErrorKind::MmuError]);
+                let host = g.choose(&["n1", "n2"]);
+                error(host, g.u8_in(0, 2), 100 + g.u64_below(300), kind)
+            });
+            // Index a random prefix in random pieces; the rest is the
+            // unindexed tail every read takes.
+            let indexed = g.usize_in(0, jobs.len() + 1);
+            let mut index = JobIndex::default();
+            let mut pos = 0;
+            while pos < indexed {
+                let step = g.usize_in(1, indexed - pos + 1);
+                index.extend(&jobs[pos..pos + step]);
+                pos += step;
+            }
+            let tail = &jobs[indexed..];
+            assert_eq!(
+                index.impact(tail, &errors, W),
+                JobImpact::compute(&jobs, &errors, W)
+            );
+            assert_eq!(index.mix(tail), job_mix(&jobs));
+            assert_eq!(index.success_rate(tail), success_rate(&jobs));
+        });
     }
 }

@@ -34,14 +34,30 @@
 //!   function folds through.
 //! * **Assemble** — materialization calls the same `Pipeline::assemble`
 //!   tail (stats, outlier rule, impact, availability) the batch path
-//!   calls. Those stages run in well under a millisecond on coalesced
-//!   data, so recomputing them per materialization costs nothing and
-//!   removes an entire class of incremental-update bugs.
+//!   calls, over the same job index: each job export's
+//!   `JobIndex` is extended as its CSV rows decode, where the batch
+//!   path builds it once.
+//!
+//! # What a view costs
+//!
+//! A view ([`StreamingPipeline::materialize_full`]) never clones the
+//! engine. It copies only the open tails and completes them on the
+//! copies, as the batch path completes them at end of input: the scan's
+//! partial line (against a copy of the bounded quarantine ledger), the
+//! one-second tie buffer (folded into a copy of the coalescer,
+//! `O(errors)`) and at most one partial row per CSV feed. What is kept
+//! as rows arrive is the job index: per-GPU holders sorted by start,
+//! the Table III bucket folds and the completed counts. What is
+//! recomputed per view is what depends on the errors: statistics and the
+//! outlier rule, the Table II join (`O(errors × log jobs)`), Table III
+//! from the folds (one pass over the sorted minutes) and availability.
+//! A view records no per-stream metric; a report's own counters
+//! (`core_reports_assembled_total` and the like) count once per view.
 //!
 //! Memory is bounded by the *analysis state*, not the stream: the
-//! coalesced error list, the job and outage records, the bounded
-//! quarantine ledger, and the one-second tie buffer. Raw log lines are
-//! never retained.
+//! coalesced error list, the job and outage records and their index,
+//! the bounded quarantine ledger, and the one-second tie buffer. Raw
+//! log lines are never retained.
 //!
 //! # Checkpoints
 //!
@@ -66,8 +82,9 @@
 use crate::checkpoint::{Checkpoint, CheckpointError, Decoder, Encoder};
 use crate::coalesce::{CoalescedError, Coalescer, Pushed};
 use crate::csvio::{self, CsvError, JOB_HEADER, OUTAGE_HEADER};
+use crate::impact::JobIndex;
 use crate::job::{AccountedJob, OutageRecord};
-use crate::pipeline::{Pipeline, QuarantineReport, StudyReport};
+use crate::pipeline::{Pipeline, QuarantineReport, Records, StudyReport};
 use hpclog::extract::ExtractStats;
 use hpclog::quarantine::{
     Exemplar, LedgerSnapshot, QuarantineCategory, QuarantineCounts, QuarantineLedger,
@@ -251,22 +268,104 @@ impl CsvFeed {
         parse: fn(&str, usize) -> Result<T, CsvError>,
     ) {
         self.line_no += 1;
-        if self.awaiting_header {
-            self.awaiting_header = false;
-            if raw.trim() != header {
-                // A wrong header is itself a bad record, recorded at line
-                // 1; the rows below it may still be sound.
-                ledger.record(QuarantineCategory::BadRecord, 1, raw.as_bytes());
-            }
-            return;
+        let header_slot = std::mem::replace(&mut self.awaiting_header, false);
+        out.extend(classify(
+            header_slot,
+            self.line_no,
+            raw,
+            header,
+            ledger,
+            parse,
+        ));
+    }
+
+    /// The record [`finish`](Self::finish) would take from the partial
+    /// row, with any reject recorded in `ledger`; the feed is unchanged.
+    fn preview<T>(
+        &self,
+        header: &str,
+        ledger: &mut QuarantineLedger,
+        parse: fn(&str, usize) -> Result<T, CsvError>,
+    ) -> Option<T> {
+        if self.carry.is_empty() {
+            return None;
         }
-        if raw.trim().is_empty() {
-            return;
+        let (header_slot, line_no) = (self.awaiting_header, self.line_no + 1);
+        classify(header_slot, line_no, &self.carry, header, ledger, parse)
+    }
+}
+
+/// One physical CSV line at `line_no`: the header slot is checked
+/// against `header`, a blank row is skipped, and any other row is parsed
+/// or recorded in `ledger` as a bad record.
+fn classify<T>(
+    header_slot: bool,
+    line_no: u64,
+    raw: &str,
+    header: &str,
+    ledger: &mut QuarantineLedger,
+    parse: fn(&str, usize) -> Result<T, CsvError>,
+) -> Option<T> {
+    if header_slot {
+        if raw.trim() != header {
+            // A wrong header is itself a bad record, recorded at line 1;
+            // the rows below it may still be sound.
+            ledger.record(QuarantineCategory::BadRecord, 1, raw.as_bytes());
         }
-        match parse(raw, self.line_no as usize) {
-            Ok(record) => out.push(record),
-            Err(_) => ledger.record(QuarantineCategory::BadRecord, self.line_no, raw.as_bytes()),
+        return None;
+    }
+    if raw.trim().is_empty() {
+        return None;
+    }
+    match parse(raw, line_no as usize) {
+        Ok(record) => Some(record),
+        Err(_) => {
+            ledger.record(QuarantineCategory::BadRecord, line_no, raw.as_bytes());
+            None
         }
+    }
+}
+
+/// One job export: its CSV feed, the rows decoded so far in input order
+/// (as checkpoints store them), and their `JobIndex`.
+#[derive(Debug)]
+struct JobFeed {
+    csv: CsvFeed,
+    rows: Vec<AccountedJob>,
+    index: JobIndex,
+}
+
+impl JobFeed {
+    fn new() -> Self {
+        JobFeed::restored(CsvFeed::new(), Vec::new())
+    }
+
+    fn restored(csv: CsvFeed, rows: Vec<AccountedJob>) -> Self {
+        let index = JobIndex::build(&rows);
+        JobFeed { csv, rows, index }
+    }
+
+    fn push(&mut self, text: &str, ledger: &mut QuarantineLedger) {
+        let from = self.rows.len();
+        self.csv.feed(
+            text,
+            JOB_HEADER,
+            ledger,
+            &mut self.rows,
+            csvio::parse_job_row,
+        );
+        self.index.extend(&self.rows[from..]);
+    }
+
+    fn finish(&mut self, ledger: &mut QuarantineLedger) {
+        let from = self.rows.len();
+        self.csv
+            .finish(JOB_HEADER, ledger, &mut self.rows, csvio::parse_job_row);
+        self.index.extend(&self.rows[from..]);
+    }
+
+    fn preview(&self, ledger: &mut QuarantineLedger) -> Option<AccountedJob> {
+        self.csv.preview(JOB_HEADER, ledger, csvio::parse_job_row)
     }
 }
 
@@ -288,7 +387,7 @@ impl CsvFeed {
 /// let report = engine.materialize();
 /// assert_eq!(report.extract_stats.unwrap().extracted, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StreamingPipeline {
     config: Pipeline,
     scan: LenientScan,
@@ -299,11 +398,9 @@ pub struct StreamingPipeline {
     pending_time: Option<Timestamp>,
     coalescer: Coalescer,
     live: LiveCounters,
-    gpu_feed: CsvFeed,
-    cpu_feed: CsvFeed,
+    gpu: JobFeed,
+    cpu: JobFeed,
     outage_feed: CsvFeed,
-    gpu_jobs: Vec<AccountedJob>,
-    cpu_jobs: Vec<AccountedJob>,
     outages: Vec<OutageRecord>,
     metrics: StreamObs,
 }
@@ -312,7 +409,7 @@ pub struct StreamingPipeline {
 /// per-event cost is one relaxed atomic op instead of a registry
 /// lookup. Never serialized: checkpoints restore fresh handles to the
 /// same process-wide cells. Write-only, like all instrumentation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StreamObs {
     tie_high_water: obs::Gauge,
     events: obs::Counter,
@@ -342,11 +439,9 @@ impl StreamingPipeline {
             pending: Vec::new(),
             pending_time: None,
             live: LiveCounters::default(),
-            gpu_feed: CsvFeed::new(),
-            cpu_feed: CsvFeed::new(),
+            gpu: JobFeed::new(),
+            cpu: JobFeed::new(),
             outage_feed: CsvFeed::new(),
-            gpu_jobs: Vec::new(),
-            cpu_jobs: Vec::new(),
             outages: Vec::new(),
             metrics: StreamObs::new(),
         }
@@ -380,24 +475,12 @@ impl StreamingPipeline {
 
     /// Feeds a chunk of the GPU-jobs CSV export.
     pub fn push_gpu_jobs_csv(&mut self, text: &str) {
-        self.gpu_feed.feed(
-            text,
-            JOB_HEADER,
-            &mut self.ledger,
-            &mut self.gpu_jobs,
-            csvio::parse_job_row,
-        );
+        self.gpu.push(text, &mut self.ledger);
     }
 
     /// Feeds a chunk of the CPU-jobs CSV export.
     pub fn push_cpu_jobs_csv(&mut self, text: &str) {
-        self.cpu_feed.feed(
-            text,
-            JOB_HEADER,
-            &mut self.ledger,
-            &mut self.cpu_jobs,
-            csvio::parse_job_row,
-        );
+        self.cpu.push(text, &mut self.ledger);
     }
 
     /// Feeds a chunk of the outages CSV export.
@@ -428,27 +511,24 @@ impl StreamingPipeline {
             .set_max(self.pending.len() as u64);
     }
 
-    /// Flushes the tie buffer into the coalescer in canonical order: a
-    /// stable host sort of the events of one timestamp reproduces exactly
-    /// what `canonical_sort` does to that time-slice of the batch stream.
+    /// Flushes the tie buffer into the coalescer, updating the live
+    /// counters and the coalesce metrics.
     fn flush_pending(&mut self) {
-        let mut batch = std::mem::take(&mut self.pending);
-        batch.sort_by(|a, b| a.host.cmp(&b.host));
+        let batch = std::mem::take(&mut self.pending);
         let batch_len = batch.len() as u64;
         let mut merged = 0u64;
-        for ev in batch {
-            match self.coalescer.push(ev) {
-                Pushed::Started(idx) => {
-                    let err = &self.coalescer.errors()[idx];
-                    self.live.on_started(err);
-                }
+        let live = &mut self.live;
+        fold_ties(
+            &mut self.coalescer,
+            batch,
+            |coalescer, pushed| match pushed {
+                Pushed::Started(idx) => live.on_started(&coalescer.errors()[idx]),
                 Pushed::Merged(idx) => {
                     merged += 1;
-                    let err = &self.coalescer.errors()[idx];
-                    self.live.on_merged(err);
+                    live.on_merged(&coalescer.errors()[idx]);
                 }
-            }
-        }
+            },
+        );
         if batch_len > 0 {
             self.metrics.events.add(batch_len);
             self.metrics.merges.add(merged);
@@ -489,8 +569,8 @@ impl StreamingPipeline {
     /// kind of input, not just XID-bearing log lines.
     pub fn ingested_lines(&self) -> u64 {
         self.scan.stats().lines_seen
-            + self.gpu_feed.line_no
-            + self.cpu_feed.line_no
+            + self.gpu.csv.line_no
+            + self.cpu.csv.line_no
             + self.outage_feed.line_no
     }
 
@@ -501,26 +581,79 @@ impl StreamingPipeline {
     }
 
     /// Materializes the study report for everything fed so far, without
-    /// disturbing the stream. Works on a clone: pending partial lines and
-    /// the tie buffer are flushed on the clone exactly as the batch path
-    /// would flush them at end of input, so the result is byte-identical
-    /// to `Pipeline::run_lenient` over the prefix fed so far.
+    /// disturbing the stream. The result is byte-identical to
+    /// `Pipeline::run_lenient` over the prefix fed so far; see
+    /// [`materialize_full`](Self::materialize_full) for what it costs.
     pub fn materialize(&self) -> StudyReport {
         self.materialize_full().0
     }
 
     /// [`materialize`](Self::materialize), also yielding the quarantine
     /// report.
+    ///
+    /// The view copies only the stream's open tails and completes them
+    /// on the copies, as the batch path completes them at end of input;
+    /// it records no per-stream metric. See the [module docs](self) for
+    /// what it copies, keeps and recomputes.
     pub fn materialize_full(&self) -> (StudyReport, QuarantineReport) {
-        let mut snap = self.clone();
-        snap.finalize_parts()
+        let mut ledger = self.ledger.clone();
+        let mut tail_events = Vec::new();
+        let stats = self.scan.preview_finish(&mut ledger, &mut tail_events);
+        let errors = self.view_errors(tail_events);
+        let gpu_tail = self.gpu.preview(&mut ledger);
+        let cpu_tail = self.cpu.preview(&mut ledger);
+        let outage_tail =
+            self.outage_feed
+                .preview(OUTAGE_HEADER, &mut ledger, csvio::parse_outage_row);
+        let records = Records {
+            gpu_jobs: &self.gpu.index,
+            gpu_tail: gpu_tail.as_slice(),
+            cpu_jobs: &self.cpu.index,
+            cpu_tail: cpu_tail.as_slice(),
+            outages: &self.outages,
+            outage_tail: outage_tail.as_slice(),
+        };
+        let report = self.config.assemble(errors, Some(stats), records);
+        let quarantine = QuarantineReport::from_scan(ledger, stats);
+        (report, quarantine)
     }
 
-    /// Ends the stream, yielding the final reports. Equivalent to a last
-    /// [`materialize_full`](Self::materialize_full) but without cloning
-    /// the state.
+    /// The coalesced errors a view reports: the tie buffer, then
+    /// `tail_events` (those of the scan's partial line), folded into a
+    /// copy of the coalescer as the stream would fold them.
+    fn view_errors(&self, tail_events: Vec<XidEvent>) -> Vec<CoalescedError> {
+        if self.pending.is_empty() && tail_events.is_empty() {
+            return self.coalescer.errors().to_vec();
+        }
+        let mut coalescer = self.coalescer.clone();
+        let mut batch = self.pending.clone();
+        for ev in tail_events {
+            // The scan never emits regressions: a later time closes the
+            // buffered second, as in `ingest`.
+            if batch.last().is_some_and(|last| last.time != ev.time) {
+                fold_ties(&mut coalescer, std::mem::take(&mut batch), |_, _| {});
+            }
+            batch.push(ev);
+        }
+        fold_ties(&mut coalescer, batch, |_, _| {});
+        coalescer.into_errors()
+    }
+
+    /// Ends the stream, yielding the final reports: the open tails are
+    /// completed on the engine itself, and counted, then read as
+    /// [`materialize_full`](Self::materialize_full) reads them.
     pub fn finalize(mut self) -> (StudyReport, QuarantineReport) {
-        self.finalize_parts()
+        self.finish_log();
+        self.gpu.finish(&mut self.ledger);
+        self.cpu.finish(&mut self.ledger);
+        self.outage_feed.finish(
+            OUTAGE_HEADER,
+            &mut self.ledger,
+            &mut self.outages,
+            csvio::parse_outage_row,
+        );
+        self.flush_pending();
+        self.materialize_full()
     }
 
     /// Materializes the current prefix and hands it to `sink` — the
@@ -532,39 +665,6 @@ impl StreamingPipeline {
     pub fn publish_snapshot(&self, sink: &dyn SnapshotSink) {
         let (report, quarantine) = self.materialize_full();
         sink.publish(report, quarantine);
-    }
-
-    fn finalize_parts(&mut self) -> (StudyReport, QuarantineReport) {
-        self.finish_log();
-        self.gpu_feed.finish(
-            JOB_HEADER,
-            &mut self.ledger,
-            &mut self.gpu_jobs,
-            csvio::parse_job_row,
-        );
-        self.cpu_feed.finish(
-            JOB_HEADER,
-            &mut self.ledger,
-            &mut self.cpu_jobs,
-            csvio::parse_job_row,
-        );
-        self.outage_feed.finish(
-            OUTAGE_HEADER,
-            &mut self.ledger,
-            &mut self.outages,
-            csvio::parse_outage_row,
-        );
-        self.flush_pending();
-        let stats = self.scan.stats();
-        let report = self.config.assemble(
-            self.coalescer.errors().to_vec(),
-            Some(stats),
-            &self.gpu_jobs,
-            &self.cpu_jobs,
-            &self.outages,
-        );
-        let quarantine = QuarantineReport::from_scan(self.ledger.clone(), stats);
-        (report, quarantine)
     }
 
     // ---- checkpointing ----------------------------------------------
@@ -641,12 +741,12 @@ impl StreamingPipeline {
         }
 
         // CSV feeds and accumulated records.
-        for feed in [&self.gpu_feed, &self.cpu_feed, &self.outage_feed] {
+        for feed in [&self.gpu.csv, &self.cpu.csv, &self.outage_feed] {
             enc.bool(feed.awaiting_header);
             enc.u64(feed.line_no);
             enc.str(&feed.carry);
         }
-        for jobs in [&self.gpu_jobs, &self.cpu_jobs] {
+        for jobs in [&self.gpu.rows, &self.cpu.rows] {
             enc.u64(jobs.len() as u64);
             for job in jobs {
                 encode_job(&mut enc, job);
@@ -868,14 +968,28 @@ impl StreamingPipeline {
             pending_time,
             coalescer,
             live,
-            gpu_feed,
-            cpu_feed,
+            gpu: JobFeed::restored(gpu_feed, gpu_jobs),
+            cpu: JobFeed::restored(cpu_feed, cpu_jobs),
             outage_feed,
-            gpu_jobs,
-            cpu_jobs,
             outages,
             metrics: StreamObs::new(),
         })
+    }
+}
+
+/// Folds one timestamp's events into `coalescer` in canonical order: a
+/// stable host sort of the events of one timestamp reproduces exactly
+/// what `canonical_sort` does to that time-slice of the batch stream.
+/// `pushed` sees each push's outcome.
+fn fold_ties(
+    coalescer: &mut Coalescer,
+    mut batch: Vec<XidEvent>,
+    mut pushed: impl FnMut(&Coalescer, Pushed),
+) {
+    batch.sort_by(|a, b| a.host.cmp(&b.host));
+    for ev in batch {
+        let outcome = coalescer.push(ev);
+        pushed(coalescer, outcome);
     }
 }
 

@@ -13,7 +13,7 @@
 use crate::availability::Availability;
 use crate::coalesce::{coalesce, CoalesceSummary, CoalescedError};
 use crate::csvio;
-use crate::impact::{job_mix, success_rate, JobImpact, JobMixRow, ATTRIBUTION_WINDOW};
+use crate::impact::{JobImpact, JobIndex, JobMixRow, ATTRIBUTION_WINDOW};
 use crate::job::{AccountedJob, OutageRecord};
 use crate::stats::{exclude_dominant_gpu, ErrorStats, OutlierReport};
 use hpclog::archive::Archive;
@@ -143,7 +143,16 @@ impl Pipeline {
             obs::counter("core_events_coalesced_total", &[]).add(events_in);
             obs::counter("core_coalesce_merges_total", &[]).add(events_in - errors.len() as u64);
         }
-        self.assemble(errors, extract_stats, gpu_jobs, cpu_jobs, outages)
+        let (gpu, cpu) = (JobIndex::build(gpu_jobs), JobIndex::build(cpu_jobs));
+        let records = Records {
+            gpu_jobs: &gpu,
+            gpu_tail: &[],
+            cpu_jobs: &cpu,
+            cpu_tail: &[],
+            outages,
+            outage_tail: &[],
+        };
+        self.assemble(errors, extract_stats, records)
     }
 
     /// Stages iii–v on an already-coalesced, canonically ordered error set.
@@ -157,9 +166,7 @@ impl Pipeline {
         &self,
         errors: Vec<CoalescedError>,
         extract_stats: Option<ExtractStats>,
-        gpu_jobs: &[AccountedJob],
-        cpu_jobs: &[AccountedJob],
-        outages: &[OutageRecord],
+        records: Records<'_>,
     ) -> StudyReport {
         let mut span = obs::span("stage_assemble");
         span.add_items(errors.len() as u64);
@@ -181,13 +188,18 @@ impl Pipeline {
         );
         let stats = ErrorStats::compute(&errors_clean, self.periods, self.node_count);
 
-        let impact = JobImpact::compute(gpu_jobs, &errors_clean, self.attribution_window);
-        let mix = job_mix(gpu_jobs);
+        let impact =
+            records
+                .gpu_jobs
+                .impact(records.gpu_tail, &errors_clean, self.attribution_window);
+        let mix = records.gpu_jobs.mix(records.gpu_tail);
 
         // Availability over the operational period only (§V-C).
         let op = self.periods.op;
-        let op_outages: Vec<OutageRecord> = outages
+        let op_outages: Vec<OutageRecord> = records
+            .outages
             .iter()
+            .chain(records.outage_tail)
             .filter(|o| op.contains(o.start))
             .cloned()
             .collect();
@@ -204,13 +216,31 @@ impl Pipeline {
             outlier,
             impact,
             mix,
-            gpu_success: success_rate(gpu_jobs),
-            cpu_success: success_rate(cpu_jobs),
+            gpu_success: records.gpu_jobs.success_rate(records.gpu_tail),
+            cpu_success: records.cpu_jobs.success_rate(records.cpu_tail),
             availability,
             op_outages,
             mttf_hours,
         }
     }
+}
+
+/// The records [`Pipeline::assemble`] joins against the errors. Each
+/// source is the rows so far followed by a tail not yet in them: a
+/// streaming view's partial CSV row, empty on the batch path.
+pub(crate) struct Records<'a> {
+    /// The GPU jobs, indexed.
+    pub(crate) gpu_jobs: &'a JobIndex,
+    /// GPU job rows after the indexed ones.
+    pub(crate) gpu_tail: &'a [AccountedJob],
+    /// The CPU jobs, indexed.
+    pub(crate) cpu_jobs: &'a JobIndex,
+    /// CPU job rows after the indexed ones.
+    pub(crate) cpu_tail: &'a [AccountedJob],
+    /// The outages.
+    pub(crate) outages: &'a [OutageRecord],
+    /// Outage rows after `outages`.
+    pub(crate) outage_tail: &'a [OutageRecord],
 }
 
 impl Default for Pipeline {

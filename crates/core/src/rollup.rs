@@ -1,14 +1,14 @@
 //! Calendar-aware rollup cubes over a shared aggregation kernel.
 //!
 //! Every headline artifact of the paper — Table I's per-phase counts,
-//! Table II's per-kind impact tallies, Table III's workload mix, the
-//! availability figures — is a *grouped fold* over an event stream:
-//! classify each row into a key, accumulate per key. [`group_fold`] is
-//! that kernel, written once; [`stats`](crate::stats),
-//! [`impact`](crate::impact) and [`crate::impact::job_mix`] all route
-//! their tallies through it, so the canned paper queries and the serving
-//! layer's time-bucketed rollups are the same code path with different
-//! key functions.
+//! Table II's per-kind impact tallies, the availability figures — is a
+//! *grouped fold* over an event stream: classify each row into a key,
+//! accumulate per key. [`group_fold`] is that kernel, written once;
+//! [`stats`](crate::stats) and [`impact`](crate::impact)'s Table II
+//! tallies route through it, so the canned paper queries and the
+//! serving layer's time-bucketed rollups are the same code path with
+//! different key functions. (Table III's bucket folds are kept as job
+//! rows arrive instead, by the job index in [`crate::impact`].)
 //!
 //! The time-bucketed instantiations live here too:
 //!
@@ -43,10 +43,9 @@ pub fn kind_index(kind: ErrorKind) -> Option<usize> {
 /// yielding `None` are dropped) and fold it into that key's accumulator.
 ///
 /// Deterministic by construction: the result map is keyed in `K`'s order
-/// and each group's accumulator sees its rows in input order. Every
-/// grouped tally in the crate — Table I phase counts, Table II impact
-/// sets, Table III mix buckets, the rollup cubes — is an instantiation
-/// of this one fold.
+/// and each group's accumulator sees its rows in input order. Table I
+/// phase counts, Table II impact sets and the rollup cubes are
+/// instantiations of this one fold.
 pub fn group_fold<R, K: Ord, A: Default>(
     rows: impl IntoIterator<Item = R>,
     mut key: impl FnMut(&R) -> Option<K>,

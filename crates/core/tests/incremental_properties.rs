@@ -2,14 +2,16 @@
 //! bursts, exact Δt = 20 s gaps, clock regressions, garbage bytes) are
 //! streamed with checkpoint/restore at random cut points and random batch
 //! partitions, and must always equal the uncut batch run — with shrinking
-//! to a minimal counterexample on failure. Truncated and bit-flipped
+//! to a minimal counterexample on failure. Views taken inside a CSV row
+//! must equal the batch run over that prefix. Truncated and bit-flipped
 //! snapshots must always come back as typed errors, never panics.
 
 use hpclog::{PciAddr, XidEvent};
 use propcheck::{run, run_shrinking, shrink_vec, Gen};
 use resilience::checkpoint::Checkpoint;
+use resilience::csvio::{render_jobs, render_outages};
 use resilience::incremental::StreamingPipeline;
-use resilience::{report, Pipeline, QuarantineReport, StudyReport};
+use resilience::{report, AccountedJob, OutageRecord, Pipeline, QuarantineReport, StudyReport};
 use simtime::{Duration, StudyPeriods, Timestamp};
 use xid::XidCode;
 
@@ -181,6 +183,156 @@ fn materialize_is_effect_free_at_any_point() {
         }
         engine.push_log(&log[cut..]);
         if let Err(msg) = compare("continued after view", engine.finalize(), &batch(&log)) {
+            panic!("{msg}");
+        }
+    });
+}
+
+/// Job rows around `anchors`, the generated log's errors as `(time,
+/// host, GPU index)`: holds that start before or at an error and end at
+/// it, inside its 20 s attribution window, just past it or long after;
+/// equal starts, a slot listed twice, zero-GPU rows, and malformed and
+/// blank rows.
+fn gen_job_csv(g: &mut Gen, anchors: &[(Timestamp, String, u8)]) -> String {
+    let rows = g.vec_with(0, 30, |g| {
+        let roll = g.u64_below(100);
+        if roll < 8 {
+            return "7,broken,row\n".to_owned();
+        }
+        if roll < 12 {
+            return "\n".to_owned();
+        }
+        let (at, host, gpu) = if anchors.is_empty() || g.bool_with(0.2) {
+            let at = base() + Duration::from_secs(g.u64_below(1500));
+            (at, format!("gpub00{}", g.u8_in(1, 4)), g.u8_in(0, 2))
+        } else {
+            anchors[g.usize_in(0, anchors.len())].clone()
+        };
+        let start = at - Duration::from_secs(g.choose(&[0u64, 0, 1, 30, 400]));
+        let gpus = g.choose(&[0u32, 1, 1, 2, 4, 9, 300]);
+        let mut gpu_slots = Vec::new();
+        if gpus > 0 || g.bool() {
+            gpu_slots.push((host, gpu));
+        }
+        if g.bool_with(0.3) {
+            gpu_slots.push((format!("gpub00{}", g.u8_in(1, 4)), g.u8_in(0, 2)));
+        }
+        if g.bool_with(0.15) {
+            gpu_slots.extend(gpu_slots.first().cloned());
+        }
+        let job = AccountedJob {
+            id: g.u64_below(40),
+            name: g.choose(&["train_net", "namd_run", "llm_eval"]).to_owned(),
+            submit: start,
+            start,
+            end: at + Duration::from_secs(g.choose(&[0u64, 5, 20, 21, 300])),
+            gpus,
+            gpu_slots,
+            completed: g.bool(),
+        };
+        let csv = render_jobs(&[job]);
+        csv.split_once('\n')
+            .map_or(String::new(), |(_, row)| row.to_owned())
+    });
+    let header = render_jobs(&[]);
+    header + &rows.concat()
+}
+
+fn gen_outage_csv(g: &mut Gen) -> String {
+    let rows = g.vec_with(0, 6, |g| {
+        if g.bool_with(0.2) {
+            return "gpub001,not-a-time\n".to_owned();
+        }
+        let outage = OutageRecord {
+            host: format!("gpub00{}", g.u8_in(1, 4)),
+            start: base() + Duration::from_secs(g.u64_below(4000)),
+            duration: Duration::from_secs(g.u64_in(60, 7200)),
+        };
+        let csv = render_outages(&[outage]);
+        csv.split_once('\n')
+            .map_or(String::new(), |(_, row)| row.to_owned())
+    });
+    render_outages(&[]) + &rows.concat()
+}
+
+/// Feeds `bytes` to `push` in random chunks.
+fn feed_chunks(g: &mut Gen, bytes: &[u8], mut push: impl FnMut(&[u8])) {
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let step = g.usize_in(1, bytes.len() - pos + 1);
+        push(&bytes[pos..pos + step]);
+        pos += step;
+    }
+}
+
+/// [`compare`], plus the report's job and outage fields read directly.
+fn compare_records(
+    what: &str,
+    got: (StudyReport, QuarantineReport),
+    want: &(StudyReport, QuarantineReport),
+) -> Result<(), String> {
+    let (r, br) = (&got.0, &want.0);
+    if r.impact != br.impact {
+        return Err(format!("{what}: Table II diverged"));
+    }
+    if r.mix != br.mix {
+        return Err(format!("{what}: Table III diverged"));
+    }
+    if (r.gpu_success, r.cpu_success) != (br.gpu_success, br.cpu_success) {
+        return Err(format!("{what}: success rates diverged"));
+    }
+    if r.op_outages != br.op_outages {
+        return Err(format!("{what}: outages diverged"));
+    }
+    compare(what, got, want)
+}
+
+/// A view taken while a CSV feed holds a partial row equals the batch
+/// run over that prefix, and the stream then finishes equal to the batch
+/// run over everything.
+#[test]
+fn views_inside_csv_rows_equal_the_batch_prefix() {
+    run("views_inside_csv_rows_equal_the_batch_prefix", 120, |g| {
+        let log = concat(&gen_lines(g));
+        let anchors: Vec<(Timestamp, String, u8)> = batch(&log)
+            .0
+            .errors
+            .iter()
+            .filter_map(|e| Some((e.time, e.host.clone(), e.gpu_index()?)))
+            .collect();
+        let csvs = [
+            gen_job_csv(g, &anchors),
+            gen_job_csv(g, &anchors),
+            gen_outage_csv(g),
+        ];
+        let mut engine = StreamingPipeline::new(Pipeline::delta(), LOG_YEAR);
+        feed_chunks(g, &log, |chunk| engine.push_log(chunk));
+        engine.finish_log();
+        for (stream, csv) in csvs.iter().enumerate() {
+            let text = |bytes: &[u8]| std::str::from_utf8(bytes).expect("ASCII rows").to_owned();
+            let push = |engine: &mut StreamingPipeline, chunk: &[u8]| match stream {
+                0 => engine.push_gpu_jobs_csv(&text(chunk)),
+                1 => engine.push_cpu_jobs_csv(&text(chunk)),
+                _ => engine.push_outages_csv(&text(chunk)),
+            };
+            let cut = g.usize_in(0, csv.len() + 1);
+            feed_chunks(g, &csv.as_bytes()[..cut], |chunk| push(&mut engine, chunk));
+            let prefix: [&str; 3] = std::array::from_fn(|i| match i.cmp(&stream) {
+                std::cmp::Ordering::Less => csvs[i].as_str(),
+                std::cmp::Ordering::Equal => &csv[..cut],
+                std::cmp::Ordering::Greater => "",
+            });
+            let [gpu, cpu, outages] = prefix;
+            let oracle = Pipeline::delta().run_lenient(log.as_slice(), LOG_YEAR, gpu, cpu, outages);
+            let what = format!("view in CSV stream {stream} at byte {cut}");
+            if let Err(msg) = compare_records(&what, engine.materialize_full(), &oracle) {
+                panic!("{msg}");
+            }
+            feed_chunks(g, &csv.as_bytes()[cut..], |chunk| push(&mut engine, chunk));
+        }
+        let oracle =
+            Pipeline::delta().run_lenient(log.as_slice(), LOG_YEAR, &csvs[0], &csvs[1], &csvs[2]);
+        if let Err(msg) = compare_records("finished after views", engine.finalize(), &oracle) {
             panic!("{msg}");
         }
     });

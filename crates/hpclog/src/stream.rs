@@ -198,6 +198,30 @@ impl LenientScan {
         crate::extract::record_scan_metrics(&before, &self.extractor.stats());
     }
 
+    /// What [`finish`](Self::finish) would do now, on scratch copies: the
+    /// trailing partial line is classified into `ledger` and `events`, and
+    /// the counters `finish` would leave are returned. The scan itself is
+    /// unchanged and no metric is recorded, so a view of a live stream
+    /// counts nothing that the stream counts again when the line completes.
+    pub fn preview_finish(
+        &self,
+        ledger: &mut QuarantineLedger,
+        events: &mut Vec<XidEvent>,
+    ) -> ExtractStats {
+        let mut extractor = self.extractor.clone();
+        if !self.carry.is_empty() {
+            let mut prev_accepted = self.prev_accepted;
+            extractor.scan_line(
+                &self.carry,
+                self.line_no + 1,
+                &mut prev_accepted,
+                ledger,
+                events,
+            );
+        }
+        extractor.stats()
+    }
+
     /// Captures the scanner's complete cross-line state as plain data.
     pub fn snapshot(&self) -> ScanSnapshot {
         ScanSnapshot {
@@ -329,6 +353,22 @@ mod tests {
             resumed.finish(&mut ledger, &mut events);
             assert_eq!(events, expect.0, "cut={cut}: events");
             assert_eq!(resumed.stats(), expect.1, "cut={cut}: stats");
+            assert_eq!(ledger.counts(), expect.2.counts(), "cut={cut}: counts");
+        }
+    }
+
+    #[test]
+    fn preview_finish_equals_the_batch_scan_of_the_prefix() {
+        let input = messy_stream();
+        for cut in 0..=input.len() {
+            let mut scan = LenientScan::studied_only(2024);
+            let mut ledger = QuarantineLedger::new();
+            let mut events = Vec::new();
+            scan.feed(&input[..cut], &mut ledger, &mut events);
+            let stats = scan.preview_finish(&mut ledger, &mut events);
+            let expect = batch_scan(&input[..cut]);
+            assert_eq!(events, expect.0, "cut={cut}: events");
+            assert_eq!(stats, expect.1, "cut={cut}: stats");
             assert_eq!(ledger.counts(), expect.2.counts(), "cut={cut}: counts");
         }
     }

@@ -12,10 +12,17 @@
 //!        │ pop (single worker thread)
 //!        ▼
 //!   StreamingPipeline ── publish cadence (N events or T seconds)
-//!        │ materialize_full()
+//!        │ publish = view → swap → checkpoint → compaction
 //!        ▼
-//!   StoreHandle.publish() + checkpoint (temp+rename) + WAL compaction
+//!   materialize_full() (a view: open tails copied, job index read)
+//!   → StoreHandle.publish_study() (store build + atomic swap)
+//!   → checkpoint (encode + temp + fsync + rename) → WAL compaction
 //! ```
+//!
+//! Each publish step is its own `obs` span inside `servd_ingest_publish`
+//! (`servd_ingest_materialize`, `servd_store_build`,
+//! `servd_ingest_checkpoint`, `servd_ingest_wal_compact`), so `/metrics`
+//! splits a live publish the way an offline trace would.
 //!
 //! # The recovery invariant
 //!
@@ -862,7 +869,8 @@ fn apply_record(engine: &mut StreamingPipeline, record: &Record) {
 /// publish step. Failures to persist are recorded (status + metrics) but
 /// never crash the worker: the WAL still holds everything unapplied and
 /// the previous checkpoint still holds everything older, so the
-/// durability invariant survives a full disk.
+/// durability invariant survives a full disk. Each step records its own
+/// span (see the module docs).
 fn publish(
     engine: &StreamingPipeline,
     handle: &IngestHandle,
@@ -870,15 +878,23 @@ fn publish(
     applied: &[u64; 4],
 ) {
     let mut span = obs::span("servd_ingest_publish");
-    let (report, quarantine) = engine.materialize_full();
+    let (report, quarantine) = {
+        let _view = obs::span("servd_ingest_materialize");
+        engine.materialize_full()
+    };
     span.add_items(report.errors.len() as u64);
     let snapshot = store.publish_study(report, &quarantine);
 
-    let envelope = encode_envelope(&engine.checkpoint(), applied);
     let ckpt_path = handle.config.dir.join(CKPT_FILE);
-    let persisted = write_atomic(&ckpt_path, envelope.as_bytes())
+    let written = {
+        let _checkpoint = obs::span("servd_ingest_checkpoint");
+        let envelope = encode_envelope(&engine.checkpoint(), applied);
+        write_atomic(&ckpt_path, envelope.as_bytes())
+    };
+    let persisted = written
         .map_err(|e| format!("writing ingest checkpoint {}: {e}", ckpt_path.display()))
         .and_then(|()| {
+            let _compact = obs::span("servd_ingest_wal_compact");
             handle
                 .compact_wal()
                 .map_err(|e| format!("compacting write-ahead log: {e}"))
@@ -1233,6 +1249,55 @@ mod tests {
         assert_eq!(errors.header("X-Cache"), Some("miss"));
         assert_eq!(errors.text().lines().count(), 5, "{}", errors.text());
         assert!(scans(&mut conn) >= before + 4.0);
+
+        server.shutdown();
+        worker.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_publish_shows_its_steps_in_metrics() {
+        use crate::testutil::{connect, get_on, request_on};
+
+        obs::set_enabled(true);
+        let dir = temp_dir("spans");
+        let rec = recover(small_config(&dir), Pipeline::delta(), 2022).unwrap();
+        let store = Arc::new(StoreHandle::new(StudyStore::build(
+            rec.engine.materialize(),
+            None,
+        )));
+        let worker = spawn_worker(rec.engine, Arc::clone(&rec.handle), Arc::clone(&store));
+        let server = crate::start_with_ingest(
+            crate::ServerConfig {
+                addr: "127.0.0.1:0".to_owned(),
+                ..crate::ServerConfig::default()
+            },
+            Arc::clone(&store),
+            Some(Arc::clone(&rec.handle)),
+        )
+        .unwrap();
+        let mut conn = connect(server.addr());
+        let line = b"May 10 03:22:07 gpub001 kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, GPU has fallen off the bus\n";
+        let post = request_on(&mut conn, "POST", "/ingest/logs?seq=0", line);
+        assert_eq!(post.status, 200, "{}", post.text());
+        let flush = request_on(&mut conn, "POST", "/ingest/flush", b"");
+        assert_eq!(flush.status, 200, "{}", flush.text());
+
+        let metrics = get_on(&mut conn, "/metrics").text();
+        for span in [
+            "servd_ingest_materialize",
+            "servd_ingest_checkpoint",
+            "servd_ingest_wal_compact",
+        ] {
+            let series = format!("obs_span_count{{span=\"{span}\"}} ");
+            let count: f64 = metrics
+                .lines()
+                .find_map(|l| l.strip_prefix(series.as_str()))
+                .unwrap_or_else(|| panic!("no {span} series in /metrics"))
+                .parse()
+                .unwrap();
+            assert!(count >= 1.0, "{span}: {count}");
+        }
 
         server.shutdown();
         worker.stop();

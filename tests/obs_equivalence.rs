@@ -5,7 +5,9 @@
 //! logs. And because instrumentation hangs off
 //! the same code paths everywhere, the *invariant* counters (lines
 //! scanned, events coalesced, merges, attribution hits) must agree across
-//! all modes for the same dataset.
+//! all modes for the same dataset. A stream viewed after every chunk
+//! must move the per-stream counters by the same amounts: a view counts
+//! nothing the stream counts when it completes the line.
 //!
 //! Everything runs inside one `#[test]` because the registry is
 //! process-global: sequencing the legs keeps the per-mode counter deltas
@@ -107,10 +109,13 @@ fn serial(d: &Dataset) -> (StudyReport, QuarantineReport) {
     )
 }
 
-fn streaming(d: &Dataset, chunk: usize) -> (StudyReport, QuarantineReport) {
+fn streaming(d: &Dataset, chunk: usize, views: bool) -> (StudyReport, QuarantineReport) {
     let mut engine = StreamingPipeline::new(d.pipeline, LOG_YEAR);
     for piece in d.log.chunks(chunk) {
         engine.push_log(piece);
+        if views {
+            std::hint::black_box(engine.materialize_full());
+        }
     }
     engine.finish_log();
     engine.push_gpu_jobs_csv(&d.gpu_csv);
@@ -145,7 +150,7 @@ fn instrumented_runs_are_byte_identical_and_counters_agree_across_modes() {
 
         for chunk in [7usize, 1024] {
             let mut out = None;
-            let deltas = deltas_of(|| out = Some(streaming(&d, chunk)));
+            let deltas = deltas_of(|| out = Some(streaming(&d, chunk, false)));
             let (r, q) = out.expect("streaming leg ran");
             assert_eq!(
                 render_all(&r, &q),
@@ -155,9 +160,28 @@ fn instrumented_runs_are_byte_identical_and_counters_agree_across_modes() {
             legs.push((format!("chunk={chunk}"), deltas));
         }
 
+        let mut out = None;
+        let view_deltas = deltas_of(|| out = Some(streaming(&d, 1024, true)));
+        let (r, q) = out.expect("viewed streaming leg ran");
+        assert_eq!(render_all(&r, &q), oracle, "chaos={chaos_rate} views");
+
         obs::set_enabled(false);
 
         let (ref_name, ref_deltas) = &legs[0];
+        // Every view assembles a report, so the per-report attribution
+        // counter moves once per view; the per-stream counters may not.
+        let per_stream = |deltas: &[(&'static str, u64)]| -> Vec<(&'static str, u64)> {
+            deltas
+                .iter()
+                .filter(|(name, _)| *name != "core_attribution_window_hits_total")
+                .copied()
+                .collect()
+        };
+        assert_eq!(
+            per_stream(&view_deltas),
+            per_stream(ref_deltas),
+            "chaos={chaos_rate}: chunk=1024 with a view per chunk vs {ref_name}"
+        );
         for (name, value) in ref_deltas {
             assert!(
                 *value > 0 || *name == "core_attribution_window_hits_total",
