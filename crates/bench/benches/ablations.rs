@@ -48,31 +48,11 @@ fn bench_coalesce_window_sweep() {
 }
 
 fn bench_attribution_window_sweep() {
-    use clustersim::Cluster;
-    use delta_gpu_resilience::bridge;
-    use slurmsim::{Simulation, WorkloadConfig};
+    use delta_gpu_resilience::{bridge, corpus};
 
-    let mut config = FaultConfig::delta_scaled(0.02);
-    config.seed = 0xAB2;
-    config.emit_logs = false;
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let outcome = Simulation::new(&cluster, WorkloadConfig::delta_scaled(0.02), 9)
-        .run(&campaign.ground_truth, &campaign.holds);
-    let jobs = bridge::jobs(&outcome.jobs);
-    let events: Vec<_> = campaign
-        .ground_truth
-        .iter()
-        .map(|e| {
-            hpclog::XidEvent::new(
-                e.time,
-                e.gpu.node.hostname(),
-                hpclog::PciAddr::for_gpu_index(e.gpu.index),
-                e.kind.primary_code(),
-                "",
-            )
-        })
-        .collect();
+    let corpus = corpus::build(0.02, 0xAB2, 0.0, false);
+    let jobs = bridge::jobs(&corpus.outcome.jobs);
+    let events = bench::truth_events(&corpus.campaign);
     let errors = coalesce(events, Duration::from_secs(20));
 
     for window_secs in [5u64, 20, 60] {

@@ -7,7 +7,7 @@
 
 use bench::stopwatch::bench;
 use clustersim::Cluster;
-use delta_gpu_resilience::bridge;
+use delta_gpu_resilience::{bridge, corpus};
 use faultsim::{Campaign, FaultConfig};
 use hpclog::extract::XidExtractor;
 use resilience::coalesce::coalesce;
@@ -26,9 +26,9 @@ struct Corpus {
 }
 
 fn build_corpus() -> Corpus {
-    let mut config = FaultConfig::delta_scaled(0.03);
-    config.seed = 0xBE7C;
-    let campaign = Campaign::new(config).run();
+    let corpus::Corpus {
+        campaign, outcome, ..
+    } = corpus::build(0.03, 0xBE7C, 0.0, true);
     let raw_lines: Vec<String> = campaign.archive.iter().map(|l| l.to_string()).collect();
     let mut extractor = XidExtractor::studied_only(2022);
     let events: Vec<_> = campaign
@@ -37,10 +37,6 @@ fn build_corpus() -> Corpus {
         .filter_map(|l| extractor.extract(l))
         .collect();
     let errors = coalesce(events.clone(), Duration::from_secs(20));
-
-    let cluster = Cluster::new(campaign.config.spec);
-    let outcome = Simulation::new(&cluster, WorkloadConfig::delta_scaled(0.03), 1)
-        .run(&campaign.ground_truth, &campaign.holds);
     Corpus {
         raw_lines,
         events,

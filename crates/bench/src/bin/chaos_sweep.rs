@@ -13,10 +13,9 @@
 //! ```
 
 use bench::{banner, run_study, RunOptions};
-use delta_gpu_resilience::bridge;
 use hpclog::chaos::{ChaosConfig, ChaosInjector};
 use resilience::pipeline::QuarantineReport;
-use resilience::{csvio, Pipeline, StudyReport};
+use resilience::StudyReport;
 use simtime::Phase;
 use xid::ErrorKind;
 
@@ -65,17 +64,13 @@ fn main() {
     }
     banner("Chaos sweep (E11)", options);
     let study = run_study(options, true);
-
-    let gpu_csv = csvio::render_jobs(&bridge::jobs(&study.outcome.jobs));
-    let cpu_csv = csvio::render_jobs(&bridge::jobs(&study.outcome.cpu_jobs));
-    let outages_csv = csvio::render_outages(&bridge::outages(study.campaign.ledger.outages()));
-
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = study.campaign.config.periods;
+    let corpus = &study.corpus;
+    let (pipeline, archive) = (corpus.pipeline, &corpus.campaign.archive);
+    let (gpu_csv, cpu_csv, outages_csv) = (corpus.gpu_csv(), corpus.cpu_csv(), corpus.out_csv());
 
     println!(
         "\narchive: {} lines; corrupting at rates {:?}",
-        study.campaign.archive.line_count(),
+        archive.line_count(),
         RATES
     );
     println!(
@@ -86,10 +81,10 @@ fn main() {
     let mut baseline: Option<StudyReport> = None;
     for rate in RATES {
         let mut chaos = ChaosInjector::new(ChaosConfig::uniform(rate, options.seed ^ 0xE11));
-        let bytes = chaos.corrupt_archive(&study.campaign.archive);
+        let bytes = chaos.corrupt_archive(archive);
         let stats = chaos.stats();
         let (report, quarantine) =
-            pipeline.run_lenient(bytes.as_slice(), LOG_YEAR, &gpu_csv, &cpu_csv, &outages_csv);
+            pipeline.run_lenient(bytes.as_slice(), LOG_YEAR, gpu_csv, cpu_csv, outages_csv);
 
         // The accounting identity: every injected defect is in the ledger.
         assert_eq!(

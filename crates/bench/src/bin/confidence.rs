@@ -9,13 +9,9 @@
 //! cargo run --release -p bench --bin confidence [SCALE] [SEED] [TRIALS]
 //! ```
 
-use bench::DEFAULT_SEED;
-use clustersim::Cluster;
-use delta_gpu_resilience::bridge;
-use faultsim::{Campaign, FaultConfig};
-use resilience::Pipeline;
+use bench::{truth_events, DEFAULT_SEED};
+use delta_gpu_resilience::{bridge, corpus};
 use simtime::Phase;
-use slurmsim::{Simulation, WorkloadConfig};
 use xid::ErrorKind;
 
 /// Extracts one metric from a trial.
@@ -34,34 +30,13 @@ struct Metrics {
 }
 
 fn trial(scale: f64, seed: u64) -> Metrics {
-    let mut config = FaultConfig::delta_scaled(scale);
-    config.seed = seed;
-    config.emit_logs = false;
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let outcome = Simulation::new(&cluster, WorkloadConfig::delta_scaled(scale), seed)
-        .run(&campaign.ground_truth, &campaign.holds);
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    let events = campaign
-        .ground_truth
-        .iter()
-        .map(|e| {
-            hpclog::XidEvent::new(
-                e.time,
-                e.gpu.node.hostname(),
-                hpclog::PciAddr::for_gpu_index(e.gpu.index),
-                e.kind.primary_code(),
-                "",
-            )
-        })
-        .collect();
-    let report = pipeline.run_events(
-        events,
+    let corpus = corpus::build(scale, seed, 0.0, false);
+    let report = corpus.pipeline.run_events(
+        truth_events(&corpus.campaign),
         None,
-        &bridge::jobs(&outcome.jobs),
+        &bridge::jobs(&corpus.outcome.jobs),
         &[],
-        &bridge::outages(campaign.ledger.outages()),
+        &bridge::outages(corpus.campaign.ledger.outages()),
     );
     Metrics {
         mtbe_pre: report

@@ -19,8 +19,8 @@
 //! `results/obs_overhead.txt` are the honest figure and sit well under
 //! the paper-repro target of 1.03×).
 
-use bench::{banner, run_study, RunOptions, DEFAULT_SEED};
-use delta_gpu_resilience::bridge;
+use bench::{banner, RunOptions};
+use delta_gpu_resilience::corpus;
 use resilience::incremental::StreamingPipeline;
 use resilience::{report, Pipeline};
 use std::time::Instant;
@@ -33,18 +33,12 @@ const SMOKE_BUDGET: f64 = 1.10;
 const CHUNK: usize = 1 << 20;
 
 fn main() {
-    let (smoke, options) = parse_args();
+    let (smoke, options) = RunOptions::from_smoke_args();
     banner("Observability overhead (E14)", options);
-    let study = run_study(options, true);
-    let archive = &study.campaign.archive;
-    let (log, _) = study.campaign.render_log();
-    let gpu_csv = resilience::csvio::render_jobs(&bridge::jobs(&study.outcome.jobs));
-    let cpu_csv = resilience::csvio::render_jobs(&bridge::jobs(&study.outcome.cpu_jobs));
-    let out_csv =
-        resilience::csvio::render_outages(&bridge::outages(study.campaign.ledger.outages()));
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = study.campaign.config.periods;
-    let lines = archive.line_count() as u64;
+    let corpus = corpus::build(options.scale, options.seed, 0.0, true);
+    let (pipeline, log) = (&corpus.pipeline, corpus.log());
+    let (gpu_csv, cpu_csv, out_csv) = (corpus.gpu_csv(), corpus.cpu_csv(), corpus.out_csv());
+    let lines = corpus.campaign.archive.line_count() as u64;
     println!(
         "workload: {} lines, {:.1} MiB of log",
         lines,
@@ -54,16 +48,16 @@ fn main() {
     // Perturbation gate first: enabled and disabled runs must render the
     // same bytes, batch and streaming.
     obs::set_enabled(false);
-    let (plain, _) = batch(&pipeline, &log, &gpu_csv, &cpu_csv, &out_csv);
+    let (plain, _) = batch(pipeline, log, gpu_csv, cpu_csv, out_csv);
     let plain_render = render_all(&plain);
     obs::set_enabled(true);
-    let (instr, _) = batch(&pipeline, &log, &gpu_csv, &cpu_csv, &out_csv);
+    let (instr, _) = batch(pipeline, log, gpu_csv, cpu_csv, out_csv);
     assert_eq!(
         render_all(&instr),
         plain_render,
         "instrumentation perturbed the batch report"
     );
-    let (instr_s, _) = stream(&pipeline, &log, &gpu_csv, &cpu_csv, &out_csv).finalize();
+    let (instr_s, _) = stream(pipeline, log, gpu_csv, cpu_csv, out_csv).finalize();
     assert_eq!(
         render_all(&instr_s),
         plain_render,
@@ -78,7 +72,7 @@ fn main() {
         "leg", "disabled ms", "enabled ms", "ratio"
     );
     let mut worst: f64 = 0.0;
-    for (leg, f) in legs(&pipeline, &log, &gpu_csv, &cpu_csv, &out_csv) {
+    for (leg, f) in legs(pipeline, log, gpu_csv, cpu_csv, out_csv) {
         let (off, on) = paired_medians(iters, &f);
         let ratio = on / off.max(1e-12);
         worst = worst.max(ratio);
@@ -161,37 +155,6 @@ fn stream(
     engine.push_cpu_jobs_csv(cpu_csv);
     engine.push_outages_csv(out_csv);
     engine
-}
-
-fn parse_args() -> (bool, RunOptions) {
-    let mut smoke = false;
-    let mut positional: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            positional.push(arg);
-        }
-    }
-    let scale = positional
-        .first()
-        .map(|a| {
-            a.parse::<f64>()
-                .unwrap_or_else(|_| panic!("bad SCALE {a:?}"))
-        })
-        .unwrap_or(if smoke { 0.02 } else { 0.05 });
-    assert!(
-        scale > 0.0 && scale <= 1.0,
-        "SCALE must be in (0, 1], got {scale}"
-    );
-    let seed = positional
-        .get(1)
-        .map(|a| {
-            a.parse::<u64>()
-                .unwrap_or_else(|_| panic!("bad SEED {a:?}"))
-        })
-        .unwrap_or(DEFAULT_SEED);
-    (smoke, RunOptions { scale, seed })
 }
 
 /// Times the closure with the registry disabled and enabled in strict

@@ -18,14 +18,13 @@
 //!
 //! Every HTTP response must be a complete `200` body — one error fails
 //! the run. CI asserts the conservative machine-scaled floor (the same
-//! `150 × min(cores, 8)` gate E15/E17 use) on the served pass, so the
+//! `150 × min(cores, 8)` gate `tests/load_gates.rs` holds the serving
+//! fleet to) on the served pass, so the
 //! sweep stays an honest regression tripwire on small containers.
 
-use bench::{banner, run_study, RunOptions, DEFAULT_SEED};
-use servd::testutil::{connect, get_on};
-use servd::{RollupMetric, RollupQuery, ServerConfig, StoreHandle, StudyStore};
+use bench::{banner, human_ns, run_fleet, run_study, RunOptions};
+use servd::{RollupMetric, RollupQuery, ServerConfig, StudyStore};
 use simtime::{Bucket, Tz};
-use std::sync::Arc;
 use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -57,7 +56,7 @@ const ENDPOINTS: &[&str] = &[
 ];
 
 fn main() {
-    let (smoke, options) = parse_args();
+    let (smoke, options) = RunOptions::from_smoke_args();
     banner("rollup cube sweep (E18)", options);
 
     let study = run_study(options, false);
@@ -146,7 +145,14 @@ fn main() {
         "\n-- served /rollup fleet at {width} shards, {conns} connections x {per_conn} requests --"
     );
     println!(" req/s      p50        p90        p99        max      errors");
-    let m = run_fleet(&study.report, width, conns, per_conn);
+    let m = run_fleet(
+        &study.report,
+        width,
+        ServerConfig::default(),
+        ENDPOINTS,
+        conns,
+        per_conn,
+    );
     println!(
         "{:>6.0}  {:>9}  {:>9}  {:>9}  {:>9}  {:>6}",
         m.rate,
@@ -191,133 +197,4 @@ fn canonical_queries() -> Vec<RollupQuery> {
         }
     }
     queries
-}
-
-struct FleetMetrics {
-    rate: f64,
-    p50: u64,
-    p90: u64,
-    p99: u64,
-    max: u64,
-    errors: usize,
-}
-
-/// Serves a freshly sharded store and drives `conns` keep-alive
-/// clients of `per_conn` requests each; returns aggregate metrics.
-fn run_fleet(
-    report: &resilience::StudyReport,
-    shards: usize,
-    conns: usize,
-    per_conn: usize,
-) -> FleetMetrics {
-    let store = Arc::new(StoreHandle::new(StudyStore::build_sharded(
-        report.clone(),
-        None,
-        shards,
-    )));
-    let server = servd::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            max_queue: conns + 16,
-            ..ServerConfig::default()
-        },
-        Arc::clone(&store),
-    )
-    .unwrap_or_else(|e| panic!("failed to start server: {e}"));
-    let addr = server.addr().to_string();
-
-    let wall = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|c| {
-            let addr = addr.clone();
-            std::thread::spawn(move || client_run(&addr, c, per_conn))
-        })
-        .collect();
-    let mut latencies_ns: Vec<u64> = Vec::with_capacity(conns * per_conn);
-    let mut errors = 0usize;
-    for handle in handles {
-        match handle.join() {
-            Ok((lat, errs)) => {
-                latencies_ns.extend(lat);
-                errors += errs;
-            }
-            Err(_) => errors += per_conn,
-        }
-    }
-    let wall_secs = wall.elapsed().as_secs_f64();
-    server.shutdown();
-
-    latencies_ns.sort_unstable();
-    FleetMetrics {
-        rate: latencies_ns.len() as f64 / wall_secs.max(1e-12),
-        p50: percentile(&latencies_ns, 50),
-        p90: percentile(&latencies_ns, 90),
-        p99: percentile(&latencies_ns, 99),
-        max: latencies_ns.last().copied().unwrap_or(0),
-        errors,
-    }
-}
-
-/// One keep-alive connection issuing `count` requests, phased per
-/// client so the fleet covers the endpoint mix from request one.
-fn client_run(addr: &str, client: usize, count: usize) -> (Vec<u64>, usize) {
-    let mut latencies = Vec::with_capacity(count);
-    let mut errors = 0usize;
-    let mut conn = connect(addr);
-    for i in 0..count {
-        let path = ENDPOINTS[(client + i) % ENDPOINTS.len()];
-        let start = Instant::now();
-        let resp = get_on(&mut conn, path);
-        if resp.status == 200 && !resp.body.is_empty() {
-            latencies.push(start.elapsed().as_nanos() as u64);
-        } else {
-            errors += 1;
-        }
-    }
-    (latencies, errors)
-}
-
-fn percentile(sorted_ns: &[u64], pct: usize) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let rank = (sorted_ns.len() * pct).div_ceil(100);
-    sorted_ns[rank.saturating_sub(1).min(sorted_ns.len() - 1)]
-}
-
-fn human_ns(ns: u64) -> String {
-    let us = ns as f64 / 1e3;
-    if us >= 1e3 {
-        format!("{:.2} ms", us / 1e3)
-    } else {
-        format!("{us:.0} us")
-    }
-}
-
-fn parse_args() -> (bool, RunOptions) {
-    let mut smoke = false;
-    let mut positional: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            positional.push(arg);
-        }
-    }
-    let scale = positional
-        .first()
-        .map(|a| {
-            a.parse::<f64>()
-                .unwrap_or_else(|_| panic!("bad SCALE {a:?}"))
-        })
-        .unwrap_or(if smoke { 0.02 } else { 0.05 });
-    assert!(scale > 0.0 && scale <= 0.25, "SCALE must be in (0, 0.25]");
-    let seed = positional
-        .get(1)
-        .map(|a| {
-            a.parse::<u64>()
-                .unwrap_or_else(|_| panic!("bad SEED {a:?}"))
-        })
-        .unwrap_or(DEFAULT_SEED);
-    (smoke, RunOptions { scale, seed })
 }

@@ -19,8 +19,8 @@
 //! `--smoke` runs a reduced grid and asserts a machine-scaled throughput
 //! floor relative to the batch scan on the same machine.
 
-use bench::{banner, run_study, RunOptions, DEFAULT_SEED};
-use delta_gpu_resilience::bridge;
+use bench::{banner, RunOptions};
+use delta_gpu_resilience::corpus;
 use hpclog::extract::XidExtractor;
 use hpclog::quarantine::QuarantineLedger;
 use resilience::checkpoint::Checkpoint;
@@ -32,27 +32,19 @@ use std::time::Instant;
 const LOG_YEAR: i32 = 2022;
 
 fn main() {
-    let (smoke, options) = parse_args();
+    let (smoke, options) = RunOptions::from_smoke_args();
     banner("Streaming pipeline sweep (E13)", options);
-    let study = run_study(options, true);
-    let archive = &study.campaign.archive;
-    let (log, _) = study.campaign.render_log();
-    let gpu_jobs = bridge::jobs(&study.outcome.jobs);
-    let cpu_jobs = bridge::jobs(&study.outcome.cpu_jobs);
-    let outages = bridge::outages(study.campaign.ledger.outages());
-    let gpu_csv = resilience::csvio::render_jobs(&gpu_jobs);
-    let cpu_csv = resilience::csvio::render_jobs(&cpu_jobs);
-    let out_csv = resilience::csvio::render_outages(&outages);
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = study.campaign.config.periods;
+    let corpus = corpus::build(options.scale, options.seed, 0.0, true);
+    let (campaign, pipeline, log) = (&corpus.campaign, corpus.pipeline, corpus.log());
+    let (gpu_csv, cpu_csv, out_csv) = (corpus.gpu_csv(), corpus.cpu_csv(), corpus.out_csv());
 
-    let lines = archive.line_count() as u64;
+    let lines = campaign.archive.line_count() as u64;
     println!(
         "stream: {} lines, {:.1} MiB of log, {} GPU jobs, {} outages",
         lines,
         log.len() as f64 / (1024.0 * 1024.0),
-        gpu_jobs.len(),
-        outages.len()
+        corpus.outcome.jobs.len(),
+        campaign.ledger.outage_count()
     );
 
     // Batch oracle, and the batch scan on its own. The streamed legs
@@ -60,11 +52,10 @@ fn main() {
     // denominator is the batch lenient scan of the same bytes, not the
     // whole `run_lenient` (which adds CSV decode and report assembly).
     let iters = if smoke { 3 } else { 5 };
-    let (oracle, oracle_q) =
-        pipeline.run_lenient(log.as_slice(), LOG_YEAR, &gpu_csv, &cpu_csv, &out_csv);
+    let (oracle, oracle_q) = pipeline.run_lenient(log, LOG_YEAR, gpu_csv, cpu_csv, out_csv);
     let oracle_render = render_all(&oracle);
     let oracle_secs = median_secs(iters, || {
-        pipeline.run_lenient(log.as_slice(), LOG_YEAR, &gpu_csv, &cpu_csv, &out_csv)
+        pipeline.run_lenient(log, LOG_YEAR, gpu_csv, cpu_csv, out_csv)
     });
     println!(
         "batch lenient oracle (run_lenient): {:.2} ms, median of {iters}",
@@ -72,7 +63,7 @@ fn main() {
     );
     let scan_secs = median_secs(iters, || {
         let mut ledger = QuarantineLedger::new();
-        XidExtractor::studied_only(LOG_YEAR).scan_reader_lenient(log.as_slice(), &mut ledger)
+        XidExtractor::studied_only(LOG_YEAR).scan_reader_lenient(log, &mut ledger)
     });
     let scan_rate = lines as f64 / scan_secs.max(1e-12);
     println!(
@@ -93,7 +84,7 @@ fn main() {
         "chunk", "median ms", "lines/s", "vs scan", "peak state B"
     );
     for &chunk in chunks {
-        let engine = stream_once(&pipeline, &log, chunk, &gpu_csv, &cpu_csv, &out_csv);
+        let engine = stream_once(&pipeline, log, chunk, gpu_csv, cpu_csv, out_csv);
         let (report_s, quarantine_s) = engine.finalize();
         assert_eq!(
             render_all(&report_s),
@@ -127,7 +118,7 @@ fn main() {
         }
 
         // Untimed leg: sample serialized state size along the stream.
-        let peak = peak_state_bytes(&pipeline, &log, chunk);
+        let peak = peak_state_bytes(&pipeline, log, chunk);
         println!(
             "{:>12} {:>12.2} {:>14.0} {:>9.2}x {:>16}",
             chunk_label(chunk),
@@ -155,9 +146,9 @@ fn main() {
         let mut resumed = StreamingPipeline::restore(&restored).expect("restore own snapshot");
         resumed.push_log(&log[cut..]);
         resumed.finish_log();
-        resumed.push_gpu_jobs_csv(&gpu_csv);
-        resumed.push_cpu_jobs_csv(&cpu_csv);
-        resumed.push_outages_csv(&out_csv);
+        resumed.push_gpu_jobs_csv(gpu_csv);
+        resumed.push_cpu_jobs_csv(cpu_csv);
+        resumed.push_outages_csv(out_csv);
         let (r, q) = resumed.finalize();
         assert_eq!(
             render_all(&r),
@@ -243,36 +234,6 @@ fn chunk_label(chunk: usize) -> String {
     } else {
         chunk.to_string()
     }
-}
-
-/// Parses `[--smoke] [SCALE] [SEED]`. Defaults: scale 0.05 full, 0.02
-/// smoke.
-fn parse_args() -> (bool, RunOptions) {
-    let mut smoke = false;
-    let mut positional: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            positional.push(arg);
-        }
-    }
-    let scale = positional
-        .first()
-        .map(|a| {
-            a.parse::<f64>()
-                .unwrap_or_else(|_| panic!("bad SCALE {a:?}"))
-        })
-        .unwrap_or(if smoke { 0.02 } else { 0.05 });
-    assert!(scale > 0.0 && scale <= 0.25, "SCALE must be in (0, 0.25]");
-    let seed = positional
-        .get(1)
-        .map(|a| {
-            a.parse::<u64>()
-                .unwrap_or_else(|_| panic!("bad SEED {a:?}"))
-        })
-        .unwrap_or(DEFAULT_SEED);
-    (smoke, RunOptions { scale, seed })
 }
 
 fn median_secs<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {

@@ -1,5 +1,6 @@
 //! E19 tracing overhead: what request-scoped tracing, the flight
-//! recorder, and the self-scrape thread cost the E17 serving fleet.
+//! recorder, and the self-scrape thread cost a keep-alive serving
+//! fleet ([`bench::run_fleet`] over the [`bench::ENDPOINTS`] mix).
 //!
 //! Two parts. First a functional pass against a fully instrumented
 //! server (4 shards, 512-trace recorder, 1 s scrape cadence) proves the
@@ -10,7 +11,7 @@
 //! resolves too (it shows *no* `shard_scan` span — a rollup folds its
 //! cube from the report), `/readyz` answers, `/metrics/history`
 //! serves scraped points, and `/metrics` still validates under
-//! [`obs::check`]. Then the E17 160-connection fleet runs back-to-back
+//! [`obs::check`]. Then a 160-connection fleet runs back-to-back
 //! against a traced and an untraced server (5 rounds, arm order
 //! alternating ABBA so warm-up and thermal drift cancel; 1 round under
 //! `--smoke`) and the median per-round paired ratio is gated: tracing
@@ -23,48 +24,25 @@
 //! 12% throughput / 15% p99. Smoke runs on tiny fleets are noisier
 //! still and gate at 23%/30% — a tripwire, not a measurement.
 //!
-//! Two env ablations split the measured cost for the E19 writeup:
-//! `SERVD_ABLATE_HEADER=1` suppresses the response header (isolating
-//! wire + client parse), `SERVD_ABLATE_SEAL=1` drops traces instead of
-//! sealing them (isolating retention). Both skip the functional pass.
-//!
 //! ```text
 //! cargo run --release -p bench --bin trace_overhead [--smoke] [SCALE] [SEED]
 //! ```
 //!
 //! The machine-scaled floor (`150 × min(cores, 8)` req/s, as in
-//! E15/E17) must also hold *with tracing on* — observability that
-//! tanks the server below the floor is a regression even if the ratio
-//! looks fine.
+//! `tests/load_gates.rs`) must also hold *with tracing on* —
+//! observability that tanks the server below the floor is a regression
+//! even if the ratio looks fine.
 
-use bench::{banner, run_study, RunOptions, DEFAULT_SEED};
+use bench::{banner, human_ns, run_fleet, run_study, RunOptions, ENDPOINTS};
 use servd::testutil::{connect, get_on};
 use servd::{ServerConfig, StoreHandle, StudyStore};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The E15/E17 request mix, unchanged: comparable numbers across
-/// reports.
-const ENDPOINTS: &[&str] = &[
-    "/tables/1",
-    "/tables/2",
-    "/tables/3",
-    "/fig2",
-    "/errors",
-    "/errors?host=gpub001",
-    "/errors?xid=74",
-    "/mtbe",
-    "/mtbe?xid=119",
-    "/jobs/impact",
-    "/availability",
-    "/snapshot",
-    "/healthz",
-];
-
 const FUNCTIONAL_SHARDS: usize = 4;
 
 fn main() {
-    let (smoke, options) = parse_args();
+    let (smoke, options) = RunOptions::from_smoke_args();
     banner("servd tracing overhead (E19)", options);
 
     let study = run_study(options, false);
@@ -75,12 +53,7 @@ fn main() {
         study.report.availability.outage_count()
     );
 
-    // The functional pass asserts the full surface (header included),
-    // which the ablation switches deliberately break.
-    if std::env::var("SERVD_ABLATE_HEADER").is_err() && std::env::var("SERVD_ABLATE_SEAL").is_err()
-    {
-        functional_pass(&study.report);
-    }
+    functional_pass(&study.report);
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let floor = (150 * cores.min(8)) as f64;
@@ -90,9 +63,9 @@ fn main() {
     // so the smoke gate is only a tripwire. Full-scale gates scale with
     // the machine (see the module docs): on 1–2 cores the client fleet
     // shares the core budget, so its side of the instrumentation cost
-    // (~1 µs/request of X-Trace-Id parsing, measured by the
-    // SERVD_ABLATE_HEADER ablation) gates against the shared ~20 µs
-    // round trip rather than a server-only budget.
+    // (~1 µs/request of X-Trace-Id parsing, as EXPERIMENTS.md E19
+    // measured it) gates against the shared ~20 µs round trip rather
+    // than a server-only budget.
     let (max_p99_ratio, min_rate_ratio) = if smoke {
         (1.30, 0.77)
     } else if cores >= 4 {
@@ -121,7 +94,12 @@ fn main() {
             [true, false]
         };
         for &traced in &order {
-            let m = run_fleet(&study.report, shards, conns, per_conn, traced);
+            let config = ServerConfig {
+                trace_capacity: if traced { 512 } else { 0 },
+                scrape_secs: if traced { 1 } else { 0 },
+                ..ServerConfig::default()
+            };
+            let m = run_fleet(&study.report, shards, config, ENDPOINTS, conns, per_conn);
             println!(
                 "{round:>5}  {:<8}  {:>9.0}  {:>9}  {:>9}  {:>9}  {:>9}  {:>6}",
                 if traced { "traced" } else { "plain" },
@@ -195,7 +173,7 @@ fn main() {
         "\nReading: the trace path costs ~2 us/request all-in — roughly\n\
          1 us for the X-Trace-Id wire bytes and the client's parse of\n\
          them, ~0.9 us sealing into slowest-N retention, ~0.7 us span\n\
-         recording (split by the SERVD_ABLATE_* ablations). On a\n\
+         recording (the split EXPERIMENTS.md E19 records). On a\n\
          multi-core box the client fleet runs beside the event loop and\n\
          that cost sits inside the 5% gate; on this {cores}-core machine\n\
          client and server share the core budget, so the gate scales\n\
@@ -332,99 +310,6 @@ fn resolve_trace(conn: &mut std::net::TcpStream, id: &str) -> String {
     }
 }
 
-struct FleetMetrics {
-    rate: f64,
-    p50: u64,
-    p90: u64,
-    p99: u64,
-    max: u64,
-    errors: usize,
-}
-
-/// Serves a freshly sharded store — traced (512-trace recorder, 1 s
-/// scrape, the delta_serve defaults rounded up) or plain — and drives
-/// `conns` keep-alive clients of `per_conn` requests each.
-fn run_fleet(
-    report: &resilience::StudyReport,
-    shards: usize,
-    conns: usize,
-    per_conn: usize,
-    traced: bool,
-) -> FleetMetrics {
-    let store = Arc::new(StoreHandle::new(StudyStore::build_sharded(
-        report.clone(),
-        None,
-        shards,
-    )));
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        max_queue: conns + 16,
-        trace_capacity: if traced { 512 } else { 0 },
-        scrape_secs: if traced { 1 } else { 0 },
-        ..ServerConfig::default()
-    };
-    let server = servd::start(config, Arc::clone(&store))
-        .unwrap_or_else(|e| panic!("failed to start server: {e}"));
-    let addr = server.addr().to_string();
-
-    let wall = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|c| {
-            let addr = addr.clone();
-            std::thread::spawn(move || client_run(&addr, c, per_conn, traced))
-        })
-        .collect();
-    let mut latencies_ns: Vec<u64> = Vec::with_capacity(conns * per_conn);
-    let mut errors = 0usize;
-    for handle in handles {
-        match handle.join() {
-            Ok((lat, errs)) => {
-                latencies_ns.extend(lat);
-                errors += errs;
-            }
-            Err(_) => errors += per_conn,
-        }
-    }
-    let wall_secs = wall.elapsed().as_secs_f64();
-    server.shutdown();
-
-    latencies_ns.sort_unstable();
-    FleetMetrics {
-        rate: latencies_ns.len() as f64 / wall_secs.max(1e-12),
-        p50: percentile(&latencies_ns, 50),
-        p90: percentile(&latencies_ns, 90),
-        p99: percentile(&latencies_ns, 99),
-        max: latencies_ns.last().copied().unwrap_or(0),
-        errors,
-    }
-}
-
-/// One keep-alive connection issuing `count` requests, phased per
-/// client like E15/E17. On the traced arm every response must carry an
-/// `X-Trace-Id` — a silent instrumentation dropout would make the
-/// ratio meaningless.
-fn client_run(addr: &str, client: usize, count: usize, traced: bool) -> (Vec<u64>, usize) {
-    let mut latencies = Vec::with_capacity(count);
-    let mut errors = 0usize;
-    let mut conn = connect(addr);
-    for i in 0..count {
-        let path = ENDPOINTS[(client + i) % ENDPOINTS.len()];
-        let start = Instant::now();
-        let resp = get_on(&mut conn, path);
-        // Under the header ablation the traced arm legitimately answers
-        // without X-Trace-Id; everywhere else a dropout is an error.
-        static ABLATE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let instrumented = resp.header("X-Trace-Id").is_some() == traced
-            || *ABLATE.get_or_init(|| std::env::var("SERVD_ABLATE_HEADER").is_ok());
-        if resp.status == 200 && !resp.body.is_empty() && instrumented {
-            latencies.push(start.elapsed().as_nanos() as u64);
-        } else {
-            errors += 1;
-        }
-    }
-    (latencies, errors)
-}
-
 fn median_f64(values: &mut [f64]) -> f64 {
     values.sort_by(|a, b| a.total_cmp(b));
     values[values.len() / 2]
@@ -433,49 +318,4 @@ fn median_f64(values: &mut [f64]) -> f64 {
 fn median_u64(values: &mut [u64]) -> u64 {
     values.sort_unstable();
     values[values.len() / 2]
-}
-
-fn percentile(sorted_ns: &[u64], pct: usize) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let rank = (sorted_ns.len() * pct).div_ceil(100);
-    sorted_ns[rank.saturating_sub(1).min(sorted_ns.len() - 1)]
-}
-
-fn human_ns(ns: u64) -> String {
-    let us = ns as f64 / 1e3;
-    if us >= 1e3 {
-        format!("{:.2} ms", us / 1e3)
-    } else {
-        format!("{us:.0} us")
-    }
-}
-
-fn parse_args() -> (bool, RunOptions) {
-    let mut smoke = false;
-    let mut positional: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            positional.push(arg);
-        }
-    }
-    let scale = positional
-        .first()
-        .map(|a| {
-            a.parse::<f64>()
-                .unwrap_or_else(|_| panic!("bad SCALE {a:?}"))
-        })
-        .unwrap_or(if smoke { 0.02 } else { 0.05 });
-    assert!(scale > 0.0 && scale <= 0.25, "SCALE must be in (0, 0.25]");
-    let seed = positional
-        .get(1)
-        .map(|a| {
-            a.parse::<u64>()
-                .unwrap_or_else(|_| panic!("bad SEED {a:?}"))
-        })
-        .unwrap_or(DEFAULT_SEED);
-    (smoke, RunOptions { scale, seed })
 }

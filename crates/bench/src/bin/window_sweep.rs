@@ -28,6 +28,7 @@ fn main() {
     // Re-extract once; re-coalesce per window.
     let mut extractor = hpclog::extract::XidExtractor::studied_only(2022);
     let events: Vec<_> = study
+        .corpus
         .campaign
         .archive
         .iter()
@@ -66,7 +67,7 @@ fn main() {
         .filter(|e| study.report.config.periods.period_of(e.time) == Some(Phase::Op))
         .cloned()
         .collect();
-    let jobs = delta_gpu_resilience::bridge::jobs(&study.outcome.jobs);
+    let jobs = delta_gpu_resilience::bridge::jobs(&study.corpus.outcome.jobs);
     println!(
         "\nattribution window sweep (op-period errors: {}):",
         op_errors.len()

@@ -95,19 +95,6 @@ use simtime::{Duration, Period, StudyPeriods, Timestamp};
 use std::collections::BTreeMap;
 use xid::{ErrorKind, XidCode};
 
-/// A consumer of materialized study snapshots.
-///
-/// The publication seam between the streaming engine and whatever serves
-/// its results: [`StreamingPipeline::publish_snapshot`] materializes the
-/// prefix fed so far and hands the pair here. Implementations must accept
-/// the snapshot without blocking the pipeline for long — the `servd`
-/// store handle, the canonical implementor, builds its columnar store
-/// *before* taking its swap lock for exactly that reason.
-pub trait SnapshotSink {
-    /// Accepts one materialized snapshot.
-    fn publish(&self, report: StudyReport, quarantine: QuarantineReport);
-}
-
 /// Live per-kind tallies of the coalesced error stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindTally {
@@ -654,17 +641,6 @@ impl StreamingPipeline {
         );
         self.flush_pending();
         self.materialize_full()
-    }
-
-    /// Materializes the current prefix and hands it to `sink` — the
-    /// live-serving hook. A tailing deployment calls this on whatever
-    /// cadence it wants fresh query results; the stream itself is not
-    /// disturbed (see [`materialize_full`](Self::materialize_full)), and
-    /// the sink decides how to expose the snapshot (the `servd` store
-    /// handle swaps it in atomically behind running readers).
-    pub fn publish_snapshot(&self, sink: &dyn SnapshotSink) {
-        let (report, quarantine) = self.materialize_full();
-        sink.publish(report, quarantine);
     }
 
     // ---- checkpointing ----------------------------------------------

@@ -114,6 +114,6 @@ pub mod timeseries;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use coalesce::{coalesce, CoalescedError};
 pub use error::PipelineError;
-pub use incremental::{SnapshotSink, StreamingPipeline};
+pub use incremental::StreamingPipeline;
 pub use job::{AccountedJob, OutageRecord};
 pub use pipeline::{Caveat, Pipeline, QuarantineReport, StudyReport};

@@ -14,7 +14,7 @@
 //!        (429 on overflow)                                   │ cadence
 //!                                                            ▼
 //!  Pipeline / StreamingPipeline ──────────────── materialize + checkpoint
-//!        │ publish (SnapshotSink)
+//!        │ publish_study
 //!        ▼
 //!  StoreHandle ── RwLock<Arc<Published{id, StudyStore}>> ── atomic swap
 //!        │ current(): Arc clone     │ StudyStore = report + host-range index
@@ -28,8 +28,7 @@
 //!   (sorted column vectors and posting lists answering filtered queries
 //!   by binary search), every surface rendered from those two on the
 //!   event loop that asks, and the [`StoreHandle`](store::StoreHandle)
-//!   swap point implementing the core pipeline's
-//!   [`SnapshotSink`](resilience::incremental::SnapshotSink).
+//!   swap point that live ingest publishes through.
 //! * [`router`] — path/query dispatch: `/tables/{1,2,3}`, `/fig2`
 //!   (byte-identical to the offline renderers), `/errors`, `/mtbe`,
 //!   `/jobs/impact`, `/availability`, `/snapshot`, `/healthz`,

@@ -76,14 +76,9 @@ pub fn handle_traced(
         obs::histogram("servd_request_duration_us", &[], DURATION_US_BUCKETS)
             .observe(started.elapsed().as_micros() as u64);
     }
-    // Ablation switch for E19 (EXPERIMENTS.md): suppressing the header
-    // isolates what the wire bytes + the client's parse of them cost
-    // versus span recording and retention. Read once; dormant otherwise.
-    static ABLATE_HEADER: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let ablate = *ABLATE_HEADER.get_or_init(|| std::env::var("SERVD_ABLATE_HEADER").is_ok());
     match trace {
-        Some(t) if !ablate => response.with_header("X-Trace-Id", t.id_hex()),
-        _ => response,
+        Some(t) => response.with_header("X-Trace-Id", t.id_hex()),
+        None => response,
     }
 }
 

@@ -1026,14 +1026,6 @@ fn seal_pending(conn: &mut Conn, obs_state: &ObsState, now: Instant, terminal: &
         conn.pending.clear();
         return;
     };
-    // Ablation switch for E19 (EXPERIMENTS.md): dropping traces here
-    // instead of sealing them isolates what sort + record construction
-    // + slowest-N retention cost. Read once; dormant otherwise.
-    static ABLATE_SEAL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    if *ABLATE_SEAL.get_or_init(|| std::env::var("SERVD_ABLATE_SEAL").is_ok()) {
-        conn.pending.clear();
-        return;
-    }
     for p in conn.pending.drain(..) {
         p.trace.record_span(terminal, "", p.queued, now, 0);
         let total_ns = now

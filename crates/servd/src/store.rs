@@ -28,12 +28,11 @@
 //! [`publish`](StoreHandle::publish). Readers take the lock only long
 //! enough to clone the `Arc` (two atomic ops); they never wait on store
 //! construction, and a request that started on the old snapshot finishes
-//! on the old snapshot — responses are never torn across a swap. The
-//! streaming pipeline feeds live updates through the
-//! [`SnapshotSink`](resilience::incremental::SnapshotSink) impl,
-//! rebuilding with the same shard count the handle was seeded with.
+//! on the old snapshot — responses are never torn across a swap. Live
+//! ingest publishes through
+//! [`publish_study`](StoreHandle::publish_study), rebuilding with the
+//! same shard count the handle was seeded with.
 
-use resilience::incremental::SnapshotSink;
 use resilience::report;
 use resilience::rollup::{self, RollupCube};
 use resilience::{QuarantineReport, StudyReport};
@@ -813,22 +812,13 @@ impl StoreHandle {
 
     /// Builds a store from a materialized study, sharded like the initial
     /// store, and publishes it; returns the new snapshot id. The one
-    /// store-build path of live publishes: the ingest worker's and the
-    /// [`SnapshotSink`] impl's.
+    /// store-build path of live publishes.
     pub fn publish_study(&self, report: StudyReport, quarantine: &QuarantineReport) -> u64 {
         self.publish(StudyStore::build_sharded(
             report,
             Some(quarantine),
             self.publish_shards(),
         ))
-    }
-}
-
-impl SnapshotSink for StoreHandle {
-    /// The streaming pipeline's live-update path: materialized snapshots
-    /// land here and become the served store.
-    fn publish(&self, report: StudyReport, quarantine: QuarantineReport) {
-        self.publish_study(report, &quarantine);
     }
 }
 
@@ -1089,13 +1079,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_sink_preserves_the_shard_layout() {
+    fn publish_study_preserves_the_shard_layout() {
         let sharded = StudyStore::build_sharded(sample_report(), None, 4);
         let handle = StoreHandle::new(sharded);
         assert_eq!(handle.publish_shards(), 4);
         let mut engine = resilience::StreamingPipeline::new(Pipeline::delta(), 2022);
         engine.push_log(b"");
-        engine.publish_snapshot(&handle);
+        let (report, quarantine) = engine.materialize_full();
+        handle.publish_study(report, &quarantine);
         assert_eq!(handle.current().id, 2);
         assert_eq!(handle.current().store.shard_count(), 4);
     }
@@ -1228,11 +1219,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_sink_publishes_materialized_reports() {
+    fn publish_study_publishes_materialized_reports() {
         let handle = StoreHandle::new(store());
         let mut engine = resilience::StreamingPipeline::new(Pipeline::delta(), 2022);
         engine.push_log(b"");
-        engine.publish_snapshot(&handle);
+        let (report, quarantine) = engine.materialize_full();
+        handle.publish_study(report, &quarantine);
         assert_eq!(handle.current().id, 2);
         assert_eq!(handle.current().store.error_rows(), 0);
     }

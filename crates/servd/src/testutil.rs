@@ -1,7 +1,7 @@
 //! Shared test-support HTTP client for the server integration suites.
 //!
 //! Every differential suite (serve/ingest equivalence, backpressure,
-//! crash recovery) and the loadgen benches used to carry a private copy
+//! crash recovery) and the serving benches used to carry a private copy
 //! of the same tiny client: connect with `TCP_NODELAY`, send a whole
 //! request in **one write** (so the server's incremental parser sees the
 //! common fast path unless a test deliberately dribbles bytes), and read

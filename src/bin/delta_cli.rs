@@ -25,8 +25,8 @@
 //! [`delta_gpu_resilience::cli`].
 
 use delta_gpu_resilience::cli::{self, parse_flags, CliError, MetricsSink};
+use delta_gpu_resilience::corpus;
 use delta_gpu_resilience::prelude::*;
-use resilience::csvio;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -240,21 +240,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
         source,
     })?;
 
-    let mut config = if scale >= 1.0 {
-        FaultConfig::delta()
-    } else {
-        FaultConfig::delta_scaled(scale)
-    };
-    config.seed = seed;
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = if scale >= 1.0 {
-        WorkloadConfig::delta()
-    } else {
-        WorkloadConfig::delta_scaled(scale)
-    };
-    let outcome =
-        Simulation::new(&cluster, workload, seed).run(&campaign.ground_truth, &campaign.holds);
+    let corpus = corpus::build(scale, seed, 0.0, true);
+    let (campaign, outcome) = (&corpus.campaign, &corpus.outcome);
 
     // Per-day log files. `days()` yields exactly the keys `render_day`
     // accepts, so a miss is a bug in the campaign's log archive — report
@@ -273,12 +260,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
             days += 1;
         }
         // Job + outage CSVs.
-        let jobs_csv = csvio::render_jobs(&bridge::jobs(&outcome.jobs));
-        cli::write_file(out_dir.join("gpu_jobs.csv"), jobs_csv, "writing")?;
-        let cpu_csv = csvio::render_jobs(&bridge::jobs(&outcome.cpu_jobs));
-        cli::write_file(out_dir.join("cpu_jobs.csv"), cpu_csv, "writing")?;
-        let outage_csv = csvio::render_outages(&bridge::outages(campaign.ledger.outages()));
-        cli::write_file(out_dir.join("outages.csv"), outage_csv, "writing")?;
+        cli::write_file(out_dir.join("gpu_jobs.csv"), corpus.gpu_csv(), "writing")?;
+        cli::write_file(out_dir.join("cpu_jobs.csv"), corpus.cpu_csv(), "writing")?;
+        cli::write_file(out_dir.join("outages.csv"), corpus.out_csv(), "writing")?;
         span.add_items(days + 3);
     }
 

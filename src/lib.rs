@@ -125,6 +125,105 @@ pub mod bridge {
     }
 }
 
+/// The one way a simulated corpus is built: a seeded fault campaign over
+/// Delta, the scheduler run against its ground truth, and the inputs the
+/// analysis reads — log bytes plus the three CSV exports — with the
+/// pipeline set to the campaign's study periods.
+///
+/// Every binary, bench and suite whose fixture is campaign → cluster →
+/// schedule → render builds it here, so two of them given the same
+/// arguments analyse the same bytes.
+pub mod corpus {
+    use crate::bridge;
+    use clustersim::Cluster;
+    use faultsim::{Campaign, CampaignOutput, FaultConfig};
+    use hpclog::chaos::ChaosConfig;
+    use resilience::{csvio, Pipeline};
+    use slurmsim::{Simulation, SimulationOutcome, WorkloadConfig};
+    use std::sync::OnceLock;
+
+    /// A simulated study's inputs. The text inputs are rendered on first
+    /// use, so a caller that reads only the archive or the records pays
+    /// for no text.
+    pub struct Corpus {
+        /// The fault campaign: ground truth, outage ledger, log archive.
+        pub campaign: CampaignOutput,
+        /// The schedule run against the campaign's ground truth and holds.
+        pub outcome: SimulationOutcome,
+        /// `Pipeline::delta()` over the campaign's study periods.
+        pub pipeline: Pipeline,
+        log: OnceLock<Vec<u8>>,
+        gpu_csv: OnceLock<String>,
+        cpu_csv: OnceLock<String>,
+        out_csv: OnceLock<String>,
+    }
+
+    impl Corpus {
+        /// The archive as syslog bytes, chaos-corrupted when a chaos rate
+        /// was given; empty when the campaign emitted no log lines.
+        pub fn log(&self) -> &[u8] {
+            self.log.get_or_init(|| self.campaign.render_log().0)
+        }
+
+        /// The GPU job export.
+        pub fn gpu_csv(&self) -> &str {
+            self.gpu_csv
+                .get_or_init(|| csvio::render_jobs(&bridge::jobs(&self.outcome.jobs)))
+        }
+
+        /// The CPU job export.
+        pub fn cpu_csv(&self) -> &str {
+            self.cpu_csv
+                .get_or_init(|| csvio::render_jobs(&bridge::jobs(&self.outcome.cpu_jobs)))
+        }
+
+        /// The outage export.
+        pub fn out_csv(&self) -> &str {
+            self.out_csv.get_or_init(|| {
+                csvio::render_outages(&bridge::outages(self.campaign.ledger.outages()))
+            })
+        }
+    }
+
+    /// Builds the corpus at `scale` (full Delta at `1.0`) from `seed`,
+    /// which seeds the campaign, the schedule and the chaos injector.
+    /// A `chaos_rate` above zero corrupts that share of log lines, two
+    /// percent of them as duplicates. `emit_logs` off leaves the archive
+    /// empty, for runs that read only the ground truth; it also changes
+    /// the campaign's random draws, so it is part of the corpus.
+    pub fn build(scale: f64, seed: u64, chaos_rate: f64, emit_logs: bool) -> Corpus {
+        let full = scale >= 1.0;
+        let mut config = if full {
+            FaultConfig::delta()
+        } else {
+            FaultConfig::delta_scaled(scale)
+        };
+        config.seed = seed;
+        config.emit_logs = emit_logs;
+        config.chaos = (chaos_rate > 0.0)
+            .then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, seed));
+        let campaign = Campaign::new(config).run();
+        let workload = if full {
+            WorkloadConfig::delta()
+        } else {
+            WorkloadConfig::delta_scaled(scale)
+        };
+        let outcome = Simulation::new(&Cluster::new(campaign.config.spec), workload, seed)
+            .run(&campaign.ground_truth, &campaign.holds);
+        let mut pipeline = Pipeline::delta();
+        pipeline.periods = campaign.config.periods;
+        Corpus {
+            campaign,
+            outcome,
+            pipeline,
+            log: OnceLock::new(),
+            gpu_csv: OnceLock::new(),
+            cpu_csv: OnceLock::new(),
+            out_csv: OnceLock::new(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::bridge;

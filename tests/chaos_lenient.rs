@@ -128,30 +128,17 @@ fn strict_and_lenient_agree_on_clean_bytes() {
     // Cross-path anchor: on a clean rendered campaign, the lenient byte
     // path and the archive path must agree on every aggregate the renders
     // show (the canonical event order makes them byte-identical).
-    const SCALE: f64 = 0.02;
-    const SEED: u64 = 0xFEED;
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let gpu_jobs = bridge::jobs(&outcome.jobs);
-    let cpu_jobs = bridge::jobs(&outcome.cpu_jobs);
-    let outages = bridge::outages(campaign.ledger.outages());
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    let strict = pipeline.run(&campaign.archive, &gpu_jobs, &cpu_jobs, &outages);
-    // The scaled calendar starts Jan 1 2022 and ends before New Year.
-    let (log, _) = campaign.render_log();
-    let (lenient, q) = pipeline.run_lenient(
-        log.as_slice(),
-        2022,
-        &csvio::render_jobs(&gpu_jobs),
-        &csvio::render_jobs(&cpu_jobs),
-        &csvio::render_outages(&outages),
+    let c = delta_gpu_resilience::corpus::build(0.02, 0xFEED, 0.0, true);
+    let strict = c.pipeline.run(
+        &c.campaign.archive,
+        &bridge::jobs(&c.outcome.jobs),
+        &bridge::jobs(&c.outcome.cpu_jobs),
+        &bridge::outages(c.campaign.ledger.outages()),
     );
+    // The scaled calendar starts Jan 1 2022 and ends before New Year.
+    let (lenient, q) = c
+        .pipeline
+        .run_lenient(c.log(), 2022, c.gpu_csv(), c.cpu_csv(), c.out_csv());
     assert!(q.is_clean(), "{:?}", q.ledger.counts());
     assert_eq!(
         lenient.coalesce_summary.errors,

@@ -2,26 +2,19 @@
 //! on scaled campaigns, validating that the analysis recovers what the
 //! generators injected.
 
+use delta_gpu_resilience::corpus;
 use delta_gpu_resilience::prelude::*;
 
 /// A scaled campaign + schedule + analysis, shared across tests.
 fn run_study(scale: f64, seed: u64) -> (CampaignOutput, StudyReport) {
-    let mut config = FaultConfig::delta_scaled(scale);
-    config.seed = seed;
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(scale);
-    let outcome =
-        Simulation::new(&cluster, workload, seed).run(&campaign.ground_truth, &campaign.holds);
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    let report = pipeline.run(
-        &campaign.archive,
-        &bridge::jobs(&outcome.jobs),
-        &bridge::jobs(&outcome.cpu_jobs),
-        &bridge::outages(campaign.ledger.outages()),
+    let c = corpus::build(scale, seed, 0.0, true);
+    let report = c.pipeline.run(
+        &c.campaign.archive,
+        &bridge::jobs(&c.outcome.jobs),
+        &bridge::jobs(&c.outcome.cpu_jobs),
+        &bridge::outages(c.campaign.ledger.outages()),
     );
-    (campaign, report)
+    (c.campaign, report)
 }
 
 #[test]

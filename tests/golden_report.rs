@@ -11,6 +11,7 @@
 //! git diff tests/fixtures/golden/   # review what moved, then commit
 //! ```
 
+use delta_gpu_resilience::corpus;
 use delta_gpu_resilience::prelude::*;
 use resilience::markdown;
 use std::path::PathBuf;
@@ -28,20 +29,12 @@ fn golden_dir() -> PathBuf {
 }
 
 fn snapshot_report() -> StudyReport {
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    pipeline.run(
-        &campaign.archive,
-        &bridge::jobs(&outcome.jobs),
-        &bridge::jobs(&outcome.cpu_jobs),
-        &bridge::outages(campaign.ledger.outages()),
+    let c = corpus::build(SCALE, SEED, 0.0, true);
+    c.pipeline.run(
+        &c.campaign.archive,
+        &bridge::jobs(&c.outcome.jobs),
+        &bridge::jobs(&c.outcome.cpu_jobs),
+        &bridge::outages(c.campaign.ledger.outages()),
     )
 }
 

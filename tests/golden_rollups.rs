@@ -1,7 +1,7 @@
 //! Golden snapshot tests for the `/rollup` surfaces: fixed-seed rollup
 //! CSVs are committed under `tests/fixtures/golden/rollups/`, pinning
-//! the cube build, the k-way merge, the civil-time bucket edges and the
-//! CSV rendering down to the byte — including one fixture whose window
+//! the cube fold, the civil-time bucket edges and the CSV rendering
+//! down to the byte — including one fixture whose window
 //! straddles the America/Chicago fall-back DST transition, so a
 //! regression in the fold/gap handling shows up as a reviewable diff.
 //!
@@ -12,6 +12,7 @@
 //! git diff tests/fixtures/golden/rollups/   # review what moved, commit
 //! ```
 
+use delta_gpu_resilience::corpus;
 use delta_gpu_resilience::prelude::*;
 use hpclog::{PciAddr, XidEvent};
 use servd::{RollupMetric, RollupQuery, StudyStore};
@@ -31,20 +32,12 @@ fn golden_dir() -> PathBuf {
 }
 
 fn snapshot_store() -> StudyStore {
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    let report = pipeline.run(
-        &campaign.archive,
-        &bridge::jobs(&outcome.jobs),
-        &bridge::jobs(&outcome.cpu_jobs),
-        &bridge::outages(campaign.ledger.outages()),
+    let c = corpus::build(SCALE, SEED, 0.0, true);
+    let report = c.pipeline.run(
+        &c.campaign.archive,
+        &bridge::jobs(&c.outcome.jobs),
+        &bridge::jobs(&c.outcome.cpu_jobs),
+        &bridge::outages(c.campaign.ledger.outages()),
     );
     StudyStore::build_sharded(report, None, 4)
 }

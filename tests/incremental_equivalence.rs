@@ -11,12 +11,12 @@
 //! a checkpoint cut (Δt = 20 s boundary), and reservoir determinism
 //! across restore.
 
+use delta_gpu_resilience::corpus::{self, Corpus};
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::ChaosConfig;
 use hpclog::PciAddr;
 use resilience::checkpoint::Checkpoint;
 use resilience::incremental::StreamingPipeline;
-use resilience::{csvio, markdown};
+use resilience::markdown;
 use std::path::PathBuf;
 use xid::XidCode;
 
@@ -66,62 +66,30 @@ fn assert_quarantine_eq(a: &QuarantineReport, b: &QuarantineReport, what: &str) 
     assert_eq!(a.caveats, b.caveats, "{what}: caveats");
 }
 
-struct Dataset {
-    pipeline: Pipeline,
-    log: Vec<u8>,
-    gpu_csv: String,
-    cpu_csv: String,
-    out_csv: String,
+fn dataset(scale: f64, seed: u64, chaos_rate: f64) -> Corpus {
+    corpus::build(scale, seed, chaos_rate, true)
 }
 
-fn dataset(scale: f64, seed: u64, chaos_rate: f64) -> Dataset {
-    let mut config = FaultConfig::delta_scaled(scale);
-    config.seed = seed;
-    config.emit_logs = true;
-    config.chaos =
-        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, seed));
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(scale);
-    let outcome =
-        Simulation::new(&cluster, workload, seed).run(&campaign.ground_truth, &campaign.holds);
-    let (log, _) = campaign.render_log();
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    Dataset {
-        pipeline,
-        log,
-        gpu_csv: csvio::render_jobs(&bridge::jobs(&outcome.jobs)),
-        cpu_csv: csvio::render_jobs(&bridge::jobs(&outcome.cpu_jobs)),
-        out_csv: csvio::render_outages(&bridge::outages(campaign.ledger.outages())),
-    }
-}
-
-fn batch(d: &Dataset) -> (StudyReport, QuarantineReport) {
-    d.pipeline.run_lenient(
-        d.log.as_slice(),
-        LOG_YEAR,
-        &d.gpu_csv,
-        &d.cpu_csv,
-        &d.out_csv,
-    )
+fn batch(d: &Corpus) -> (StudyReport, QuarantineReport) {
+    d.pipeline
+        .run_lenient(d.log(), LOG_YEAR, d.gpu_csv(), d.cpu_csv(), d.out_csv())
 }
 
 /// Streams the dataset at `chunk` granularity (CSVs too), in the batch
 /// path's canonical feed order.
-fn stream(d: &Dataset, chunk: usize) -> StreamingPipeline {
+fn stream(d: &Corpus, chunk: usize) -> StreamingPipeline {
     let mut engine = StreamingPipeline::new(d.pipeline, LOG_YEAR);
-    for piece in d.log.chunks(chunk) {
+    for piece in d.log().chunks(chunk) {
         engine.push_log(piece);
     }
     engine.finish_log();
-    for piece in d.gpu_csv.as_bytes().chunks(chunk.max(1)) {
+    for piece in d.gpu_csv().as_bytes().chunks(chunk.max(1)) {
         engine.push_gpu_jobs_csv(std::str::from_utf8(piece).expect("ASCII CSV"));
     }
-    for piece in d.cpu_csv.as_bytes().chunks(chunk.max(1)) {
+    for piece in d.cpu_csv().as_bytes().chunks(chunk.max(1)) {
         engine.push_cpu_jobs_csv(std::str::from_utf8(piece).expect("ASCII CSV"));
     }
-    for piece in d.out_csv.as_bytes().chunks(chunk.max(1)) {
+    for piece in d.out_csv().as_bytes().chunks(chunk.max(1)) {
         engine.push_outages_csv(std::str::from_utf8(piece).expect("ASCII CSV"));
     }
     engine
@@ -136,7 +104,7 @@ fn campaign_equivalence_at(chaos_rate: f64) {
     }
     for chunk in [1usize, 7, 1024, usize::MAX] {
         let what = format!("chaos={chaos_rate} chunk={chunk}");
-        let engine = stream(&d, chunk.min(d.log.len().max(1)));
+        let engine = stream(&d, chunk.min(d.log().len().max(1)));
         let (r, q) = engine.finalize();
         assert_eq!(render_all(&r), oracle_render, "{what}: render");
         assert_quarantine_eq(&q, &oracle_q, &what);
@@ -161,19 +129,19 @@ fn checkpoint_cuts_through_the_corrupted_campaign_are_invisible() {
     // Cut at awkward byte offsets: mid-line, mid-burst, wherever they
     // land — the snapshot must not care. One leg also cuts mid-CSV.
     for frac in [3, 5, 7] {
-        let cut = d.log.len() / frac;
+        let cut = d.log().len() / frac;
         let what = format!("cut at 1/{frac}");
         let mut first = StreamingPipeline::new(d.pipeline, LOG_YEAR);
-        first.push_log(&d.log[..cut]);
+        first.push_log(&d.log()[..cut]);
         let bytes = first.checkpoint().into_bytes();
         let loaded = Checkpoint::from_bytes(bytes).expect("snapshot reads back");
         let mut resumed = StreamingPipeline::restore(&loaded).expect("snapshot restores");
         assert_eq!(resumed.log_bytes_fed(), cut as u64, "{what}: resume offset");
-        resumed.push_log(&d.log[cut..]);
+        resumed.push_log(&d.log()[cut..]);
         resumed.finish_log();
-        resumed.push_gpu_jobs_csv(&d.gpu_csv);
-        resumed.push_cpu_jobs_csv(&d.cpu_csv);
-        resumed.push_outages_csv(&d.out_csv);
+        resumed.push_gpu_jobs_csv(d.gpu_csv());
+        resumed.push_cpu_jobs_csv(d.cpu_csv());
+        resumed.push_outages_csv(d.out_csv());
         let (r, q) = resumed.finalize();
         assert_eq!(render_all(&r), oracle_render, "{what}: render");
         assert_quarantine_eq(&q, &oracle_q, &what);
@@ -182,15 +150,15 @@ fn checkpoint_cuts_through_the_corrupted_campaign_are_invisible() {
     // Mid-CSV cut: the carry of a half-fed job row must survive the
     // snapshot.
     let mut first = StreamingPipeline::new(d.pipeline, LOG_YEAR);
-    first.push_log(&d.log);
+    first.push_log(d.log());
     first.finish_log();
-    let half = d.gpu_csv.len() / 2;
-    first.push_gpu_jobs_csv(&d.gpu_csv[..half]);
+    let half = d.gpu_csv().len() / 2;
+    first.push_gpu_jobs_csv(&d.gpu_csv()[..half]);
     let loaded = Checkpoint::from_bytes(first.checkpoint().into_bytes()).expect("snapshot");
     let mut resumed = StreamingPipeline::restore(&loaded).expect("restore mid-CSV");
-    resumed.push_gpu_jobs_csv(&d.gpu_csv[half..]);
-    resumed.push_cpu_jobs_csv(&d.cpu_csv);
-    resumed.push_outages_csv(&d.out_csv);
+    resumed.push_gpu_jobs_csv(&d.gpu_csv()[half..]);
+    resumed.push_cpu_jobs_csv(d.cpu_csv());
+    resumed.push_outages_csv(d.out_csv());
     let (r, q) = resumed.finalize();
     assert_eq!(render_all(&r), oracle_render, "mid-CSV cut: render");
     assert_quarantine_eq(&q, &oracle_q, "mid-CSV cut");

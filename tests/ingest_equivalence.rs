@@ -19,9 +19,8 @@
 //! The oracle never touches the ingest machinery: expected bytes come
 //! from `resilience::report` over a batch run of the identical corpus.
 
+use delta_gpu_resilience::corpus::{self, Corpus};
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::ChaosConfig;
-use resilience::csvio;
 use servd::{IngestConfig, ServerConfig, StoreHandle, StudyStore};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -35,37 +34,9 @@ const LOG_YEAR: i32 = 2022;
 
 // ---------------------------------------------------------------- dataset
 
-struct Dataset {
-    pipeline: Pipeline,
-    log: Vec<u8>,
-    gpu_csv: String,
-    cpu_csv: String,
-    out_csv: String,
-}
-
-/// Same construction as `tests/serve_equivalence.rs`: one simulated
-/// campaign, optionally corrupted, plus its CSV exports.
-fn dataset(chaos_rate: f64) -> Dataset {
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    config.emit_logs = true;
-    config.chaos =
-        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let (log, _) = campaign.render_log();
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    Dataset {
-        pipeline,
-        log,
-        gpu_csv: csvio::render_jobs(&bridge::jobs(&outcome.jobs)),
-        cpu_csv: csvio::render_jobs(&bridge::jobs(&outcome.cpu_jobs)),
-        out_csv: csvio::render_outages(&bridge::outages(campaign.ledger.outages())),
-    }
+/// One simulated campaign, optionally corrupted, plus its CSV exports.
+fn dataset(chaos_rate: f64) -> Corpus {
+    corpus::build(SCALE, SEED, chaos_rate, true)
 }
 
 /// A fresh scratch directory under the system temp root; unique per
@@ -197,11 +168,19 @@ impl Live {
 
 /// The offline truth for a corpus: batch `run_lenient` over the whole
 /// thing, rendered to the four compared surfaces.
-fn oracle_surfaces(d: &Dataset, log: &[u8]) -> Vec<(&'static str, String)> {
-    let (report, _) = d
-        .pipeline
-        .run_lenient(log, LOG_YEAR, &d.gpu_csv, &d.cpu_csv, &d.out_csv);
+fn oracle_surfaces(
+    pipeline: &Pipeline,
+    log: &[u8],
+    [gpu_csv, cpu_csv, out_csv]: [&str; 3],
+) -> Vec<(&'static str, String)> {
+    let (report, _) = pipeline.run_lenient(log, LOG_YEAR, gpu_csv, cpu_csv, out_csv);
     surfaces_of(&report)
+}
+
+/// A corpus's CSV exports in acceptance order: GPU jobs, CPU jobs,
+/// outages.
+fn csvs(d: &Corpus) -> [&str; 3] {
+    [d.gpu_csv(), d.cpu_csv(), d.out_csv()]
 }
 
 fn surfaces_of(report: &StudyReport) -> Vec<(&'static str, String)> {
@@ -245,15 +224,11 @@ fn surfaces_of(report: &StudyReport) -> Vec<(&'static str, String)> {
 
 /// Feeds the corpus through the ingest endpoints in acceptance order
 /// (logs, then the three CSV streams), `chunk` bytes per POST.
-fn post_corpus(conn: &mut TcpStream, d: &Dataset, log: &[u8], chunk: usize) {
+fn post_corpus(conn: &mut TcpStream, log: &[u8], csvs: [&str; 3], chunk: usize) {
     for (i, piece) in log.chunks(chunk).enumerate() {
         post_chunk(conn, "logs", i as u64, piece);
     }
-    for (stream, csv) in [
-        ("jobs", &d.gpu_csv),
-        ("cpu-jobs", &d.cpu_csv),
-        ("outages", &d.out_csv),
-    ] {
+    for (stream, csv) in ["jobs", "cpu-jobs", "outages"].into_iter().zip(csvs) {
         for (i, piece) in csv.as_bytes().chunks(chunk).enumerate() {
             post_chunk(conn, stream, i as u64, piece);
         }
@@ -287,7 +262,7 @@ fn assert_converged(conn: &mut TcpStream, expected: &[(&'static str, String)], c
 fn chunked_posts_converge_to_the_offline_oracle() {
     for chaos_rate in [0.0, 0.05] {
         let d = dataset(chaos_rate);
-        let expected = oracle_surfaces(&d, &d.log);
+        let expected = oracle_surfaces(&d.pipeline, d.log(), csvs(&d));
         assert!(
             expected
                 .iter()
@@ -298,8 +273,8 @@ fn chunked_posts_converge_to_the_offline_oracle() {
             let dir = scratch("matrix");
             let live = Live::start(&dir, d.pipeline, 64);
             let mut conn = live.connect();
-            post_corpus(&mut conn, &d, &d.log, chunk);
-            let want_logs = d.log.chunks(chunk).count() as u64;
+            post_corpus(&mut conn, d.log(), csvs(&d), chunk);
+            let want_logs = d.log().chunks(chunk).count() as u64;
             assert_eq!(
                 live.accepted()[0],
                 want_logs,
@@ -325,20 +300,17 @@ fn degenerate_one_and_seven_byte_chunks_converge() {
     // boundaries — the oracle sees the identical torn tail.
     for chaos_rate in [0.0, 0.05] {
         let d = dataset(chaos_rate);
-        let log = &d.log[..d.log.len().min(1500)];
-        let small = Dataset {
-            pipeline: d.pipeline,
-            log: log.to_vec(),
-            gpu_csv: d.gpu_csv.lines().take(8).collect::<Vec<_>>().join("\n"),
-            cpu_csv: d.cpu_csv.lines().take(8).collect::<Vec<_>>().join("\n"),
-            out_csv: d.out_csv.lines().take(4).collect::<Vec<_>>().join("\n"),
-        };
-        let expected = oracle_surfaces(&small, &small.log);
+        let log = &d.log()[..d.log().len().min(1500)];
+        let gpu_csv = d.gpu_csv().lines().take(8).collect::<Vec<_>>().join("\n");
+        let cpu_csv = d.cpu_csv().lines().take(8).collect::<Vec<_>>().join("\n");
+        let out_csv = d.out_csv().lines().take(4).collect::<Vec<_>>().join("\n");
+        let small = [gpu_csv.as_str(), cpu_csv.as_str(), out_csv.as_str()];
+        let expected = oracle_surfaces(&d.pipeline, log, small);
         for chunk in [1usize, 7] {
             let dir = scratch("tiny");
-            let live = Live::start(&dir, small.pipeline, 32);
+            let live = Live::start(&dir, d.pipeline, 32);
             let mut conn = live.connect();
-            post_corpus(&mut conn, &small, &small.log, chunk);
+            post_corpus(&mut conn, log, small, chunk);
             assert_converged(
                 &mut conn,
                 &expected,
@@ -353,8 +325,8 @@ fn degenerate_one_and_seven_byte_chunks_converge() {
 #[test]
 fn acknowledged_chunks_survive_a_restart_and_duplicates_are_absorbed() {
     let d = dataset(0.0);
-    let expected = oracle_surfaces(&d, &d.log);
-    let chunks: Vec<&[u8]> = d.log.chunks(1024).collect();
+    let expected = oracle_surfaces(&d.pipeline, d.log(), csvs(&d));
+    let chunks: Vec<&[u8]> = d.log().chunks(1024).collect();
     let dir = scratch("restart");
 
     // Phase A — a server that acknowledges but never applies: no worker
@@ -424,9 +396,9 @@ fn acknowledged_chunks_survive_a_restart_and_duplicates_are_absorbed() {
         post_chunk(&mut conn, "logs", i as u64, piece);
     }
     for (stream, csv) in [
-        ("jobs", &d.gpu_csv),
-        ("cpu-jobs", &d.cpu_csv),
-        ("outages", &d.out_csv),
+        ("jobs", d.gpu_csv()),
+        ("cpu-jobs", d.cpu_csv()),
+        ("outages", d.out_csv()),
     ] {
         for (i, piece) in csv.as_bytes().chunks(4096).enumerate() {
             post_chunk(&mut conn, stream, i as u64, piece);

@@ -14,8 +14,8 @@
 //! exact. (Unit-level behavior of the registry itself is covered in
 //! `crates/obs`, against private instances.)
 
+use delta_gpu_resilience::corpus::{self, Corpus};
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::ChaosConfig;
 use obs::registry::{counter_total, MetricSnapshot};
 use resilience::csvio;
 use resilience::incremental::StreamingPipeline;
@@ -40,35 +40,8 @@ const INVARIANTS: &[&str] = &[
     "core_attribution_window_hits_total",
 ];
 
-struct Dataset {
-    pipeline: Pipeline,
-    log: Vec<u8>,
-    gpu_csv: String,
-    cpu_csv: String,
-    out_csv: String,
-}
-
-fn dataset(chaos_rate: f64) -> Dataset {
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    config.emit_logs = true;
-    config.chaos =
-        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let (log, _) = campaign.render_log();
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    Dataset {
-        pipeline,
-        log,
-        gpu_csv: csvio::render_jobs(&bridge::jobs(&outcome.jobs)),
-        cpu_csv: csvio::render_jobs(&bridge::jobs(&outcome.cpu_jobs)),
-        out_csv: csvio::render_outages(&bridge::outages(campaign.ledger.outages())),
-    }
+fn dataset(chaos_rate: f64) -> Corpus {
+    corpus::build(SCALE, SEED, chaos_rate, true)
 }
 
 /// Every surface a run renders, plus the quarantine ledger.
@@ -99,28 +72,23 @@ fn counter_delta(before: &[MetricSnapshot], after: &[MetricSnapshot], name: &str
     counter_total(after, name) - counter_total(before, name)
 }
 
-fn serial(d: &Dataset) -> (StudyReport, QuarantineReport) {
-    d.pipeline.run_lenient(
-        d.log.as_slice(),
-        LOG_YEAR,
-        &d.gpu_csv,
-        &d.cpu_csv,
-        &d.out_csv,
-    )
+fn serial(d: &Corpus) -> (StudyReport, QuarantineReport) {
+    d.pipeline
+        .run_lenient(d.log(), LOG_YEAR, d.gpu_csv(), d.cpu_csv(), d.out_csv())
 }
 
-fn streaming(d: &Dataset, chunk: usize, views: bool) -> (StudyReport, QuarantineReport) {
+fn streaming(d: &Corpus, chunk: usize, views: bool) -> (StudyReport, QuarantineReport) {
     let mut engine = StreamingPipeline::new(d.pipeline, LOG_YEAR);
-    for piece in d.log.chunks(chunk) {
+    for piece in d.log().chunks(chunk) {
         engine.push_log(piece);
         if views {
             std::hint::black_box(engine.materialize_full());
         }
     }
     engine.finish_log();
-    engine.push_gpu_jobs_csv(&d.gpu_csv);
-    engine.push_cpu_jobs_csv(&d.cpu_csv);
-    engine.push_outages_csv(&d.out_csv);
+    engine.push_gpu_jobs_csv(d.gpu_csv());
+    engine.push_cpu_jobs_csv(d.cpu_csv());
+    engine.push_outages_csv(d.out_csv());
     engine.finalize()
 }
 

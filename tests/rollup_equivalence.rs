@@ -7,17 +7,16 @@
 //! The oracles here trust only `simtime::civiltime` (whose bucket
 //! functions are proven total/monotone/partition-complete by
 //! `crates/simtime/tests/civiltime_properties.rs`); everything the
-//! rollup layer adds on top — per-shard cube builds, the k-way merge,
-//! sparse-cell rendering, window slicing, filters — is recomputed from
+//! rollup layer adds on top — the cube fold, sparse-cell rendering,
+//! window slicing, filters — is recomputed from
 //! scratch with plain `BTreeMap` folds and compared byte-for-byte. The
 //! DST legs pin the calendar facts directly: a fold-hour appears as two
 //! buckets disambiguated by offset suffix, and the fall-back local day
 //! is a single 25-hour bucket.
 
+use delta_gpu_resilience::corpus;
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::ChaosConfig;
 use hpclog::{PciAddr, XidEvent};
-use resilience::csvio;
 use servd::testutil::{connect, get_on};
 use servd::{RollupMetric, RollupQuery, ServerConfig, StoreHandle, StudyStore};
 use std::collections::BTreeMap;
@@ -32,30 +31,12 @@ const TZS: [&str; 2] = ["America/Chicago", "Europe/Berlin"];
 
 // ---------------------------------------------------------------- dataset
 
-/// Same campaign construction as the other equivalence suites: one
-/// simulated study, optionally chaos-corrupted, through the lenient
+/// One simulated study, optionally chaos-corrupted, through the lenient
 /// pipeline.
 fn study(chaos_rate: f64) -> (StudyReport, QuarantineReport) {
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    config.emit_logs = true;
-    config.chaos =
-        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let (log, _) = campaign.render_log();
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    pipeline.run_lenient(
-        log.as_slice(),
-        LOG_YEAR,
-        &csvio::render_jobs(&bridge::jobs(&outcome.jobs)),
-        &csvio::render_jobs(&bridge::jobs(&outcome.cpu_jobs)),
-        &csvio::render_outages(&bridge::outages(campaign.ledger.outages())),
-    )
+    let c = corpus::build(SCALE, SEED, chaos_rate, true);
+    c.pipeline
+        .run_lenient(c.log(), LOG_YEAR, c.gpu_csv(), c.cpu_csv(), c.out_csv())
 }
 
 // ---------------------------------------------------------------- oracles

@@ -11,10 +11,9 @@
 //! posting lists, binary-searched time slices, response cache or snapshot
 //! pinning are wrong in any observable way, one of these legs diverges.
 
+use delta_gpu_resilience::corpus::{self, Corpus};
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::ChaosConfig;
 use hpclog::{PciAddr, XidEvent};
-use resilience::csvio;
 use servd::{ServerConfig, StoreHandle, StudyStore};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,37 +27,9 @@ const LOG_YEAR: i32 = 2022;
 
 // ---------------------------------------------------------------- dataset
 
-struct Dataset {
-    pipeline: Pipeline,
-    log: Vec<u8>,
-    gpu_csv: String,
-    cpu_csv: String,
-    out_csv: String,
-}
-
-/// Same construction as `tests/obs_equivalence.rs`: one simulated
-/// campaign, optionally corrupted, plus its CSV exports.
-fn dataset(chaos_rate: f64) -> Dataset {
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    config.emit_logs = true;
-    config.chaos =
-        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let (log, _) = campaign.render_log();
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    Dataset {
-        pipeline,
-        log,
-        gpu_csv: csvio::render_jobs(&bridge::jobs(&outcome.jobs)),
-        cpu_csv: csvio::render_jobs(&bridge::jobs(&outcome.cpu_jobs)),
-        out_csv: csvio::render_outages(&bridge::outages(campaign.ledger.outages())),
-    }
+/// One simulated campaign, optionally corrupted, plus its CSV exports.
+fn dataset(chaos_rate: f64) -> Corpus {
+    corpus::build(SCALE, SEED, chaos_rate, true)
 }
 
 // ------------------------------------------------------- tiny HTTP client
@@ -163,13 +134,9 @@ fn brute_force_availability(report: &StudyReport) -> String {
 fn every_endpoint_is_byte_identical_to_the_offline_oracle() {
     for chaos_rate in [0.0, 0.05] {
         let d = dataset(chaos_rate);
-        let (oracle, quarantine) = d.pipeline.run_lenient(
-            d.log.as_slice(),
-            LOG_YEAR,
-            &d.gpu_csv,
-            &d.cpu_csv,
-            &d.out_csv,
-        );
+        let (oracle, quarantine) =
+            d.pipeline
+                .run_lenient(d.log(), LOG_YEAR, d.gpu_csv(), d.cpu_csv(), d.out_csv());
         assert!(
             oracle.errors.len() > 100,
             "chaos={chaos_rate}: dataset too small to be a meaningful oracle"
@@ -415,8 +382,9 @@ fn cache_hits_reordered_queries_and_invalidates_on_publish() {
 
 #[test]
 fn streaming_publishes_feed_the_server_live() {
-    // End-to-end: a streaming pipeline pushes a snapshot through the
-    // SnapshotSink hook and an HTTP client sees the refreshed study.
+    // End-to-end: a streaming pipeline's materialized view is published
+    // the way live ingest publishes it, and an HTTP client sees the
+    // refreshed study.
     let handle = Arc::new(StoreHandle::new(StudyStore::build(
         synthetic_report(0),
         None,
@@ -430,14 +398,15 @@ fn streaming_publishes_feed_the_server_live() {
 
     let d = dataset(0.0);
     let mut engine = resilience::StreamingPipeline::new(d.pipeline, LOG_YEAR);
-    for piece in d.log.chunks(1 << 16) {
+    for piece in d.log().chunks(1 << 16) {
         engine.push_log(piece);
     }
     engine.finish_log();
-    engine.push_gpu_jobs_csv(&d.gpu_csv);
-    engine.push_cpu_jobs_csv(&d.cpu_csv);
-    engine.push_outages_csv(&d.out_csv);
-    engine.publish_snapshot(handle.as_ref());
+    engine.push_gpu_jobs_csv(d.gpu_csv());
+    engine.push_cpu_jobs_csv(d.cpu_csv());
+    engine.push_outages_csv(d.out_csv());
+    let (report, quarantine) = engine.materialize_full();
+    handle.publish_study(report, &quarantine);
 
     let (oracle, _) = engine.finalize();
     let resp = get_on(&mut conn, "/errors");

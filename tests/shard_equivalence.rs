@@ -15,10 +15,9 @@
 //! shard's first and last host is exercised no matter where the
 //! balanced partition put the cuts.
 
+use delta_gpu_resilience::corpus;
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::ChaosConfig;
 use hpclog::{PciAddr, XidEvent};
-use resilience::csvio;
 use servd::testutil::{connect, get_on};
 use servd::{ErrorFilter, ServerConfig, StoreHandle, StudyStore};
 use std::fmt::Write as _;
@@ -34,30 +33,12 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 // ---------------------------------------------------------------- dataset
 
-/// Same campaign construction as `tests/serve_equivalence.rs`: one
-/// simulated study, optionally chaos-corrupted, run through the
+/// One simulated study, optionally chaos-corrupted, run through the
 /// lenient pipeline into a report the stores are built from.
 fn study(chaos_rate: f64) -> (StudyReport, resilience::QuarantineReport) {
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    config.emit_logs = true;
-    config.chaos =
-        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let (log, _) = campaign.render_log();
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    pipeline.run_lenient(
-        log.as_slice(),
-        LOG_YEAR,
-        &csvio::render_jobs(&bridge::jobs(&outcome.jobs)),
-        &csvio::render_jobs(&bridge::jobs(&outcome.cpu_jobs)),
-        &csvio::render_outages(&bridge::outages(campaign.ledger.outages())),
-    )
+    let c = corpus::build(SCALE, SEED, chaos_rate, true);
+    c.pipeline
+        .run_lenient(c.log(), LOG_YEAR, c.gpu_csv(), c.cpu_csv(), c.out_csv())
 }
 
 /// Every distinct host in the study, sorted — by construction the

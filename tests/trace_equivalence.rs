@@ -19,11 +19,10 @@
 //!    brute-force replay of the scrape-time snapshots answers, through
 //!    an independent reimplementation of the bucket downsampling.
 
+use delta_gpu_resilience::corpus;
 use delta_gpu_resilience::prelude::*;
-use hpclog::chaos::ChaosConfig;
 use obs::registry::{MetricSnapshot, MetricValue};
 use obs::{HistoryQuery, Tsdb};
-use resilience::csvio;
 use servd::testutil::{connect, get_on, TestResponse};
 use servd::{IngestConfig, ServerConfig, StoreHandle, StudyStore};
 use std::net::TcpStream;
@@ -55,28 +54,12 @@ const SURFACE: &[&str] = &[
     "/healthz",
 ];
 
-/// Same campaign construction as the other differential suites.
+/// One simulated study, optionally chaos-corrupted, through the lenient
+/// pipeline.
 fn study(chaos_rate: f64) -> (StudyReport, resilience::QuarantineReport) {
-    let mut config = FaultConfig::delta_scaled(SCALE);
-    config.seed = SEED;
-    config.emit_logs = true;
-    config.chaos =
-        (chaos_rate > 0.0).then(|| ChaosConfig::uniform_with_duplicates(chaos_rate, 0.02, SEED));
-    let campaign = Campaign::new(config).run();
-    let cluster = Cluster::new(campaign.config.spec);
-    let workload = WorkloadConfig::delta_scaled(SCALE);
-    let outcome =
-        Simulation::new(&cluster, workload, SEED).run(&campaign.ground_truth, &campaign.holds);
-    let (log, _) = campaign.render_log();
-    let mut pipeline = Pipeline::delta();
-    pipeline.periods = campaign.config.periods;
-    pipeline.run_lenient(
-        log.as_slice(),
-        LOG_YEAR,
-        &csvio::render_jobs(&bridge::jobs(&outcome.jobs)),
-        &csvio::render_jobs(&bridge::jobs(&outcome.cpu_jobs)),
-        &csvio::render_outages(&bridge::outages(campaign.ledger.outages())),
-    )
+    let c = corpus::build(SCALE, SEED, chaos_rate, true);
+    c.pipeline
+        .run_lenient(c.log(), LOG_YEAR, c.gpu_csv(), c.cpu_csv(), c.out_csv())
 }
 
 fn serve(
