@@ -1,10 +1,10 @@
 //! E14 observability overhead: the cost of running the study with the
-//! `obs` registry and tracer enabled, against the uninstrumented run.
+//! `obs` registry and its spans enabled, against the uninstrumented run.
 //!
 //! One campaign is rendered to log bytes + CSV exports once. The batch
 //! lenient pipeline and the streaming pipeline each run with `obs`
-//! disabled (the default — one relaxed atomic load per would-be record)
-//! and enabled (full counter/histogram/span recording), median of N.
+//! disabled (one relaxed atomic load per would-be record) and enabled
+//! (the default: full counter/histogram/span recording), median of N.
 //! Before timing, both configurations are run to completion and their
 //! rendered surfaces compared byte-for-byte: instrumentation that changed
 //! a single output byte would fail here before any number is printed.
@@ -85,12 +85,7 @@ fn main() {
     }
 
     let snapshot = obs::global().registry().snapshot();
-    println!(
-        "\nregistry after the sweep: {} series; span ring capacity {}, dropped {}",
-        snapshot.len(),
-        obs::global().tracer().capacity(),
-        obs::global().tracer().dropped()
-    );
+    println!("\nregistry after the sweep: {} series", snapshot.len());
     println!("worst leg ratio: {worst:.3}x");
     if smoke {
         assert!(

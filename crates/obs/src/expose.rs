@@ -2,10 +2,10 @@
 //! [`ObsReport`] and rendering it as Prometheus text format or JSON.
 //!
 //! Both renderings are deterministic for a given snapshot: metrics sort
-//! by `(name, labels)`, span aggregates keep pipeline stage order.
+//! by `(name, labels)`. Span totals are ordinary registry series
+//! (`obs_span_*{span=...}`) and render like any other.
 
 use crate::registry::{LabelSet, MetricSnapshot, MetricValue};
-use crate::span::SpanAggregate;
 use crate::Obs;
 use std::fmt::Write as _;
 
@@ -14,23 +14,13 @@ use std::fmt::Write as _;
 pub struct ObsReport {
     /// Registry contents, sorted by `(name, labels)`.
     pub metrics: Vec<MetricSnapshot>,
-    /// Per-stage span aggregates, in first-seen (stage) order.
-    pub spans: Vec<SpanAggregate>,
-    /// Spans evicted from the ring before this snapshot.
-    pub spans_dropped: u64,
-    /// The post-run timeline rendering ([`crate::Tracer::timeline`]).
-    pub timeline: String,
 }
 
 impl ObsReport {
     /// Snapshots `obs` now.
     pub fn gather(obs: &Obs) -> Self {
-        let records = obs.tracer().records();
         ObsReport {
             metrics: obs.registry().snapshot(),
-            spans: SpanAggregate::collect(&records),
-            spans_dropped: obs.tracer().dropped(),
-            timeline: obs.tracer().timeline(),
         }
     }
 
@@ -71,28 +61,6 @@ impl ObsReport {
                     let labels = prom_labels(&m.labels, None);
                     let _ = writeln!(out, "{}_sum{labels} {}", m.name, h.sum);
                     let _ = writeln!(out, "{}_count{labels} {}", m.name, h.count);
-                }
-            }
-        }
-        // Tracer-derived series. Gauges, not counters: the ring is
-        // bounded, so per-stage totals can shrink as old spans drop.
-        // (obs_spans_dropped_total is a real registry counter now, so
-        // it already rendered in the loop above.)
-        if !self.spans.is_empty() {
-            let mut spans = self.spans.clone();
-            spans.sort_by_key(|a| a.name);
-            for (metric, pick) in [
-                (
-                    "obs_span_count",
-                    (|a: &SpanAggregate| a.count) as fn(&SpanAggregate) -> u64,
-                ),
-                ("obs_span_items", |a| a.items),
-                ("obs_span_total_us", |a| a.total_ns / 1_000),
-                ("obs_span_max_us", |a| a.max_ns / 1_000),
-            ] {
-                let _ = writeln!(out, "# TYPE {metric} gauge");
-                for a in &spans {
-                    let _ = writeln!(out, "{metric}{{span=\"{}\"}} {}", escape(a.name), pick(a));
                 }
             }
         }
@@ -146,24 +114,7 @@ impl ObsReport {
             }
             out.push('}');
         }
-        out.push_str("\n  ],\n  \"spans\": {\n    \"dropped\": ");
-        let _ = write!(out, "{}", self.spans_dropped);
-        out.push_str(",\n    \"aggregates\": [");
-        for (i, a) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      {{\"name\": \"{}\", \"count\": {}, \"items\": {}, \"total_us\": {}, \"max_us\": {}}}",
-                escape(a.name),
-                a.count,
-                a.items,
-                a.total_ns / 1_000,
-                a.max_ns / 1_000
-            );
-        }
-        out.push_str("\n    ]\n  }\n}\n");
+        out.push_str("\n  ]\n}\n");
         out
     }
 }
@@ -217,7 +168,7 @@ mod tests {
     use crate::registry::DURATION_US_BUCKETS;
 
     fn sample_obs() -> Obs {
-        let obs = Obs::with_span_capacity(8);
+        let obs = Obs::new();
         obs.registry()
             .counter("hpclog_lines_scanned_total", &[])
             .add(120);
@@ -233,7 +184,7 @@ mod tests {
         h.observe(75);
         h.observe(300_000);
         {
-            let mut s = obs.tracer().span("stage_scan");
+            let mut s = obs.span("stage_scan");
             s.add_items(120);
         }
         obs
@@ -249,7 +200,9 @@ mod tests {
         assert!(text.contains("core_checkpoint_encode_us_bucket{le=\"100\"} 1"));
         assert!(text.contains("core_checkpoint_encode_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("core_checkpoint_encode_us_count 2"));
+        assert!(text.contains("# TYPE obs_span_count counter"));
         assert!(text.contains("obs_span_items{span=\"stage_scan\"} 120"));
+        assert!(text.contains("# TYPE obs_span_max_us gauge"));
         assert!(text.contains("obs_spans_dropped_total 0"));
     }
 
@@ -274,7 +227,7 @@ mod tests {
         assert!(json.contains("\"name\": \"hpclog_lines_scanned_total\""));
         assert!(json.contains("\"type\": \"histogram\""));
         assert!(json.contains("\"le\": \"+Inf\""));
-        assert!(json.contains("\"aggregates\""));
+        assert!(json.contains("\"labels\": {\"span\": \"stage_scan\"}"));
     }
 
     #[test]
@@ -389,7 +342,7 @@ mod tests {
         let obs = Obs::new();
         {
             // Span names are 'static, but nothing stops a hostile one.
-            let _s = obs.tracer().span("scan \"phase\\1\"\nend");
+            let _s = obs.span("scan \"phase\\1\"\nend");
         }
         let text = obs.report().to_prometheus();
         crate::check::validate_prometheus(&text).unwrap();

@@ -1,19 +1,19 @@
 //! Zero-dependency observability for the resilience pipeline.
 //!
-//! Three pieces, all `std`-only:
+//! The pieces, all `std`-only:
 //!
 //! * [`registry`] — a metrics registry of atomic counters, gauges and
 //!   fixed-bucket histograms, keyed by static metric names plus label
 //!   sets. Registration interns the `(name, labels)` key behind a mutex;
 //!   the returned handles are `Arc`-shared atomics, so the hot path is a
 //!   single relaxed atomic op with no locking.
-//! * [`span`] — RAII span guards (`obs::span("stage_scan")`) recording
-//!   per-stage wall time, thread ordinal and item counts into a bounded
-//!   ring buffer, plus a post-run timeline rendering.
+//! * [`span`] — RAII span guards (`obs::span("stage_scan")`) that add
+//!   each stage's count, items, total and longest wall time to
+//!   `obs_span_*{span="stage_scan"}` series in the registry.
 //! * [`expose`] — [`ObsReport`](expose::ObsReport): a point-in-time
-//!   snapshot of the registry and tracer, rendered as Prometheus text
-//!   exposition format or JSON. [`check`] validates those renderings
-//!   (used by the `obs_check` smoke gate).
+//!   snapshot of the registry, rendered as Prometheus text exposition
+//!   format or JSON. [`check`] validates those renderings (used by the
+//!   `obs_check` smoke gate).
 //! * [`trace`] — request-scoped tracing: a [`FlightRecorder`] mints a
 //!   trace id per request, stages append child spans, and sealed
 //!   traces are retained slowest-N per rolling window plus all error
@@ -25,8 +25,8 @@
 //!
 //! # The write-only invariant
 //!
-//! Pipeline code only ever *writes* to the registry and tracer; nothing
-//! in any analysis path reads a metric back. Instrumentation therefore
+//! Pipeline code only ever *writes* to the registry; nothing in any
+//! analysis path reads a metric back. Instrumentation therefore
 //! cannot perturb study outputs — they stay byte-identical with obs
 //! enabled, disabled, or absent, at any thread count or chunking
 //! (`tests/obs_equivalence.rs` proves it). Exposition is the only
@@ -36,10 +36,11 @@
 //!
 //! `<layer>_<noun>[_<unit>][_total]` with layer one of `faultsim`,
 //! `hpclog`, `core`, `slurmsim` or `obs` itself. Counters end in
-//! `_total`; histograms carry an explicit unit (`_us`, `_bytes`);
-//! gauges are plain nouns (`core_tie_buffer_high_water`). Labels are
-//! reserved for low-cardinality dimensions (hazard class, thread
-//! count), never per-item data.
+//! `_total`, except the three `obs_span_*` counters, which keep the
+//! names their readers use; histograms carry an explicit unit (`_us`,
+//! `_bytes`); gauges are plain nouns (`core_tie_buffer_high_water`).
+//! Labels are reserved for low-cardinality dimensions (hazard class,
+//! thread count), never per-item data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,45 +55,30 @@ pub mod tsdb;
 
 pub use expose::ObsReport;
 pub use registry::{Counter, Gauge, Histogram, Registry};
-pub use span::{Span, SpanRecord, Tracer};
+pub use span::Span;
 pub use trace::{FlightRecorder, StageGuard, StageRecord, Trace, TraceRecord};
 pub use tsdb::{HistoryQuery, HistoryResult, Tsdb};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// A registry plus a tracer sharing one enable flag: the unit every
-/// instrumented layer writes into, and exposition reads from.
+/// A registry and the enable flag its handles and spans share: the
+/// unit every instrumented layer writes into, and exposition reads from.
 #[derive(Debug)]
 pub struct Obs {
     enabled: Arc<AtomicBool>,
     registry: Registry,
-    tracer: Tracer,
 }
 
 impl Obs {
-    /// Default capacity of the span ring buffer.
-    pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
-
-    /// Creates an enabled instance with the default span capacity.
+    /// Creates an enabled instance.
     pub fn new() -> Self {
-        Self::with_span_capacity(Self::DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// Creates an enabled instance whose span ring holds `capacity`
-    /// records before dropping the oldest.
-    pub fn with_span_capacity(capacity: usize) -> Self {
         let enabled = Arc::new(AtomicBool::new(true));
         let registry = Registry::new(Arc::clone(&enabled));
-        // Ring eviction is surfaced as a real registry counter so a
-        // full span ring is visible in every exposition, not just the
-        // tracer's own bookkeeping.
-        let spans_dropped = registry.counter("obs_spans_dropped_total", &[]);
-        Obs {
-            tracer: Tracer::new(capacity, Arc::clone(&enabled), spans_dropped),
-            registry,
-            enabled,
-        }
+        // Registered at 0 so every exposition and history query has the
+        // series before a trace first overflows its stage cap.
+        registry.counter("obs_spans_dropped_total", &[]);
+        Obs { enabled, registry }
     }
 
     /// Turns recording on or off. Handles stay valid either way; while
@@ -111,12 +97,13 @@ impl Obs {
         &self.registry
     }
 
-    /// The span tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    /// Opens a span; dropping the guard adds it to this registry's
+    /// `obs_span_*` series.
+    pub fn span(&self, name: &'static str) -> Span<'_> {
+        Span::new(self, name)
     }
 
-    /// Snapshots registry and tracer into an exposable report.
+    /// Snapshots the registry into an exposable report.
     pub fn report(&self) -> ObsReport {
         ObsReport::gather(self)
     }
@@ -163,7 +150,7 @@ pub fn histogram(
     global().registry().histogram(name, labels, buckets)
 }
 
-/// Opens a span on the global tracer; it records itself when dropped.
+/// Opens a span on the global instance; it records itself when dropped.
 pub fn span(name: &'static str) -> Span<'static> {
-    global().tracer().span(name)
+    global().span(name)
 }

@@ -1,266 +1,42 @@
-//! RAII span tracing into a bounded ring buffer.
+//! RAII stage spans whose totals live in the registry.
 //!
-//! `obs::span("stage_scan")` opens a guard; dropping it records the
-//! stage's wall time, thread ordinal and item count. Records land in a
-//! preallocated ring: when full, the oldest record is overwritten, a
-//! drop counter is bumped, and the owning registry's
-//! `obs_spans_dropped_total` counter is incremented — eviction is never
-//! silent, the hot path never reallocates, and nothing panics.
-//! [`Tracer::timeline`] renders a post-run per-stage table with
-//! proportional bars (a text flamegraph, one frame deep).
+//! `obs::span("stage_scan")` opens a guard; dropping it adds the stage's
+//! run to four registry series labelled `span=<name>`:
+//!
+//! * `obs_span_count` (counter): spans completed;
+//! * `obs_span_items` (counter): items the spans reported;
+//! * `obs_span_total_us` (counter): summed wall time, microseconds;
+//! * `obs_span_max_us` (gauge): the longest single span, microseconds.
+//!
+//! The totals cover every span since start-up, and they render in
+//! `/metrics` and reach the `/metrics/history` store like any other
+//! series. The drop looks its four series up through the registry, one
+//! short mutex each; spans mark stages, not items, so that runs a few
+//! hundred times a second at most. While obs is disabled a drop is one
+//! relaxed load.
 
-use crate::registry::Counter;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use crate::Obs;
 use std::time::Instant;
 
-/// Small dense per-thread ordinal (stable within a process, unlike the
-/// opaque `std::thread::ThreadId`).
-fn thread_ordinal() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static ORDINAL: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    ORDINAL.with(|&id| id)
-}
-
-/// One completed span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Stage name (static, interned by the call site).
-    pub name: &'static str,
-    /// Dense ordinal of the recording thread.
-    pub thread: u64,
-    /// Start offset from the tracer's epoch, in nanoseconds.
-    pub start_ns: u64,
-    /// Wall-clock duration, in nanoseconds.
-    pub duration_ns: u64,
-    /// Items processed inside the span (caller-reported).
-    pub items: u64,
-}
-
-/// Fixed-capacity ring of span records. All storage is allocated up
-/// front; `push` writes by index and wraps.
+/// RAII guard for an in-flight span. Records on drop.
 #[derive(Debug)]
-struct Ring {
-    slots: Vec<SpanRecord>,
-    capacity: usize,
-    /// Index of the next write.
-    head: usize,
-    /// Total records ever pushed (so dropped = pushed - retained).
-    pushed: u64,
+pub struct Span<'a> {
+    obs: &'a Obs,
+    name: &'static str,
+    start: Instant,
+    items: u64,
 }
 
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Ring {
-            slots: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            pushed: 0,
-        }
-    }
-
-    /// Pushes a record; returns `true` when an older record was
-    /// evicted to make room.
-    fn push(&mut self, record: SpanRecord) -> bool {
-        let evicted = if self.slots.len() < self.capacity {
-            self.slots.push(record); // within preallocated capacity
-            false
-        } else {
-            if let Some(slot) = self.slots.get_mut(self.head) {
-                *slot = record; // overwrite the oldest
-            }
-            true
-        };
-        self.head = (self.head + 1) % self.capacity;
-        self.pushed += 1;
-        evicted
-    }
-
-    fn dropped(&self) -> u64 {
-        self.pushed - self.slots.len() as u64
-    }
-
-    /// Records oldest to newest.
-    fn ordered(&self) -> Vec<SpanRecord> {
-        if self.slots.len() < self.capacity {
-            self.slots.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.slots.len());
-            out.extend_from_slice(&self.slots[self.head..]);
-            out.extend_from_slice(&self.slots[..self.head]);
-            out
-        }
-    }
-}
-
-/// The span recorder: a ring of [`SpanRecord`]s behind a mutex, shared
-/// by every thread in the pool.
-#[derive(Debug)]
-pub struct Tracer {
-    enabled: Arc<AtomicBool>,
-    epoch: Instant,
-    ring: Mutex<Ring>,
-    /// Bumped once per record evicted from a full ring — the
-    /// `obs_spans_dropped_total` counter on the owning registry.
-    evictions: Counter,
-}
-
-impl Tracer {
-    pub(crate) fn new(capacity: usize, enabled: Arc<AtomicBool>, evictions: Counter) -> Self {
-        Tracer {
-            enabled,
-            epoch: Instant::now(),
-            ring: Mutex::new(Ring::new(capacity)),
-            evictions,
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Ring> {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Opens a span; dropping the guard records it.
-    pub fn span(&self, name: &'static str) -> Span<'_> {
+impl<'a> Span<'a> {
+    pub(crate) fn new(obs: &'a Obs, name: &'static str) -> Self {
         Span {
-            tracer: self,
+            obs,
             name,
             start: Instant::now(),
             items: 0,
         }
     }
 
-    fn record(&self, name: &'static str, start: Instant, items: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let record = SpanRecord {
-            name,
-            thread: thread_ordinal(),
-            start_ns: saturating_ns(start.duration_since(self.epoch).as_nanos()),
-            duration_ns: saturating_ns(start.elapsed().as_nanos()),
-            items,
-        };
-        if self.lock().push(record) {
-            self.evictions.inc();
-        }
-    }
-
-    /// Retained records, oldest to newest.
-    pub fn records(&self) -> Vec<SpanRecord> {
-        self.lock().ordered()
-    }
-
-    /// How many records were evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.lock().dropped()
-    }
-
-    /// Ring capacity (fixed at construction).
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
-    }
-
-    /// Per-stage aggregate table with proportional duration bars —
-    /// the post-run timeline rendering.
-    pub fn timeline(&self) -> String {
-        let records = self.records();
-        let aggregates = SpanAggregate::collect(&records);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<24} {:>7} {:>12} {:>11} {:>10} {:>10}  share\n",
-            "span", "count", "items", "total ms", "mean ms", "max ms"
-        ));
-        let grand_total: u64 = aggregates.iter().map(|a| a.total_ns).sum();
-        for a in &aggregates {
-            let ms = a.total_ns as f64 / 1e6;
-            let mean = if a.count > 0 {
-                ms / a.count as f64
-            } else {
-                0.0
-            };
-            let share = if grand_total > 0 {
-                a.total_ns as f64 / grand_total as f64
-            } else {
-                0.0
-            };
-            let bar_len = (share * 20.0).round() as usize;
-            out.push_str(&format!(
-                "{:<24} {:>7} {:>12} {:>11.3} {:>10.3} {:>10.3}  {}\n",
-                a.name,
-                a.count,
-                a.items,
-                ms,
-                mean,
-                a.max_ns as f64 / 1e6,
-                "#".repeat(bar_len.min(20)),
-            ));
-        }
-        let dropped = self.dropped();
-        if dropped > 0 {
-            out.push_str(&format!("({dropped} older spans dropped from the ring)\n"));
-        }
-        out
-    }
-}
-
-fn saturating_ns(n: u128) -> u64 {
-    n.min(u64::MAX as u128) as u64
-}
-
-/// Per-name aggregate over the retained records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanAggregate {
-    /// Stage name.
-    pub name: &'static str,
-    /// Number of retained spans.
-    pub count: u64,
-    /// Total items across those spans.
-    pub items: u64,
-    /// Total duration in nanoseconds.
-    pub total_ns: u64,
-    /// Longest single span in nanoseconds.
-    pub max_ns: u64,
-}
-
-impl SpanAggregate {
-    /// Folds records into per-name aggregates, ordered by first
-    /// appearance (pipeline stage order).
-    pub fn collect(records: &[SpanRecord]) -> Vec<SpanAggregate> {
-        let mut out: Vec<SpanAggregate> = Vec::new();
-        for r in records {
-            match out.iter_mut().find(|a| a.name == r.name) {
-                Some(a) => {
-                    a.count += 1;
-                    a.items += r.items;
-                    a.total_ns += r.duration_ns;
-                    a.max_ns = a.max_ns.max(r.duration_ns);
-                }
-                None => out.push(SpanAggregate {
-                    name: r.name,
-                    count: 1,
-                    items: r.items,
-                    total_ns: r.duration_ns,
-                    max_ns: r.duration_ns,
-                }),
-            }
-        }
-        out
-    }
-}
-
-/// RAII guard for an in-flight span. Records on drop.
-#[derive(Debug)]
-pub struct Span<'a> {
-    tracer: &'a Tracer,
-    name: &'static str,
-    start: Instant,
-    items: u64,
-}
-
-impl Span<'_> {
     /// Adds to the span's item count (lines scanned, events pushed, ...).
     pub fn add_items(&mut self, n: u64) {
         self.items += n;
@@ -269,131 +45,79 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        self.tracer.record(self.name, self.start, self.items);
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let us = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let labels = [("span", self.name)];
+        let registry = self.obs.registry();
+        registry.counter("obs_span_count", &labels).inc();
+        registry.counter("obs_span_items", &labels).add(self.items);
+        registry.counter("obs_span_total_us", &labels).add(us);
+        registry.gauge("obs_span_max_us", &labels).set_max(us);
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
-    use super::*;
+    use crate::registry::MetricValue;
+    use crate::Obs;
 
-    fn tracer(capacity: usize) -> Tracer {
-        tracer_with_flag(capacity, Arc::new(AtomicBool::new(true)))
-    }
-
-    fn tracer_with_flag(capacity: usize, enabled: Arc<AtomicBool>) -> Tracer {
-        let registry = crate::registry::Registry::new(Arc::clone(&enabled));
-        let evictions = registry.counter("obs_spans_dropped_total", &[]);
-        Tracer::new(capacity, enabled, evictions)
-    }
-
-    #[test]
-    fn spans_record_on_drop_with_items() {
-        let t = tracer(8);
-        {
-            let mut s = t.span("stage_scan");
-            s.add_items(41);
-            s.add_items(1);
-        }
-        let records = t.records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].name, "stage_scan");
-        assert_eq!(records[0].items, 42);
-        assert!(records[0].thread >= 1);
-        assert_eq!(t.dropped(), 0);
+    /// The value of `name{span="<span>"}` in `obs`, if registered.
+    fn read(obs: &Obs, name: &str, span: &str) -> Option<u64> {
+        obs.registry()
+            .snapshot()
+            .into_iter()
+            .find(|m| m.name == name && m.labels == [("span", span.to_owned())])
+            .and_then(|m| match m.value {
+                MetricValue::Counter(v) | MetricValue::Gauge(v) => Some(v),
+                MetricValue::Histogram(_) => None,
+            })
     }
 
     #[test]
-    fn ring_overflow_drops_oldest_and_counts() {
-        let t = tracer(4);
-        for i in 0..10u64 {
-            let mut s = t.span("s");
-            s.add_items(i);
-        }
-        let records = t.records();
-        assert_eq!(records.len(), 4, "ring retains exactly its capacity");
-        let items: Vec<u64> = records.iter().map(|r| r.items).collect();
-        assert_eq!(items, vec![6, 7, 8, 9], "oldest records were dropped");
-        assert_eq!(t.dropped(), 6);
-    }
-
-    #[test]
-    fn ring_never_reallocates_in_the_hot_path() {
-        let t = tracer(16);
-        let cap_before = t.lock().slots.capacity();
-        for _ in 0..1000 {
-            let _s = t.span("hot");
-        }
-        assert_eq!(t.lock().slots.capacity(), cap_before);
-        assert_eq!(t.records().len(), 16);
-        assert_eq!(t.dropped(), 1000 - 16);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_not_a_panic() {
-        let t = tracer(0);
-        let _ = t.span("x");
-        assert_eq!(t.capacity(), 1);
-        assert_eq!(t.records().len(), 1);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = tracer_with_flag(8, Arc::new(AtomicBool::new(false)));
-        let _ = t.span("quiet");
-        assert!(t.records().is_empty());
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn eviction_bumps_the_dropped_counter_in_arrival_order() {
-        // Through a full Obs so the counter under test is the same
-        // obs_spans_dropped_total the exposition renders.
-        let obs = crate::Obs::with_span_capacity(4);
-        for i in 0..10u64 {
-            let mut s = obs.tracer().span("evict");
-            s.add_items(i);
-        }
-        let items: Vec<u64> = obs.tracer().records().iter().map(|r| r.items).collect();
-        assert_eq!(items, vec![6, 7, 8, 9], "oldest evicted first, order kept");
-        let snap = obs.registry().snapshot();
-        assert_eq!(
-            crate::registry::counter_total(&snap, "obs_spans_dropped_total"),
-            6,
-            "one counter increment per evicted span"
-        );
-        assert_eq!(obs.tracer().dropped(), 6, "ring view agrees with counter");
-    }
-
-    #[test]
-    fn aggregates_fold_by_name_in_first_seen_order() {
-        let t = tracer(16);
-        for items in [1u64, 2, 3] {
-            let mut s = t.span("a");
+    fn spans_add_to_the_registry_on_drop() {
+        let obs = Obs::new();
+        for items in [41u64, 1] {
+            let mut s = obs.span("stage_scan");
             s.add_items(items);
         }
-        {
-            let mut s = t.span("b");
-            s.add_items(10);
-        }
-        let aggs = SpanAggregate::collect(&t.records());
-        assert_eq!(aggs.len(), 2);
-        assert_eq!(aggs[0].name, "a");
-        assert_eq!(aggs[0].count, 3);
-        assert_eq!(aggs[0].items, 6);
-        assert_eq!(aggs[1].name, "b");
-        assert_eq!(aggs[1].items, 10);
+        assert_eq!(read(&obs, "obs_span_count", "stage_scan"), Some(2));
+        assert_eq!(read(&obs, "obs_span_items", "stage_scan"), Some(42));
     }
 
     #[test]
-    fn timeline_renders_every_stage_and_drop_note() {
-        let t = tracer(2);
-        for name in ["alpha", "beta", "gamma"] {
-            let _ = t.span(name);
+    fn every_span_is_counted_and_none_dropped() {
+        let obs = Obs::new();
+        for _ in 0..5_000 {
+            let _s = obs.span("hot");
         }
-        let text = t.timeline();
-        assert!(text.contains("beta") && text.contains("gamma"));
-        assert!(text.contains("1 older spans dropped"));
+        assert_eq!(read(&obs, "obs_span_count", "hot"), Some(5_000));
+        assert_eq!(
+            crate::registry::counter_total(&obs.registry().snapshot(), "obs_spans_dropped_total"),
+            0
+        );
+    }
+
+    #[test]
+    fn max_is_the_longest_span_and_total_their_sum() {
+        let obs = Obs::new();
+        for ms in [1u64, 3] {
+            let _s = obs.span("sleepy");
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        let max = read(&obs, "obs_span_max_us", "sleepy").unwrap();
+        let total = read(&obs, "obs_span_total_us", "sleepy").unwrap();
+        assert!(max >= 3_000, "max {max} µs");
+        assert!(total >= max + 1_000, "total {total} µs, max {max} µs");
+    }
+
+    #[test]
+    fn disabled_spans_record_nothing() {
+        let obs = Obs::new();
+        obs.set_enabled(false);
+        let _ = obs.span("quiet");
+        assert_eq!(read(&obs, "obs_span_count", "quiet"), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Request-scoped tracing: per-request trace ids, child stage spans,
 //! and a bounded flight recorder.
 //!
-//! The process-global [`crate::span`] ring answers "where does this
+//! The process-global [`crate::span`] totals answer "where does this
 //! *process* spend its time"; this module answers "where did *that
 //! request* go". A [`FlightRecorder`] mints one [`Trace`] per accepted
 //! request; pipeline stages append [`StageRecord`]s (either through the
@@ -24,7 +24,8 @@
 //!   of how fast it was.
 //! * **Stage cap per trace** — a single trace holds at most
 //!   [`Trace::MAX_STAGES`] stages; extra stages are counted in
-//!   [`TraceRecord::stages_dropped`] instead of allocated.
+//!   [`TraceRecord::stages_dropped`] and the global
+//!   `obs_spans_dropped_total` counter instead of allocated.
 //!
 //! Everything here is `std`-only and panic-free: lock poisoning is
 //! absorbed, ids are plain `u64`s rendered as 16 hex digits.
@@ -138,9 +139,11 @@ impl Trace {
         let mut log = self.lock();
         if log.stages.len() < Self::MAX_STAGES {
             log.stages.push(record);
-        } else {
-            log.dropped += 1;
+            return;
         }
+        log.dropped += 1;
+        drop(log);
+        crate::counter("obs_spans_dropped_total", &[]).inc();
     }
 
     /// Opens an RAII stage guard; dropping it records the stage. The
@@ -562,6 +565,9 @@ mod tests {
 
     #[test]
     fn stage_overflow_is_counted_not_stored() {
+        // The registry is process-wide, so compare before and after.
+        let dropped = crate::counter("obs_spans_dropped_total", &[]);
+        let before = dropped.get();
         let rec = FlightRecorder::new(1);
         let t = rec.begin(Instant::now(), 0);
         let now = Instant::now();
@@ -571,6 +577,11 @@ mod tests {
         let sealed = t.seal("GET /x", 200, 0);
         assert_eq!(sealed.stages.len(), Trace::MAX_STAGES);
         assert_eq!(sealed.stages_dropped, 5);
+        assert_eq!(
+            dropped.get() - before,
+            5,
+            "the global counter sees the loss"
+        );
     }
 
     #[test]

@@ -1376,6 +1376,13 @@ mod tests {
         }
         assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
         assert!(resp.contains("\"points\": [["), "{resp}");
+        // Span totals are registry series, so the scraper keeps their
+        // history too: the store build behind handle() is in it.
+        let spans = get(server.addr(), "/metrics/history?name=obs_span_count");
+        assert!(
+            spans.contains("{\"labels\": {\"span\": \"servd_store_build\"}, \"points\": [["),
+            "{spans}"
+        );
         server.shutdown();
     }
 

@@ -426,7 +426,8 @@ impl WhatifHandle {
             state.active -= 1;
             let active = state.active as u64;
             drop(state);
-            self.done.notify_all();
+            // Counted before the waiters wake, so a scrape that follows
+            // the answer sees the campaign.
             if obs::is_enabled() {
                 obs::gauge("servd_whatif_jobs_active", &[]).set(active);
                 obs::counter("servd_whatif_computed_total", &[]).inc();
@@ -438,6 +439,7 @@ impl WhatifHandle {
                 )
                 .observe(elapsed_us);
             }
+            self.done.notify_all();
         }
     }
 }

@@ -569,7 +569,7 @@ impl MetricsSink {
         Ok(Some(MetricsSink { path, format }))
     }
 
-    /// Gathers the global registry and tracer and writes the report.
+    /// Gathers the global registry, span totals included, and writes the report.
     pub fn write(&self) -> Result<(), CliError> {
         let report = obs::global().report();
         let text = match self.format {

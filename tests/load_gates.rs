@@ -13,7 +13,8 @@
 //!   tenth of the cold compute; distinct campaigns all finish `200`
 //!   across worker pools; and at a full campaign queue a distinct spec
 //!   is shed with `429` + `Retry-After` within 1 s, an identical one
-//!   joins with `202`, and reads keep the same p99 budget.
+//!   joins with `202`, and reads keep the same p99 budget over as many
+//!   reads as the idle sample.
 //!
 //! The gates run one at a time under a suite lock: each reads the wall
 //! clock. CI runs them in release (`cargo test --release --test
@@ -25,7 +26,7 @@ use delta_gpu_resilience::corpus;
 use servd::testutil::{connect, request_on, whatif_to_completion, TestResponse};
 use servd::{IngestConfig, ServerConfig, StoreHandle, StudyStore, WhatifConfig};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -85,12 +86,18 @@ fn idle_reads(addr: &str, count: usize) -> Vec<u64> {
     latencies
 }
 
-/// A thread reading `/tables/1` in a loop until `stop` is set; joins to
-/// the sorted latencies in nanoseconds. Returns once the first read is
-/// back, so the load that follows always has reads beside it.
-fn spawn_reader(addr: &str, stop: &Arc<AtomicBool>) -> std::thread::JoinHandle<Vec<u64>> {
+/// A thread reading `/tables/1` in a loop until `stop` is set, adding
+/// one to `reads` per read; joins to the sorted latencies in
+/// nanoseconds. Returns once the first read is back, so the load that
+/// follows always has reads beside it.
+fn spawn_reader(
+    addr: &str,
+    stop: &Arc<AtomicBool>,
+    reads: &Arc<AtomicUsize>,
+) -> std::thread::JoinHandle<Vec<u64>> {
     let addr = addr.to_owned();
     let stop = Arc::clone(stop);
+    let reads = Arc::clone(reads);
     let (reading, first_read) = std::sync::mpsc::channel();
     let reader = std::thread::spawn(move || {
         let mut conn = connect(&addr);
@@ -100,6 +107,7 @@ fn spawn_reader(addr: &str, stop: &Arc<AtomicBool>) -> std::thread::JoinHandle<V
             let resp = request_on(&mut conn, "GET", "/tables/1", b"");
             assert_eq!(resp.status, 200, "read failed under load");
             latencies.push(started.elapsed().as_nanos() as u64);
+            reads.fetch_add(1, Ordering::Relaxed);
             let _ = reading.send(());
             if stop.load(Ordering::Relaxed) {
                 break;
@@ -217,7 +225,8 @@ fn ingest_reads_keep_their_tail_while_a_corpus_streams_in() {
 
     let chunk = 16 * 1024;
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..2).map(|_| spawn_reader(&addr, &stop)).collect();
+    let reads = Arc::new(AtomicUsize::new(0));
+    let readers: Vec<_> = (0..2).map(|_| spawn_reader(&addr, &stop, &reads)).collect();
     let mut writer = connect(&addr);
     let mut posted = 0u64;
     for (stream, bytes) in streams {
@@ -371,7 +380,8 @@ fn whatif_full_queue_sheds_at_once_while_reads_keep_their_tail() {
         ..WhatifConfig::default()
     });
     let addr = server.addr().to_string();
-    let idle_p99 = percentile(&idle_reads(&addr, 300), 99);
+    let sample = 300;
+    let idle_p99 = percentile(&idle_reads(&addr, sample), 99);
 
     // Fill the worker and the queue. The first campaign must be off the
     // queue before the other two are submitted, or the third finds both
@@ -389,11 +399,22 @@ fn whatif_full_queue_sheds_at_once_while_reads_keep_their_tail() {
         pending.push(path);
     }
 
+    // Probe until the reader has as many reads under shed load as the
+    // idle sample, so the p99 below is a tail and not the slowest of a
+    // handful.
     let stop = Arc::new(AtomicBool::new(false));
-    let reader = spawn_reader(&addr, &stop);
+    let reads = Arc::new(AtomicUsize::new(0));
+    let reader = spawn_reader(&addr, &stop, &reads);
+    let deadline = Instant::now() + Duration::from_secs(60);
     let mut shed = 0u64;
     let mut worst_shed = 0u64;
-    for (i, probe_seed) in (8001..8051u64).enumerate() {
+    let mut probe_seed = 8001u64;
+    while reads.load(Ordering::Relaxed) < sample {
+        assert!(
+            Instant::now() < deadline,
+            "the reader managed {} of {sample} reads in 60 s of shed load",
+            reads.load(Ordering::Relaxed)
+        );
         // A distinct spec needs a queue slot it cannot have.
         let path = format!("/whatif?seed={probe_seed}&reps={reps}");
         let started = Instant::now();
@@ -414,13 +435,17 @@ fn whatif_full_queue_sheds_at_once_while_reads_keep_their_tail() {
         }
         // An identical pending spec joins its job instead of taking a
         // slot: never a 429.
-        if i % 10 == 0 {
+        if probe_seed % 10 == 1 {
             if let Some(path) = pending.last() {
                 let resp = request_on(&mut filler, "GET", path, b"");
                 expect(&resp, 202, path);
             }
         }
+        probe_seed += 1;
     }
+    // The reads ran under shed load only if the queue is full still.
+    let path = format!("/whatif?seed={probe_seed}&reps={reps}");
+    expect(&request_on(&mut filler, "GET", &path, b""), 429, &path);
     stop.store(true, Ordering::Relaxed);
     let under_load = join_reader(reader);
 

@@ -98,9 +98,9 @@ fn instrumented_runs_are_byte_identical_and_counters_agree_across_modes() {
     for chaos_rate in [0.0, 0.05] {
         let d = dataset(chaos_rate);
 
-        // Oracle: the uninstrumented run. `obs` starts disabled in a
-        // fresh process; make it explicit anyway so leg order can't
-        // matter if this test ever grows.
+        // Oracle: the uninstrumented run. `obs` starts enabled in a
+        // fresh process, so switch it off here; the explicit switches
+        // also keep leg order from mattering if this test ever grows.
         obs::set_enabled(false);
         let (oracle_r, oracle_q) = serial(&d);
         let oracle = render_all(&oracle_r, &oracle_q);
