@@ -9,9 +9,8 @@
 //!
 //! `SCALE` (default 1.0) multiplies the simulated calendar; `SEED`
 //! (default 0xDE17A) seeds every random stream. `EXPERIMENTS.md` records
-//! the full-scale (`SCALE = 1.0`) outputs. The sweep binaries take
-//! `[--smoke] [SCALE] [SEED]` instead ([`RunOptions::from_smoke_args`]),
-//! and the serving ones drive their servers with [`run_fleet`].
+//! the full-scale (`SCALE = 1.0`) outputs. The serving load gates
+//! (`tests/load_gates.rs`) drive their servers with [`run_fleet`].
 
 use delta_gpu_resilience::bridge;
 use delta_gpu_resilience::corpus::{self, Corpus};
@@ -61,41 +60,6 @@ impl RunOptions {
             })
             .unwrap_or(DEFAULT_SEED);
         RunOptions { scale, seed }
-    }
-
-    /// Parses `[--smoke] [SCALE] [SEED]` for the sweep binaries: `SCALE`
-    /// defaults to 0.02 under `--smoke` and 0.05 otherwise, and stays at
-    /// most 0.25, where the scaled calendar still fits in one log year.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn from_smoke_args() -> (bool, Self) {
-        let mut smoke = false;
-        let mut positional: Vec<String> = Vec::new();
-        for arg in std::env::args().skip(1) {
-            if arg == "--smoke" {
-                smoke = true;
-            } else {
-                positional.push(arg);
-            }
-        }
-        let scale = positional
-            .first()
-            .map(|a| {
-                a.parse::<f64>()
-                    .unwrap_or_else(|_| panic!("bad SCALE {a:?}"))
-            })
-            .unwrap_or(if smoke { 0.02 } else { 0.05 });
-        assert!(scale > 0.0 && scale <= 0.25, "SCALE must be in (0, 0.25]");
-        let seed = positional
-            .get(1)
-            .map(|a| {
-                a.parse::<u64>()
-                    .unwrap_or_else(|_| panic!("bad SEED {a:?}"))
-            })
-            .unwrap_or(DEFAULT_SEED);
-        (smoke, RunOptions { scale, seed })
     }
 }
 
@@ -186,28 +150,23 @@ pub struct FleetMetrics {
     pub errors: usize,
 }
 
-/// Serves `report` from a freshly built `shards`-shard store under
-/// `config`, with the connection cap raised above the fleet, and drives
-/// `conns` keep-alive clients of `per_conn` requests each over
-/// `endpoints`. Each client starts at its own offset in the mix.
+/// Serves `report` from a freshly built store under `config`, with the
+/// connection cap raised above the fleet, and drives `conns` keep-alive
+/// clients of `per_conn` requests each over `endpoints`. Each client
+/// starts at its own offset in the mix.
 ///
 /// A good response is a non-empty `200` that carries an `X-Trace-Id`
 /// exactly when the server traces (`config.trace_capacity > 0`);
 /// anything else, a dropped connection included, counts as an error.
 pub fn run_fleet(
     report: &StudyReport,
-    shards: usize,
     config: ServerConfig,
     endpoints: &'static [&'static str],
     conns: usize,
     per_conn: usize,
 ) -> FleetMetrics {
     let traced = config.trace_capacity > 0;
-    let store = Arc::new(StoreHandle::new(StudyStore::build_sharded(
-        report.clone(),
-        None,
-        shards,
-    )));
+    let store = Arc::new(StoreHandle::new(StudyStore::build(report.clone(), None)));
     let server = servd::start(
         ServerConfig {
             max_queue: conns + 16,

@@ -1,8 +1,9 @@
 //! The rollup-cube differential battery: every `/rollup` surface must be
 //! byte-identical to a brute-force fold over the raw event stream —
 //! across shard counts {1,2,4,8} × chaos {0%,5%} × buckets
-//! {hour,day,week,month} × two DST-observing timezones — and the
-//! `/errors` time window must be `[from, to)` on the exact edge.
+//! {hour,day,week,month} × every built-in timezone (UTC, the default,
+//! and two DST-observing zones) — and the `/errors` time window must be
+//! `[from, to)` on the exact edge.
 //!
 //! The oracles here trust only `simtime::civiltime` (whose bucket
 //! functions are proven total/monotone/partition-complete by
@@ -27,6 +28,7 @@ const SCALE: f64 = 0.02;
 const SEED: u64 = 0x0C0B;
 const LOG_YEAR: i32 = 2022;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// The DST-observing built-in zones the served leg requests.
 const TZS: [&str; 2] = ["America/Chicago", "Europe/Berlin"];
 
 // ---------------------------------------------------------------- dataset
@@ -205,8 +207,8 @@ fn query(metric: RollupMetric, bucket: Bucket, tz: &str) -> RollupQuery {
 
 // ---------------------------------------------------------------- tests
 
-/// The full sweep: shards × chaos × buckets × timezones, all four
-/// metrics byte-compared against the brute-force oracles.
+/// The full sweep: shards × chaos × buckets × every built-in timezone,
+/// all four metrics byte-compared against the brute-force oracles.
 #[test]
 fn rollups_match_brute_force_across_shards_chaos_buckets_timezones() {
     for chaos_rate in [0.0, 0.05] {
@@ -225,7 +227,7 @@ fn rollups_match_brute_force_across_shards_chaos_buckets_timezones() {
         );
         for n in SHARD_COUNTS {
             let store = StudyStore::build_sharded(report.clone(), Some(&quarantine), n);
-            for tzname in TZS {
+            for tzname in Tz::BUILTIN {
                 let tz = Tz::by_name(tzname).expect("builtin tz");
                 for bucket in Bucket::ALL {
                     let tag = format!("chaos={chaos_rate} n={n} {tzname} {bucket:?}");

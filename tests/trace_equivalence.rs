@@ -13,8 +13,9 @@
 //!    resolves through `/debug/traces?id=` to a record carrying one
 //!    `shard_scan` span per shard (and a `merge`), recorded inline by
 //!    the store's render; `/rollup` resolves too, with no `shard_scan`
-//!    span (a rollup miss folds its cube from the report).
-//!    `/readyz` flips 200 → 503 when the ingest worker dies.
+//!    span (a rollup miss folds its cube from the report). `/metrics`
+//!    from the traced server passes `obs::check`, and `/readyz` flips
+//!    200 → 503 when the ingest worker dies.
 //! 3. **History fidelity.** [`obs::Tsdb`] answers exactly what a
 //!    brute-force replay of the scrape-time snapshots answers, through
 //!    an independent reimplementation of the bucket downsampling.
@@ -169,7 +170,8 @@ fn tracing_never_changes_served_bytes() {
 // ------------------------------------------------------------ claim 2
 
 /// A multi-shard `/errors` trace names every shard it scanned; a
-/// rollup's trace shows none (its cube folds from the report).
+/// rollup's trace shows none (its cube folds from the report); and
+/// `/metrics` from the traced, self-scraping server still validates.
 #[test]
 fn trace_spans_mirror_the_scatter_plan() {
     let (report, quarantine) = study(0.0);
@@ -211,6 +213,16 @@ fn trace_spans_mirror_the_scatter_plan() {
         doc.matches("\"name\": \"shard_scan\"").count(),
         0,
         "a rollup folds its cube from the report; no shard_scan expected: {doc}"
+    );
+
+    // The exposition stays valid with tracing and the self-scrape on.
+    let metrics = get_on(&mut conn, "/metrics");
+    assert_eq!(metrics.status, 200, "/metrics status");
+    let summary = obs::check::validate_prometheus(&metrics.text())
+        .unwrap_or_else(|e| panic!("/metrics failed obs::check with tracing on: {e}"));
+    assert!(
+        summary.has_prefix("servd_"),
+        "/metrics lost the servd_ families"
     );
     server.shutdown();
 }
