@@ -92,94 +92,7 @@ use hpclog::quarantine::{
 use hpclog::stream::{LenientScan, ScanSnapshot};
 use hpclog::{PciAddr, XidEvent};
 use simtime::{Duration, Period, StudyPeriods, Timestamp};
-use std::collections::BTreeMap;
 use xid::{ErrorKind, XidCode};
-
-/// Live per-kind tallies of the coalesced error stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KindTally {
-    /// Coalesced errors of this kind seen so far.
-    pub errors: u64,
-    /// Raw log lines merged into those errors.
-    pub raw_lines: u64,
-}
-
-/// Live per-GPU / per-XID-kind counters, updated as events coalesce.
-///
-/// Counts reflect errors already flushed from the tie buffer into the
-/// coalescer (i.e. everything up to the newest fully-elapsed second of
-/// the stream) and are rebuilt from the coalesced error list on restore,
-/// so they never need serializing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LiveCounters {
-    by_kind: BTreeMap<ErrorKind, KindTally>,
-    by_gpu: BTreeMap<(String, PciAddr), u64>,
-}
-
-impl LiveCounters {
-    fn rebuild(errors: &[CoalescedError]) -> Self {
-        let mut live = LiveCounters::default();
-        for err in errors {
-            live.on_started(err);
-            live.add_raw(err, err.merged_lines - 1);
-        }
-        live
-    }
-
-    fn on_started(&mut self, err: &CoalescedError) {
-        let tally = self.by_kind.entry(err.kind).or_default();
-        tally.errors += 1;
-        tally.raw_lines += 1;
-        *self.by_gpu.entry((err.host.clone(), err.pci)).or_default() += 1;
-    }
-
-    fn on_merged(&mut self, err: &CoalescedError) {
-        self.add_raw(err, 1);
-    }
-
-    fn add_raw(&mut self, err: &CoalescedError, lines: u64) {
-        self.by_kind.entry(err.kind).or_default().raw_lines += lines;
-    }
-
-    /// The tally for one error kind.
-    pub fn kind(&self, kind: ErrorKind) -> KindTally {
-        self.by_kind.get(&kind).copied().unwrap_or_default()
-    }
-
-    /// Coalesced errors charged to one GPU.
-    pub fn gpu_errors(&self, host: &str, pci: PciAddr) -> u64 {
-        self.by_gpu
-            .get(&(host.to_owned(), pci))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Total coalesced errors.
-    pub fn total_errors(&self) -> u64 {
-        self.by_kind.values().map(|t| t.errors).sum()
-    }
-
-    /// The GPU with the most coalesced errors (ties broken by smallest
-    /// `(host, pci)` key, so the answer is deterministic).
-    pub fn hottest_gpu(&self) -> Option<(&str, PciAddr, u64)> {
-        self.by_gpu
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|((host, pci), n)| (host.as_str(), *pci, *n))
-    }
-
-    /// Iterates `(kind, tally)` pairs in `ErrorKind` order.
-    pub fn kinds(&self) -> impl Iterator<Item = (ErrorKind, KindTally)> + '_ {
-        self.by_kind.iter().map(|(&k, &t)| (k, t))
-    }
-
-    /// Iterates `((host, pci), errors)` pairs in key order.
-    pub fn gpus(&self) -> impl Iterator<Item = (&str, PciAddr, u64)> + '_ {
-        self.by_gpu
-            .iter()
-            .map(|((host, pci), &n)| (host.as_str(), *pci, n))
-    }
-}
 
 /// Incremental lenient CSV ingestion, replicating
 /// [`csvio::parse_jobs_lenient`] / [`csvio::parse_outages_lenient`] on a
@@ -384,7 +297,6 @@ pub struct StreamingPipeline {
     pending: Vec<XidEvent>,
     pending_time: Option<Timestamp>,
     coalescer: Coalescer,
-    live: LiveCounters,
     gpu: JobFeed,
     cpu: JobFeed,
     outage_feed: CsvFeed,
@@ -425,7 +337,6 @@ impl StreamingPipeline {
             ledger: QuarantineLedger::new(),
             pending: Vec::new(),
             pending_time: None,
-            live: LiveCounters::default(),
             gpu: JobFeed::new(),
             cpu: JobFeed::new(),
             outage_feed: CsvFeed::new(),
@@ -498,33 +409,16 @@ impl StreamingPipeline {
             .set_max(self.pending.len() as u64);
     }
 
-    /// Flushes the tie buffer into the coalescer, updating the live
-    /// counters and the coalesce metrics.
+    /// Flushes the tie buffer into the coalescer, updating the coalesce
+    /// metrics.
     fn flush_pending(&mut self) {
         let batch = std::mem::take(&mut self.pending);
         let batch_len = batch.len() as u64;
-        let mut merged = 0u64;
-        let live = &mut self.live;
-        fold_ties(
-            &mut self.coalescer,
-            batch,
-            |coalescer, pushed| match pushed {
-                Pushed::Started(idx) => live.on_started(&coalescer.errors()[idx]),
-                Pushed::Merged(idx) => {
-                    merged += 1;
-                    live.on_merged(&coalescer.errors()[idx]);
-                }
-            },
-        );
+        let merged = fold_ties(&mut self.coalescer, batch);
         if batch_len > 0 {
             self.metrics.events.add(batch_len);
             self.metrics.merges.add(merged);
         }
-    }
-
-    /// Live per-GPU / per-kind counters.
-    pub fn live(&self) -> &LiveCounters {
-        &self.live
     }
 
     /// Stage-I counters so far (the unterminated carry line, if any, is
@@ -618,11 +512,11 @@ impl StreamingPipeline {
             // The scan never emits regressions: a later time closes the
             // buffered second, as in `ingest`.
             if batch.last().is_some_and(|last| last.time != ev.time) {
-                fold_ties(&mut coalescer, std::mem::take(&mut batch), |_, _| {});
+                fold_ties(&mut coalescer, std::mem::take(&mut batch));
             }
             batch.push(ev);
         }
-        fold_ties(&mut coalescer, batch, |_, _| {});
+        fold_ties(&mut coalescer, batch);
         coalescer.into_errors()
     }
 
@@ -899,7 +793,6 @@ impl StreamingPipeline {
                 merged_lines,
             });
         }
-        let live = LiveCounters::rebuild(&errors);
         let coalescer = Coalescer::from_errors(coalesce_window, errors);
 
         // CSV feeds and accumulated records.
@@ -943,7 +836,6 @@ impl StreamingPipeline {
             pending,
             pending_time,
             coalescer,
-            live,
             gpu: JobFeed::restored(gpu_feed, gpu_jobs),
             cpu: JobFeed::restored(cpu_feed, cpu_jobs),
             outage_feed,
@@ -956,17 +848,14 @@ impl StreamingPipeline {
 /// Folds one timestamp's events into `coalescer` in canonical order: a
 /// stable host sort of the events of one timestamp reproduces exactly
 /// what `canonical_sort` does to that time-slice of the batch stream.
-/// `pushed` sees each push's outcome.
-fn fold_ties(
-    coalescer: &mut Coalescer,
-    mut batch: Vec<XidEvent>,
-    mut pushed: impl FnMut(&Coalescer, Pushed),
-) {
+/// Returns how many of the events merged into an open error.
+fn fold_ties(coalescer: &mut Coalescer, mut batch: Vec<XidEvent>) -> u64 {
     batch.sort_by(|a, b| a.host.cmp(&b.host));
+    let mut merged = 0;
     for ev in batch {
-        let outcome = coalescer.push(ev);
-        pushed(coalescer, outcome);
+        merged += u64::from(matches!(coalescer.push(ev), Pushed::Merged(_)));
     }
+    merged
 }
 
 fn category_index(category: QuarantineCategory) -> u8 {
@@ -1219,42 +1108,6 @@ mod tests {
                 batch.impact.gpu_failed_jobs()
             );
         }
-    }
-
-    #[test]
-    fn live_counters_track_the_coalesced_stream() {
-        let log = sample_log();
-        let mut engine = StreamingPipeline::new(Pipeline::delta(), 2024);
-        engine.push_log(&log);
-        engine.finish_log();
-        // Flush the tie buffer by materializing a clone and compare
-        // against its error list.
-        let report = engine.materialize();
-        let total = report.errors.len() as u64;
-        // The engine's own counters lag by the tie buffer; rebuild over
-        // the materialized list must equal direct tracking after a flush.
-        let rebuilt = LiveCounters::rebuild(engine.errors());
-        assert_eq!(&rebuilt, engine.live());
-        assert!(engine.live().total_errors() <= total);
-        let (host, _, n) = engine.live().hottest_gpu().unwrap();
-        assert_eq!(host, "gpub003");
-        assert_eq!(n, 2);
-        assert_eq!(
-            engine.live().kind(ErrorKind::FallenOffBus).raw_lines,
-            engine
-                .live()
-                .kinds()
-                .filter(|(k, _)| *k == ErrorKind::FallenOffBus)
-                .map(|(_, t)| t.raw_lines)
-                .sum::<u64>()
-        );
-        assert!(engine.live().gpus().count() >= 2);
-        assert_eq!(
-            engine
-                .live()
-                .gpu_errors("gpub003", PciAddr::for_gpu_index(0)),
-            2
-        );
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! * [`report`] — ASCII and CSV renderers for every table and figure.
 //! * [`rollup`] — the shared grouped-fold aggregation kernel the table
 //!   computations route through, plus DST-correct civil-time rollup
-//!   cubes (errors, impact, availability) built per store shard and
-//!   k-way merged for the serving layer.
+//!   cubes (errors, impact, availability) the serving layer folds per
+//!   query.
 //! * [`survival`] — Kaplan–Meier time-to-first-error analysis (the Titan
 //!   survival-analysis lens from the paper's related work).
 //! * [`spatial`] — per-GPU error concentration: top-k shares, Gini

@@ -29,8 +29,7 @@
 //! * [`quarantine`] — the reject ledger lenient readers feed: per-category
 //!   counts plus a bounded reservoir of exemplar bad lines.
 //! * [`shard`] — the canonical `(time, host, seq)` event order every
-//!   pipeline entry path produces, and the k-way merge kernel the serving
-//!   store and rollup cubes merge per-shard results with.
+//!   pipeline entry path produces.
 //! * [`stream`] — the resumable lenient scanner: the same line classifier
 //!   as [`extract`], fed in arbitrary-sized byte chunks, with snapshotable
 //!   cross-line state (partial-line carry, line counter, order anchor,

@@ -1,4 +1,4 @@
-//! The canonical event order, and the k-way merge kernel.
+//! The canonical event order.
 //!
 //! # The ordering invariant
 //!
@@ -24,94 +24,8 @@
 //! keys on `(host, pci, kind)`). The analysis numbers are identical; the
 //! canonical order merely pins the report's event listing to one byte
 //! sequence for every entry path.
-//!
-//! # The merge kernel
-//!
-//! [`merge_sorted_by`] k-way merges streams that are each already sorted.
-//! `servd`'s host-range sharded store merges per-shard query slices
-//! through it.
 
 use crate::nvrm::XidEvent;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// One stream's head, queued for the generic k-way merge. Ordered by the
-/// caller's comparator, ties broken by stream index so the merge is a
-/// deterministic function of the input streams.
-struct Pending<'c, T, C: Fn(&T, &T) -> std::cmp::Ordering> {
-    item: T,
-    stream: usize,
-    cmp: &'c C,
-}
-
-impl<T, C: Fn(&T, &T) -> std::cmp::Ordering> Pending<'_, T, C> {
-    fn order(&self, other: &Self) -> std::cmp::Ordering {
-        (self.cmp)(&self.item, &other.item).then(self.stream.cmp(&other.stream))
-    }
-}
-
-impl<T, C: Fn(&T, &T) -> std::cmp::Ordering> PartialEq for Pending<'_, T, C> {
-    fn eq(&self, other: &Self) -> bool {
-        self.order(other) == std::cmp::Ordering::Equal
-    }
-}
-impl<T, C: Fn(&T, &T) -> std::cmp::Ordering> Eq for Pending<'_, T, C> {}
-impl<T, C: Fn(&T, &T) -> std::cmp::Ordering> PartialOrd for Pending<'_, T, C> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T, C: Fn(&T, &T) -> std::cmp::Ordering> Ord for Pending<'_, T, C> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.order(other)
-    }
-}
-
-/// K-way merges streams that are each already sorted under `cmp` into one
-/// stream sorted under `cmp`.
-///
-/// The heap holds at most one head per stream, so the merge is
-/// O(n log k) with no element clones. Elements that compare equal come
-/// out in stream-index order, so the result is a deterministic function
-/// of the inputs (and, when the merge key is unique across streams — the
-/// serving store's global row id — independent of how items are
-/// distributed over streams).
-///
-/// This is the one merge kernel in the workspace: `servd`'s host-range
-/// sharded store merges per-shard `/errors` slices through it by global
-/// row id, which is why the slice is byte-identical whether the store
-/// was built with 1 shard or 8.
-pub fn merge_sorted_by<T, C: Fn(&T, &T) -> std::cmp::Ordering>(
-    streams: Vec<Vec<T>>,
-    cmp: C,
-) -> Vec<T> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut heap: BinaryHeap<Reverse<Pending<'_, T, C>>> = BinaryHeap::with_capacity(streams.len());
-    let mut tails: Vec<std::vec::IntoIter<T>> = Vec::with_capacity(streams.len());
-    for (stream, items) in streams.into_iter().enumerate() {
-        let mut iter = items.into_iter();
-        if let Some(item) = iter.next() {
-            heap.push(Reverse(Pending {
-                item,
-                stream,
-                cmp: &cmp,
-            }));
-        }
-        tails.push(iter);
-    }
-    while let Some(Reverse(head)) = heap.pop() {
-        if let Some(item) = tails[head.stream].next() {
-            heap.push(Reverse(Pending {
-                item,
-                stream: head.stream,
-                cmp: &cmp,
-            }));
-        }
-        out.push(head.item);
-    }
-    out
-}
 
 /// Stable-sorts events into canonical order.
 ///
@@ -129,20 +43,6 @@ mod tests {
     use crate::nvrm::PciAddr;
     use simtime::Timestamp;
     use xid::XidCode;
-
-    #[test]
-    fn merge_interleaves_sorted_streams_and_breaks_ties_by_stream() {
-        let streams = vec![
-            vec![(1, 'a'), (4, 'a'), (4, 'b')],
-            vec![],
-            vec![(2, 'c'), (4, 'c')],
-        ];
-        let merged = merge_sorted_by(streams, |x: &(u32, char), y| x.0.cmp(&y.0));
-        assert_eq!(
-            merged,
-            vec![(1, 'a'), (2, 'c'), (4, 'a'), (4, 'b'), (4, 'c')]
-        );
-    }
 
     #[test]
     fn canonical_sort_orders_hosts_within_a_second_stably() {

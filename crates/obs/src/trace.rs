@@ -62,7 +62,7 @@ pub fn parse_hex_id(s: &str) -> Option<u64> {
 pub struct StageRecord {
     /// Stage name (static, interned by the call site).
     pub name: &'static str,
-    /// Free-form low-cardinality detail (`shard=3`, `kind=79`); empty
+    /// Free-form low-cardinality detail (`kind=79`); empty
     /// when the stage needs none.
     pub detail: String,
     /// Start offset from the trace's epoch, in nanoseconds.
@@ -100,11 +100,12 @@ impl Trace {
             id,
             epoch,
             started_unix_ms,
-            // Pre-sized for the full pipeline (queue wait, parse, route,
-            // cache lookup, shard scans, merge, render, write) so the
-            // per-request path allocates once, not on every push.
+            // Pre-sized for the longest request path (queue wait, parse,
+            // route, the four what-if stages, write; a read records at
+            // most six) so the per-request path allocates once, not on
+            // every push.
             stages: Mutex::new(StageLog {
-                stages: Vec::with_capacity(12),
+                stages: Vec::with_capacity(8),
                 dropped: 0,
             }),
         }
@@ -213,7 +214,7 @@ pub struct StageGuard {
 }
 
 impl StageGuard {
-    /// Sets the stage's detail string (`shard=3`, `kind=79`).
+    /// Sets the stage's detail string (`kind=79`).
     pub fn set_detail(&mut self, detail: impl Into<String>) {
         self.detail = detail.into();
     }

@@ -3,7 +3,7 @@
 //!
 //! Four PRs of pipeline produce a [`StudyReport`](resilience::StudyReport)
 //! and render it once to stdout; this crate makes the same results
-//! *queryable*: an immutable, columnar [`StudyStore`] behind a
+//! *queryable*: an immutable, indexed [`StudyStore`] behind a
 //! hand-rolled HTTP/1.1 listener, in the workspace's zero-external-crates
 //! discipline (everything is `std`).
 //!
@@ -17,18 +17,18 @@
 //!        │ publish_study
 //!        ▼
 //!  StoreHandle ── RwLock<Arc<Published{id, StudyStore}>> ── atomic swap
-//!        │ current(): Arc clone     │ StudyStore = report + host-range index
+//!        │ current(): Arc clone     │ StudyStore = report + host/kind index
 //!        ▼                          ▼
-//!  router ── ResponseCache ── miss: render inline ─ k-way merge (hpclog)
+//!  router ── ResponseCache ── miss: render inline from the report + index
 //!        ▲
 //!  server ── epoll event loops ─ conn state machines ─ timer wheel
 //! ```
 //!
-//! * [`store`] — the snapshot: the study report plus a host-range index
-//!   (sorted column vectors and posting lists answering filtered queries
-//!   by binary search), every surface rendered from those two on the
-//!   event loop that asks, and the [`StoreHandle`](store::StoreHandle)
-//!   swap point that live ingest publishes through.
+//! * [`store`] — the snapshot: the study report plus one index (per-host
+//!   and per-kind posting lists answering filtered queries by binary
+//!   search), every surface rendered from those two on the event loop
+//!   that asks, and the [`StoreHandle`](store::StoreHandle) swap point
+//!   that live ingest publishes through.
 //! * [`router`] — path/query dispatch: `/tables/{1,2,3}`, `/fig2`
 //!   (byte-identical to the offline renderers), `/errors`, `/mtbe`,
 //!   `/jobs/impact`, `/availability`, `/snapshot`, `/healthz`,

@@ -175,8 +175,8 @@ fn dispatch(
         "/tables/3" => Response::text(200, s.table3()),
         "/fig2" => Response::text(200, s.fig2()),
         "/errors" => match error_filter(req) {
-            Ok(filter) => Response::csv(200, s.errors_csv_traced(&filter, trace)),
-            Err(msg) => Response::text(400, msg),
+            Ok(filter) => Response::csv(200, s.errors_csv(&filter)),
+            Err(msg) => Response::text(400, format!("{msg}\n")),
         },
         "/mtbe" => match req.query_value("xid").map(parse_xid).transpose() {
             Ok(kind) => Response::csv(200, s.mtbe_csv(kind)),
@@ -471,7 +471,7 @@ fn error_filter(req: &Request) -> Result<ErrorFilter, String> {
             "xid" => filter.kind = Some(parse_xid(v)?),
             "from" => filter.from = Some(parse_time(v)?),
             "to" => filter.to = Some(parse_time(v)?),
-            other => return Err(format!("unknown query parameter {other:?}\n")),
+            other => return Err(format!("unknown query parameter {other:?}")),
         }
     }
     Ok(filter)
@@ -586,9 +586,17 @@ mod tests {
             ("/errors", [("from", "whenever")]),
             ("/errors", [("bogus", "1")]),
             ("/mtbe", [("xid", "abc")]),
+            ("/rollup", [("metric", "bogus")]),
+            ("/rollup", [("bogus", "1")]),
         ] {
             let resp = handle(&get(path, &query), &store, &cache, None);
             assert_eq!(resp.status, 400, "{path}?{query:?}");
+            // Every 400 body is one line: it ends in exactly one newline.
+            assert!(
+                resp.body.ends_with('\n') && !resp.body.ends_with("\n\n"),
+                "{path}?{query:?}: {:?}",
+                resp.body
+            );
         }
     }
 

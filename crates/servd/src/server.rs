@@ -8,7 +8,7 @@
 //! state machine: socket reads feed the incremental
 //! [`crate::http::Parser`], completed requests are dispatched inline to
 //! [`router::handle`] (a cache miss renders on this thread, from the
-//! snapshot's report or its host-range index), and responses drain
+//! snapshot's report or its host/kind index), and responses drain
 //! through a buffered non-blocking write with `EPOLLOUT` armed only
 //! while bytes are pending.
 //!

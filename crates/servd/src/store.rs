@@ -1,27 +1,21 @@
-//! The immutable study snapshot — the report plus a host-range index
+//! The immutable study snapshot — the report plus one host/kind index
 //! over its coalesced errors — and its atomic snapshot handle.
 //!
 //! A [`StudyStore`] is built once from a finished pipeline run (a
 //! [`StudyReport`] plus, optionally, its [`QuarantineReport`]) and never
-//! mutated afterwards. It keeps the report and one index: the sorted
-//! host dictionary split into one or more host-range *shards* —
-//! contiguous ranges balanced by row count — each holding its rows'
-//! column vectors in the canonical `(time, host)` order plus sorted
-//! per-host and per-kind posting lists. Every shard also keeps its rows'
-//! *global row ids*: because shards partition the canonical row
-//! sequence, k-way merging per-shard result streams by global row id
-//! ([`hpclog::shard::merge_sorted_by`]) reconstructs exactly the
-//! single-shard row order, so every layout renders the same bytes.
-//! `tests/shard_equivalence.rs` holds that invariant across shard
-//! counts and chaos rates.
+//! mutated afterwards. It keeps the report and one index over the
+//! report's coalesced errors, which the pipeline emits in canonical
+//! `(time, host)` order: the sorted host dictionary with each host's
+//! posting list, and each kind's posting list. A posting list holds row
+//! ids in ascending order, so it is in time order too and admits the
+//! same binary searches as the rows themselves.
 //!
 //! Every endpoint renders from those two, on the calling thread, when
 //! the response cache misses: the paper surfaces, `/jobs/impact` and
 //! `/availability` through the offline renderers, `/mtbe` from the
 //! report's stats, `/errors` by binary search over the narrowest posting
-//! list (a filter spanning several shards scans them one by one and
-//! merges), and `/rollup` by folding only the cube or cell set the query
-//! names.
+//! list, each row written straight into the body, and `/rollup` by
+//! folding only the cube or cell set the query names.
 //!
 //! Serving threads never see a store mid-build: a [`StoreHandle`] holds
 //! the current store behind an `Arc` and swaps it atomically on
@@ -29,13 +23,11 @@
 //! enough to clone the `Arc` (two atomic ops); they never wait on store
 //! construction, and a request that started on the old snapshot finishes
 //! on the old snapshot — responses are never torn across a swap. Live
-//! ingest publishes through
-//! [`publish_study`](StoreHandle::publish_study), rebuilding with the
-//! same shard count the handle was seeded with.
+//! ingest publishes through [`publish_study`](StoreHandle::publish_study).
 
 use resilience::report;
 use resilience::rollup::{self, RollupCube};
-use resilience::{QuarantineReport, StudyReport};
+use resilience::{CoalescedError, QuarantineReport, StudyReport};
 use simtime::{Bucket, Phase, Timestamp, Tz};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -61,73 +53,6 @@ pub struct ErrorFilter {
     /// without double-counting — the same contract `/rollup` applies to
     /// bucket starts. A window with `from > to` selects nothing.
     pub to: Option<Timestamp>,
-}
-
-/// One host-range shard: the columns, indexes, and global row ids of a
-/// contiguous slice of the host dictionary.
-///
-/// Rows appear in canonical global order restricted to this shard's
-/// hosts; a subsequence of a `(time, host)`-sorted sequence is still
-/// time-sorted, so `times` is sorted and every posting list (ascending
-/// local row ids) is in time order, admitting the same binary searches
-/// on every layout.
-#[derive(Debug, Default)]
-struct Shard {
-    /// Global row ids, ascending — the merge key across shards.
-    rows: Vec<u32>,
-    times: Vec<u64>,
-    /// Global host ids (indexes into the store-wide dictionary).
-    host_ids: Vec<u32>,
-    pcis: Vec<String>,
-    kinds: Vec<ErrorKind>,
-    merged: Vec<u64>,
-    /// Global host id → local row indexes, ascending.
-    by_host: BTreeMap<u32, Vec<u32>>,
-    /// Kind → local row indexes, ascending.
-    by_kind: BTreeMap<ErrorKind, Vec<u32>>,
-}
-
-impl Shard {
-    /// Local row indexes matching the filter, ascending (= time order).
-    /// `host_id` is pre-resolved against the global dictionary.
-    fn select(&self, host_id: Option<u32>, filter: &ErrorFilter) -> Vec<u32> {
-        let rows: &[u32] = match (host_id, filter.kind) {
-            (Some(id), _) => self.by_host.get(&id).map_or(&[][..], Vec::as_slice),
-            (None, Some(kind)) => self.by_kind.get(&kind).map_or(&[][..], Vec::as_slice),
-            (None, None) => {
-                let lo = filter
-                    .from
-                    .map_or(0, |t| self.times.partition_point(|&time| time < t.unix()));
-                let hi = filter.to.map_or(self.times.len(), |t| {
-                    self.times.partition_point(|&time| time < t.unix())
-                });
-                return (lo as u32..hi as u32).collect();
-            }
-        };
-        let slice = self.time_slice(rows, filter);
-        match filter.kind {
-            // Residual predicate, applied only when both host and kind
-            // were given: the slice is already host- and time-bounded.
-            Some(kind) if host_id.is_some() => slice
-                .iter()
-                .copied()
-                .filter(|&r| self.kinds[r as usize] == kind)
-                .collect(),
-            _ => slice.to_vec(),
-        }
-    }
-
-    /// Slices a time-ordered posting list to the filter's time bounds by
-    /// binary search; an inverted window (`from > to`) slices to nothing.
-    fn time_slice<'a>(&self, rows: &'a [u32], filter: &ErrorFilter) -> &'a [u32] {
-        let lo = filter.from.map_or(0, |t| {
-            rows.partition_point(|&r| self.times[r as usize] < t.unix())
-        });
-        let hi = filter.to.map_or(rows.len(), |t| {
-            rows.partition_point(|&r| self.times[r as usize] < t.unix())
-        });
-        &rows[lo..hi.max(lo)]
-    }
 }
 
 /// Which aggregate surface a `/rollup` request reads.
@@ -206,8 +131,8 @@ impl RollupQuery {
     }
 }
 
-/// The immutable serving snapshot of one study: the report, and the
-/// host-range index over its coalesced errors.
+/// The immutable serving snapshot of one study: the report, and one
+/// host/kind index over its coalesced errors.
 ///
 /// Every surface renders from these two on demand. The paper surfaces,
 /// `/jobs/impact` and `/availability` are byte-identical to the offline
@@ -216,74 +141,44 @@ impl RollupQuery {
 pub struct StudyStore {
     report: StudyReport,
     caveat_count: usize,
-    // Host dictionary (sorted, deduplicated), the host → shard map, and
-    // the host-range shards.
-    hosts: Vec<String>,
-    shard_of_host: Vec<u32>,
-    shards: Vec<Shard>,
+    /// The sorted host dictionary: each host's rows, ascending.
+    by_host: BTreeMap<String, Vec<u32>>,
+    /// Each kind's rows, ascending.
+    by_kind: BTreeMap<ErrorKind, Vec<u32>>,
 }
 
 impl StudyStore {
-    /// Builds an unsharded (single-shard) store from a finished run.
-    /// `quarantine` carries the lenient run's trust qualifiers into
-    /// `/snapshot`; pass `None` for strict runs.
+    /// Builds the store from a finished run. `quarantine` carries the
+    /// lenient run's trust qualifiers into `/snapshot`; pass `None` for
+    /// strict runs.
     pub fn build(report: StudyReport, quarantine: Option<&QuarantineReport>) -> Self {
-        Self::build_sharded(report, quarantine, 1)
-    }
-
-    /// Builds the store split into `shards` host-range shards (clamped
-    /// to at least 1), balanced by row count. Shard count is a pure
-    /// layout choice: every rendered surface is byte-identical across
-    /// counts.
-    pub fn build_sharded(
-        report: StudyReport,
-        quarantine: Option<&QuarantineReport>,
-        shards: usize,
-    ) -> Self {
         let mut span = obs::span("servd_store_build");
         span.add_items(report.errors.len() as u64);
 
-        let mut hosts: Vec<String> = report.errors.iter().map(|e| e.host.clone()).collect();
-        hosts.sort();
-        hosts.dedup();
-
-        // Host-range partition balanced by row count.
-        let mut rows_per_host = vec![0usize; hosts.len()];
-        for e in &report.errors {
-            if let Ok(i) = hosts.binary_search(&e.host) {
-                rows_per_host[i] += 1;
-            }
-        }
-        let nshards = shards.max(1);
-        let shard_of_host = partition_by_weight(&rows_per_host, nshards);
-        let mut built: Vec<Shard> = (0..nshards).map(|_| Shard::default()).collect();
-
+        let mut by_host: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+        let mut by_kind: BTreeMap<ErrorKind, Vec<u32>> = BTreeMap::new();
         for (row, e) in report.errors.iter().enumerate() {
-            let host_id = match hosts.binary_search(&e.host) {
-                Ok(i) => i as u32,
-                // Unreachable (the dictionary was built from these rows),
-                // but a wrong id is strictly worse than a skipped row.
-                Err(_) => continue,
-            };
-            let shard = &mut built[shard_of_host[host_id as usize] as usize];
-            let local = shard.rows.len() as u32;
-            shard.rows.push(row as u32);
-            shard.times.push(e.time.unix());
-            shard.host_ids.push(host_id);
-            shard.pcis.push(e.pci.to_string());
-            shard.kinds.push(e.kind);
-            shard.merged.push(e.merged_lines);
-            shard.by_host.entry(host_id).or_default().push(local);
-            shard.by_kind.entry(e.kind).or_default().push(local);
+            by_host.entry(e.host.clone()).or_default().push(row as u32);
+            by_kind.entry(e.kind).or_default().push(row as u32);
         }
 
         StudyStore {
             caveat_count: quarantine.map_or(0, |q| q.caveats.len()),
             report,
-            hosts,
-            shard_of_host,
-            shards: built,
+            by_host,
+            by_kind,
         }
+    }
+
+    /// [`build`](Self::build) under its old name, ignoring the count: the
+    /// store has one layout. It is kept only because perfbench's `query`
+    /// replay still calls it; ROADMAP item 1 deletes it with the replay.
+    pub fn build_sharded(
+        report: StudyReport,
+        quarantine: Option<&QuarantineReport>,
+        _shards: usize,
+    ) -> Self {
+        Self::build(report, quarantine)
     }
 
     /// The report the store was built from.
@@ -294,11 +189,6 @@ impl StudyStore {
     /// Number of coalesced error rows stored.
     pub fn error_rows(&self) -> usize {
         self.report.errors.len()
-    }
-
-    /// How many host-range shards the store was built with.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Table I, rendered by [`report::table1`].
@@ -321,99 +211,32 @@ impl StudyStore {
         report::figure2(&self.report)
     }
 
-    /// Resolves a filter's host against the dictionary: the host's global
-    /// id, and the shards the filter can touch — the host's one shard,
-    /// none for an unknown host, every shard without a host filter.
-    fn plan(&self, filter: &ErrorFilter) -> (Option<u32>, Vec<usize>) {
-        match &filter.host {
-            Some(host) => match self.hosts.binary_search_by(|h| h.as_str().cmp(host)) {
-                Ok(i) => (Some(i as u32), vec![self.shard_of_host[i] as usize]),
-                Err(_) => (None, Vec::new()),
-            },
-            None => (None, (0..self.shards.len()).collect()),
-        }
-    }
-
-    /// One shard's `/errors` slice as `(global_row, csv_line)` pairs,
-    /// ascending by global row — the merge input.
-    fn shard_errors(
-        &self,
-        shard: usize,
-        host_id: Option<u32>,
-        filter: &ErrorFilter,
-    ) -> Vec<(u32, String)> {
-        let s = &self.shards[shard];
-        s.select(host_id, filter)
-            .into_iter()
-            .map(|local| {
-                let r = local as usize;
-                let line = format!(
-                    "{},{},{},{},{},{}",
-                    Timestamp::from_unix(s.times[r]),
-                    self.hosts[s.host_ids[r] as usize],
-                    s.pcis[r],
-                    s.kinds[r].primary_code(),
-                    s.kinds[r].abbreviation(),
-                    s.merged[r]
-                );
-                (s.rows[r], line)
-            })
-            .collect()
-    }
-
     /// Renders the `/errors` slice as CSV:
     /// `time,host,pci,xid,kind,merged_lines`, rows in canonical order.
+    ///
+    /// The narrowest index applies (a host's posting list, else a kind's,
+    /// else the rows themselves), sliced to `[from, to)` by binary
+    /// search; only a host list can hold rows of another kind, so the
+    /// kind is the one residual predicate.
     pub fn errors_csv(&self, filter: &ErrorFilter) -> String {
-        self.errors_csv_traced(filter, None)
-    }
-
-    /// [`errors_csv`](Self::errors_csv) with the request's trace riding
-    /// along. A filter that touches several shards scans them one after
-    /// another, each under a `shard_scan` span (detail `shard=N`, its row
-    /// count as items), k-way merges the streams by global row id under
-    /// a `merge` span, and counts into `servd_scatter_queries_total` and
-    /// `servd_scatter_shard_scans_total`. A one-shard scan records
-    /// nothing beyond the caller's spans. Tracing never changes the
-    /// bytes.
-    pub fn errors_csv_traced(
-        &self,
-        filter: &ErrorFilter,
-        trace: Option<&Arc<obs::Trace>>,
-    ) -> String {
-        let (host_id, involved) = self.plan(filter);
-        let scatter = involved.len() > 1;
-        let trace = trace.filter(|_| scatter);
-        if scatter && obs::is_enabled() {
-            obs::counter("servd_scatter_queries_total", &[("endpoint", "errors")]).inc();
-            obs::counter("servd_scatter_shard_scans_total", &[]).add(involved.len() as u64);
-        }
-        let streams: Vec<Vec<(u32, String)>> = involved
-            .into_iter()
-            .map(|i| {
-                let mut scan = trace.map(|t| t.stage("shard_scan"));
-                if let Some(g) = scan.as_mut() {
-                    g.set_detail(format!("shard={i}"));
-                }
-                let stream = self.shard_errors(i, host_id, filter);
-                if let Some(g) = scan.as_mut() {
-                    g.add_items(stream.len() as u64);
-                }
-                stream
-            })
-            .collect();
-        let mut merge = trace.map(|t| t.stage("merge"));
-        if let Some(g) = merge.as_mut() {
-            g.add_items(streams.len() as u64);
-        }
-        let rows = if scatter {
-            hpclog::shard::merge_sorted_by(streams, |a: &(u32, String), b| a.0.cmp(&b.0))
-        } else {
-            streams.into_iter().flatten().collect()
-        };
+        let errors = &self.report.errors;
         let mut out = String::from(ERRORS_HEADER);
-        for (_, line) in rows {
-            out.push_str(&line);
-            out.push('\n');
+        let rows = match (&filter.host, filter.kind) {
+            (None, None) => {
+                for e in time_slice(errors, |e| e.time, filter) {
+                    push_error_row(&mut out, e);
+                }
+                return out;
+            }
+            (Some(host), _) => self.by_host.get(host),
+            (None, Some(kind)) => self.by_kind.get(&kind),
+        };
+        let rows = rows.map_or(&[][..], Vec::as_slice);
+        for &r in time_slice(rows, |&r| errors[r as usize].time, filter) {
+            let e = &errors[r as usize];
+            if filter.kind.is_none_or(|k| e.kind == k) {
+                push_error_row(&mut out, e);
+            }
         }
         out
     }
@@ -489,7 +312,7 @@ impl StudyStore {
         let mut out = String::new();
         let _ = writeln!(out, "snapshot: {id}");
         let _ = writeln!(out, "errors: {}", self.error_rows());
-        let _ = writeln!(out, "hosts: {}", self.hosts.len());
+        let _ = writeln!(out, "hosts: {}", self.by_host.len());
         let _ = writeln!(
             out,
             "gpu_jobs_failed: {}",
@@ -536,25 +359,16 @@ impl StudyStore {
                         q.bucket,
                         self.report.errors.iter().map(|e| (e.time, e.kind)),
                     ),
-                    Some(host) => {
-                        let filter = ErrorFilter {
-                            host: Some(host.clone()),
-                            ..ErrorFilter::default()
-                        };
-                        let (host_id, involved) = self.plan(&filter);
-                        // A host lives in exactly one shard, so its
-                        // posting list is already in time order.
-                        let events = involved.into_iter().flat_map(|i| {
-                            let s = &self.shards[i];
-                            s.select(host_id, &filter).into_iter().map(move |r| {
-                                (
-                                    Timestamp::from_unix(s.times[r as usize]),
-                                    s.kinds[r as usize],
-                                )
-                            })
-                        });
-                        RollupCube::build(&tz, q.bucket, events)
-                    }
+                    // A host's posting list is in time order, as the
+                    // fold needs.
+                    Some(host) => RollupCube::build(
+                        &tz,
+                        q.bucket,
+                        self.by_host.get(host).into_iter().flatten().map(|&r| {
+                            let e = &self.report.errors[r as usize];
+                            (e.time, e.kind)
+                        }),
+                    ),
                 };
                 let mtbe = q.metric == RollupMetric::Mtbe;
                 out.push_str(if mtbe {
@@ -642,31 +456,6 @@ impl StudyStore {
     }
 }
 
-/// Splits `weights` (rows per host, host-dictionary order) into `n`
-/// contiguous ranges with roughly equal weight; returns the host → range
-/// map. Greedy front-to-back: each range takes hosts until it reaches
-/// its fair share of what remains. Ranges may be empty when there are
-/// fewer hosts than shards.
-fn partition_by_weight(weights: &[usize], n: usize) -> Vec<u32> {
-    let mut assignment = vec![0u32; weights.len()];
-    let total: usize = weights.iter().sum();
-    let mut remaining = total;
-    let mut shard = 0usize;
-    let mut in_shard = 0usize;
-    for (host, &w) in weights.iter().enumerate() {
-        let shards_left = n - shard;
-        let target = remaining.div_ceil(shards_left.max(1));
-        if in_shard > 0 && in_shard + w > target && shard + 1 < n {
-            shard += 1;
-            in_shard = 0;
-        }
-        assignment[host] = shard as u32;
-        in_shard += w;
-        remaining -= w;
-    }
-    assignment
-}
-
 /// Resolves a raw XID code string from a query into a studied kind.
 ///
 /// # Errors
@@ -717,6 +506,36 @@ pub fn parse_time(raw: &str) -> Result<Timestamp, String> {
     ))
 }
 
+/// Slices time-ordered rows to the filter's `[from, to)` window by
+/// binary search; an inverted window (`from > to`) slices to nothing.
+fn time_slice<'a, T>(
+    rows: &'a [T],
+    time: impl Fn(&T) -> Timestamp,
+    filter: &ErrorFilter,
+) -> &'a [T] {
+    let lo = filter
+        .from
+        .map_or(0, |t| rows.partition_point(|r| time(r) < t));
+    let hi = filter
+        .to
+        .map_or(rows.len(), |t| rows.partition_point(|r| time(r) < t));
+    &rows[lo..hi.max(lo)]
+}
+
+/// Appends one `/errors` CSV row.
+fn push_error_row(out: &mut String, e: &CoalescedError) {
+    let _ = writeln!(
+        out,
+        "{},{},{},{},{},{}",
+        e.time,
+        e.host,
+        e.pci,
+        e.kind.primary_code(),
+        e.kind.abbreviation(),
+        e.merged_lines
+    );
+}
+
 fn fmt_cell(v: Option<f64>) -> String {
     v.map_or(String::new(), |v| format!("{v:.3}"))
 }
@@ -750,23 +569,16 @@ pub struct Published {
 /// that snapshot no matter how many swaps happen behind them. The lock is
 /// held only for the pointer exchange, never during store construction or
 /// rendering, so readers are wait-free in all but the swap instant.
-///
-/// The handle remembers the initial store's shard count so snapshots
-/// published through [`publish_study`](StoreHandle::publish_study) keep
-/// the same layout.
 #[derive(Debug)]
 pub struct StoreHandle {
     current: RwLock<Arc<Published>>,
     next_id: AtomicU64,
-    publish_shards: usize,
 }
 
 impl StoreHandle {
-    /// Creates the handle with an initial store (snapshot id 1). Later
-    /// live publishes rebuild with the initial store's shard count.
+    /// Creates the handle with an initial store (snapshot id 1).
     pub fn new(store: StudyStore) -> Self {
         StoreHandle {
-            publish_shards: store.shard_count(),
             current: RwLock::new(Arc::new(Published {
                 id: 1,
                 at: Instant::now(),
@@ -805,20 +617,10 @@ impl StoreHandle {
         }
     }
 
-    /// The shard count every live publish builds with.
-    pub fn publish_shards(&self) -> usize {
-        self.publish_shards
-    }
-
-    /// Builds a store from a materialized study, sharded like the initial
-    /// store, and publishes it; returns the new snapshot id. The one
-    /// store-build path of live publishes.
+    /// Builds a store from a materialized study and publishes it; returns
+    /// the new snapshot id. The one store-build path of live publishes.
     pub fn publish_study(&self, report: StudyReport, quarantine: &QuarantineReport) -> u64 {
-        self.publish(StudyStore::build_sharded(
-            report,
-            Some(quarantine),
-            self.publish_shards(),
-        ))
+        self.publish(StudyStore::build(report, Some(quarantine)))
     }
 }
 
@@ -948,80 +750,23 @@ mod tests {
     }
 
     #[test]
-    fn every_shard_count_renders_identical_surfaces() {
-        let report = sample_report();
-        let baseline = StudyStore::build(report.clone(), None);
-        let filters = [
-            ErrorFilter::default(),
-            ErrorFilter {
-                host: Some("gpub001".to_owned()),
-                ..ErrorFilter::default()
-            },
-            ErrorFilter {
-                kind: Some(ErrorKind::GspError),
-                ..ErrorFilter::default()
-            },
-            ErrorFilter {
-                from: Some(op_time(200)),
-                to: Some(op_time(9000)),
-                ..ErrorFilter::default()
-            },
-        ];
-        for n in [1usize, 2, 3, 4, 8, 16] {
-            let sharded = StudyStore::build_sharded(report.clone(), None, n);
-            assert_eq!(sharded.shard_count(), n);
-            for filter in &filters {
-                assert_eq!(
-                    sharded.errors_csv(filter),
-                    baseline.errors_csv(filter),
-                    "shards={n} filter={filter:?}"
-                );
-            }
-            assert_eq!(sharded.mtbe_csv(None), baseline.mtbe_csv(None));
-            assert_eq!(sharded.jobs_impact_csv(), baseline.jobs_impact_csv());
-            assert_eq!(sharded.availability_json(), baseline.availability_json());
-        }
-    }
-
-    #[test]
     fn inverted_windows_select_nothing() {
-        let report = sample_report();
-        for n in [1usize, 4] {
-            let s = StudyStore::build_sharded(report.clone(), None, n);
-            for (host, kind) in [
-                (None, None),
-                (Some("gpub001"), None),
-                (None, Some(ErrorKind::GspError)),
-                (Some("gpub001"), Some(ErrorKind::GspError)),
-            ] {
-                // `[from, to)` with `from` after `to`: rows in between
-                // (100 on gpub001, a GSP row) must not invert the slice.
-                let filter = ErrorFilter {
-                    host: host.map(str::to_owned),
-                    kind,
-                    from: Some(op_time(200)),
-                    to: Some(op_time(50)),
-                };
-                assert_eq!(
-                    s.errors_csv(&filter),
-                    ERRORS_HEADER,
-                    "shards={n} filter={filter:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn weight_partition_is_contiguous_and_covers_all_hosts() {
-        let weights = [5usize, 1, 1, 1, 8, 2, 2, 4];
-        for n in [1usize, 2, 3, 4, 8, 12] {
-            let map = partition_by_weight(&weights, n);
-            assert_eq!(map.len(), weights.len());
-            // Contiguous, non-decreasing shard ids within range.
-            for pair in map.windows(2) {
-                assert!(pair[0] <= pair[1], "non-contiguous: {map:?}");
-            }
-            assert!(map.iter().all(|&s| (s as usize) < n), "{map:?}");
+        let s = store();
+        for (host, kind) in [
+            (None, None),
+            (Some("gpub001"), None),
+            (None, Some(ErrorKind::GspError)),
+            (Some("gpub001"), Some(ErrorKind::GspError)),
+        ] {
+            // `[from, to)` with `from` after `to`: rows in between
+            // (100 on gpub001, a GSP row) must not invert the slice.
+            let filter = ErrorFilter {
+                host: host.map(str::to_owned),
+                kind,
+                from: Some(op_time(200)),
+                to: Some(op_time(50)),
+            };
+            assert_eq!(s.errors_csv(&filter), ERRORS_HEADER, "filter={filter:?}");
         }
     }
 
@@ -1076,19 +821,6 @@ mod tests {
         // A reader that grabbed the old snapshot keeps it intact.
         assert_eq!(held.id, 1);
         assert_eq!(held.store.error_rows(), 5);
-    }
-
-    #[test]
-    fn publish_study_preserves_the_shard_layout() {
-        let sharded = StudyStore::build_sharded(sample_report(), None, 4);
-        let handle = StoreHandle::new(sharded);
-        assert_eq!(handle.publish_shards(), 4);
-        let mut engine = resilience::StreamingPipeline::new(Pipeline::delta(), 2022);
-        engine.push_log(b"");
-        let (report, quarantine) = engine.materialize_full();
-        handle.publish_study(report, &quarantine);
-        assert_eq!(handle.current().id, 2);
-        assert_eq!(handle.current().store.shard_count(), 4);
     }
 
     #[test]
@@ -1185,37 +917,6 @@ mod tests {
                 ..RollupQuery::for_metric(RollupMetric::Availability)
             })
             .is_err());
-    }
-
-    #[test]
-    fn rollup_is_identical_across_shard_counts() {
-        let report = sample_report();
-        let baseline = StudyStore::build(report.clone(), None);
-        let metrics = [
-            RollupMetric::Errors,
-            RollupMetric::Mtbe,
-            RollupMetric::Impact,
-            RollupMetric::Availability,
-        ];
-        for n in [2usize, 4, 8] {
-            let sharded = StudyStore::build_sharded(report.clone(), None, n);
-            for metric in metrics {
-                for bucket in Bucket::ALL {
-                    for tzname in Tz::BUILTIN {
-                        let q = RollupQuery {
-                            bucket,
-                            tz: tzname.to_owned(),
-                            ..RollupQuery::for_metric(metric)
-                        };
-                        assert_eq!(
-                            sharded.rollup_csv(&q).unwrap(),
-                            baseline.rollup_csv(&q).unwrap(),
-                            "shards={n} {metric:?} {bucket:?} {tzname}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

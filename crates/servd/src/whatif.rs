@@ -16,7 +16,7 @@
 //!   through the same [`admission`](crate::admission) policy as ingest.
 //! * **Deterministic**: the result body is a pure function of the
 //!   canonical spec (which embeds the seed) — byte-identical across
-//!   repeats, worker counts, shard layouts and snapshot swaps.
+//!   repeats, worker counts and snapshot swaps.
 //! * **Single-flight**: identical specs submitted concurrently share
 //!   one computation; `servd_whatif_computed_total` counts campaigns
 //!   actually run, `servd_whatif_cache_hits_total` counts answers

@@ -163,7 +163,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     fed,
                     stats.extracted,
                     stats.quarantined.total(),
-                    engine.live().total_errors(),
+                    engine.errors().len(),
                 )
             });
         }
@@ -196,7 +196,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         fed,
         elapsed,
         stats.extracted,
-        engine.live().total_errors()
+        engine.errors().len()
     );
 
     // Accounting inputs, in the batch path's canonical feed order.

@@ -17,7 +17,7 @@
 //! [`MetricsSink`] interprets the `--metrics-out` / `--metrics-format`
 //! flags, enables the global [`obs`] registry for the run, and renders the
 //! final [`obs::ObsReport`] as Prometheus text or JSON; [`Progress`] is
-//! the `LiveCounters`-style periodic stderr line for streaming mode.
+//! the periodic stderr progress line for streaming mode.
 
 use hpclog::extract::ExtractStats;
 use hpclog::quarantine::QuarantineLedger;
@@ -580,7 +580,7 @@ impl MetricsSink {
     }
 }
 
-/// A `LiveCounters`-style periodic progress line on stderr.
+/// A periodic progress line on stderr.
 ///
 /// Rate-limited to one line per second so the hot streaming loop can call
 /// [`tick`](Progress::tick) per chunk without flooding the terminal. Off

@@ -39,7 +39,7 @@ fn snapshot_store() -> StudyStore {
         &bridge::jobs(&c.outcome.cpu_jobs),
         &bridge::outages(c.campaign.ledger.outages()),
     );
-    StudyStore::build_sharded(report, None, 4)
+    StudyStore::build(report, None)
 }
 
 fn check(name: &str, rendered: &str) {
@@ -124,7 +124,7 @@ fn golden_dst_straddle_matches() {
         duration: Duration::from_hours(3),
     }];
     let report = Pipeline::delta().run_events(events, None, &[], &[], &outages);
-    let store = StudyStore::build_sharded(report, None, 2);
+    let store = StudyStore::build(report, None);
     let render = |query: &RollupQuery| store.rollup_csv(query).expect("golden query renders");
     check(
         "dst_straddle_errors_hour_chicago.csv",

@@ -1,9 +1,8 @@
 //! The rollup-cube differential battery: every `/rollup` surface must be
 //! byte-identical to a brute-force fold over the raw event stream —
-//! across shard counts {1,2,4,8} × chaos {0%,5%} × buckets
-//! {hour,day,week,month} × every built-in timezone (UTC, the default,
-//! and two DST-observing zones) — and the `/errors` time window must be
-//! `[from, to)` on the exact edge.
+//! across chaos {0%,5%} × buckets {hour,day,week,month} × every
+//! built-in timezone (UTC, the default, and two DST-observing zones) —
+//! and the `/errors` time window must be `[from, to)` on the exact edge.
 //!
 //! The oracles here trust only `simtime::civiltime` (whose bucket
 //! functions are proven total/monotone/partition-complete by
@@ -27,7 +26,6 @@ use std::sync::Arc;
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0x0C0B;
 const LOG_YEAR: i32 = 2022;
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// The DST-observing built-in zones the served leg requests.
 const TZS: [&str; 2] = ["America/Chicago", "Europe/Berlin"];
 
@@ -207,8 +205,8 @@ fn query(metric: RollupMetric, bucket: Bucket, tz: &str) -> RollupQuery {
 
 // ---------------------------------------------------------------- tests
 
-/// The full sweep: shards × chaos × buckets × every built-in timezone,
-/// all four metrics byte-compared against the brute-force oracles.
+/// The full sweep: chaos × buckets × every built-in timezone, all four
+/// metrics byte-compared against the brute-force oracles.
 #[test]
 fn rollups_match_brute_force_across_shards_chaos_buckets_timezones() {
     for chaos_rate in [0.0, 0.05] {
@@ -225,53 +223,51 @@ fn rollups_match_brute_force_across_shards_chaos_buckets_timezones() {
             !report.op_outages.is_empty(),
             "chaos={chaos_rate}: need outages for the availability surface"
         );
-        for n in SHARD_COUNTS {
-            let store = StudyStore::build_sharded(report.clone(), Some(&quarantine), n);
-            for tzname in Tz::BUILTIN {
-                let tz = Tz::by_name(tzname).expect("builtin tz");
-                for bucket in Bucket::ALL {
-                    let tag = format!("chaos={chaos_rate} n={n} {tzname} {bucket:?}");
-                    assert_eq!(
-                        store
-                            .rollup_csv(&query(RollupMetric::Errors, bucket, tzname))
-                            .unwrap(),
-                        oracle_errors(&report, &tz, bucket, None, None, None, None),
-                        "{tag}: errors diverged"
-                    );
-                    assert_eq!(
-                        store
-                            .rollup_csv(&query(RollupMetric::Mtbe, bucket, tzname))
-                            .unwrap(),
-                        oracle_mtbe(&report, &tz, bucket, None),
-                        "{tag}: mtbe diverged"
-                    );
-                    assert_eq!(
-                        store
-                            .rollup_csv(&query(RollupMetric::Impact, bucket, tzname))
-                            .unwrap(),
-                        oracle_impact(&report, &tz, bucket, None),
-                        "{tag}: impact diverged"
-                    );
-                    assert_eq!(
-                        store
-                            .rollup_csv(&query(RollupMetric::Availability, bucket, tzname))
-                            .unwrap(),
-                        oracle_availability(&report, &tz, bucket),
-                        "{tag}: availability diverged"
-                    );
-                }
+        let store = StudyStore::build(report.clone(), Some(&quarantine));
+        for tzname in Tz::BUILTIN {
+            let tz = Tz::by_name(tzname).expect("builtin tz");
+            for bucket in Bucket::ALL {
+                let tag = format!("chaos={chaos_rate} {tzname} {bucket:?}");
+                assert_eq!(
+                    store
+                        .rollup_csv(&query(RollupMetric::Errors, bucket, tzname))
+                        .unwrap(),
+                    oracle_errors(&report, &tz, bucket, None, None, None, None),
+                    "{tag}: errors diverged"
+                );
+                assert_eq!(
+                    store
+                        .rollup_csv(&query(RollupMetric::Mtbe, bucket, tzname))
+                        .unwrap(),
+                    oracle_mtbe(&report, &tz, bucket, None),
+                    "{tag}: mtbe diverged"
+                );
+                assert_eq!(
+                    store
+                        .rollup_csv(&query(RollupMetric::Impact, bucket, tzname))
+                        .unwrap(),
+                    oracle_impact(&report, &tz, bucket, None),
+                    "{tag}: impact diverged"
+                );
+                assert_eq!(
+                    store
+                        .rollup_csv(&query(RollupMetric::Availability, bucket, tzname))
+                        .unwrap(),
+                    oracle_availability(&report, &tz, bucket),
+                    "{tag}: availability diverged"
+                );
             }
         }
     }
 }
 
-/// Filtered legs on one sharded store: kind and host restrictions,
+/// Filtered legs on one store: kind and host restrictions,
 /// `[from, to)` windows, all three at once, and an inverted window, all
 /// against the oracles.
 #[test]
 fn filtered_rollups_match_brute_force() {
     let (report, quarantine) = study(0.0);
-    let store = StudyStore::build_sharded(report.clone(), Some(&quarantine), 4);
+    let store = StudyStore::build(report.clone(), Some(&quarantine));
     let tzname = "America/Chicago";
     let tz = Tz::by_name(tzname).expect("builtin tz");
 
@@ -410,7 +406,7 @@ fn dst_transitions_shape_the_cubes_correctly() {
         duration: Duration::from_hours(2),
     }];
     let report = Pipeline::delta().run_events(events, None, &[], &[], &outages);
-    let store = StudyStore::build_sharded(report.clone(), None, 2);
+    let store = StudyStore::build(report.clone(), None);
 
     // Hour cubes: the two fold events land in *different* buckets with
     // the *same* local label except for the offset suffix.
@@ -506,8 +502,8 @@ fn servd_parse_time(raw: &str) -> Timestamp {
 }
 
 /// HTTP leg: `/rollup` over the wire is byte-identical to the in-process
-/// renderer for every metric × bucket × tz, 400s stay 400 across shard
-/// counts, and the `/errors` boundary contract holds on the exact edge.
+/// renderer for every metric × bucket × tz, 400s stay 400, and the
+/// `/errors` boundary contract holds on the exact edge.
 #[test]
 fn served_rollups_match_in_process_and_errors_window_is_half_open() {
     let (report, quarantine) = study(0.0);
@@ -535,93 +531,67 @@ fn served_rollups_match_in_process_and_errors_window_is_half_open() {
         }
     }
 
-    let mut baseline: Option<Vec<(u16, Vec<u8>)>> = None;
-    for n in [1usize, 4] {
-        let store = StudyStore::build_sharded(report.clone(), Some(&quarantine), n);
-        let handle = Arc::new(StoreHandle::new(store));
-        let server = servd::start(
-            ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                ..ServerConfig::default()
-            },
-            Arc::clone(&handle),
-        )
-        .expect("server starts");
-        let mut conn = connect(server.addr());
+    let store = StudyStore::build(report.clone(), Some(&quarantine));
+    let handle = Arc::new(StoreHandle::new(store));
+    let server = servd::start(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            ..ServerConfig::default()
+        },
+        Arc::clone(&handle),
+    )
+    .expect("server starts");
+    let mut conn = connect(server.addr());
 
-        // The wire bytes equal the in-process renderer, and repeating a
-        // request hits the snapshot-scoped cache with the same bytes.
-        let served: Vec<(u16, Vec<u8>)> = paths
-            .iter()
-            .map(|p| {
-                let first = get_on(&mut conn, p);
-                assert_eq!(first.status, 200, "{p}");
-                let again = get_on(&mut conn, p);
-                assert_eq!(again.body, first.body, "cache changed bytes at {p}");
-                (first.status, first.body)
-            })
-            .collect();
-        for (p, got) in paths.iter().zip(&served) {
-            let raw = p.strip_prefix("/rollup?").expect("rollup path");
-            let mut q = RollupQuery::for_metric(RollupMetric::Errors);
-            let mut metric = RollupMetric::Errors;
-            for pair in raw.split('&') {
-                let (k, v) = pair.split_once('=').expect("k=v");
-                match k {
-                    "metric" => metric = RollupMetric::parse(v).expect("metric"),
-                    "bucket" => q.bucket = v.parse().expect("bucket"),
-                    "tz" => q.tz = v.to_owned(),
-                    other => panic!("unexpected key {other}"),
-                }
+    // The wire bytes equal the in-process renderer, and repeating a
+    // request hits the snapshot-scoped cache with the same bytes.
+    for p in &paths {
+        let first = get_on(&mut conn, p);
+        assert_eq!(first.status, 200, "{p}");
+        let again = get_on(&mut conn, p);
+        assert_eq!(again.body, first.body, "cache changed bytes at {p}");
+        let raw = p.strip_prefix("/rollup?").expect("rollup path");
+        let mut q = RollupQuery::for_metric(RollupMetric::Errors);
+        let mut metric = RollupMetric::Errors;
+        for pair in raw.split('&') {
+            let (k, v) = pair.split_once('=').expect("k=v");
+            match k {
+                "metric" => metric = RollupMetric::parse(v).expect("metric"),
+                "bucket" => q.bucket = v.parse().expect("bucket"),
+                "tz" => q.tz = v.to_owned(),
+                other => panic!("unexpected key {other}"),
             }
-            q.metric = metric;
-            assert_eq!(
-                String::from_utf8_lossy(&got.1),
-                handle.current().store.rollup_csv(&q).expect("renders"),
-                "wire bytes diverge from in-process at {p} with {n} shards"
-            );
         }
-
-        // Bad queries are 400 over the wire too.
-        for bad in [
-            "/rollup",
-            "/rollup?metric=bogus",
-            "/rollup?metric=errors&bucket=decade",
-            "/rollup?metric=errors&tz=Mars/Olympus",
-            "/rollup?metric=mtbe&host=x",
-        ] {
-            assert_eq!(get_on(&mut conn, bad).status, 400, "{bad}");
-        }
-
-        // Satellite fix pinned over HTTP: `from` inclusive, `to`
-        // exclusive on the exact row instants.
-        let errors_csv = get_on(
-            &mut conn,
-            &format!("/errors?from={}&to={}", edge_from.unix(), edge_to.unix()),
-        );
-        assert_eq!(errors_csv.status, 200);
-        let rows = String::from_utf8_lossy(&errors_csv.body)
-            .lines()
-            .count()
-            .saturating_sub(1);
+        q.metric = metric;
         assert_eq!(
-            rows, on_edge,
-            "half-open window [from, to) mis-sliced with {n} shards"
+            String::from_utf8_lossy(&first.body),
+            handle.current().store.rollup_csv(&q).expect("renders"),
+            "wire bytes diverge from in-process at {p}"
         );
-
-        match &baseline {
-            None => baseline = Some(served),
-            Some(expect) => {
-                for (p, (got, want)) in paths.iter().zip(served.iter().zip(expect.iter())) {
-                    assert_eq!(got.0, want.0, "status drift at {p}");
-                    assert_eq!(
-                        String::from_utf8_lossy(&got.1),
-                        String::from_utf8_lossy(&want.1),
-                        "served bytes drift at {p} across shard counts"
-                    );
-                }
-            }
-        }
-        server.shutdown();
     }
+
+    // Bad queries are 400 over the wire too.
+    for bad in [
+        "/rollup",
+        "/rollup?metric=bogus",
+        "/rollup?metric=errors&bucket=decade",
+        "/rollup?metric=errors&tz=Mars/Olympus",
+        "/rollup?metric=mtbe&host=x",
+    ] {
+        assert_eq!(get_on(&mut conn, bad).status, 400, "{bad}");
+    }
+
+    // Satellite fix pinned over HTTP: `from` inclusive, `to`
+    // exclusive on the exact row instants.
+    let errors_csv = get_on(
+        &mut conn,
+        &format!("/errors?from={}&to={}", edge_from.unix(), edge_to.unix()),
+    );
+    assert_eq!(errors_csv.status, 200);
+    let rows = String::from_utf8_lossy(&errors_csv.body)
+        .lines()
+        .count()
+        .saturating_sub(1);
+    assert_eq!(rows, on_edge, "half-open window [from, to) mis-sliced");
+    server.shutdown();
 }

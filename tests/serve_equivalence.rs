@@ -1,11 +1,12 @@
 //! The serving-equals-offline proof for `servd`: every HTTP endpoint
 //! must return byte-identical output to the offline renderers run over
 //! the same study, for clean and 5%-corrupted inputs; every filtered
-//! `/errors` query must equal an independently implemented brute-force
-//! scan of the oracle's error list; and no reader may ever observe a
-//! torn or mixed-snapshot response while stores are swapped under load.
+//! `/errors` query — every host in the dictionary among them — must
+//! equal an independently implemented brute-force scan of the oracle's
+//! error list; and no reader may ever observe a torn or mixed-snapshot
+//! response while stores are swapped under load.
 //!
-//! The oracle side never touches `servd`'s column/index machinery: the
+//! The oracle side never touches `servd`'s index machinery: the
 //! expected bytes come from `resilience::report` and from plain linear
 //! scans over `StudyReport::errors` written in this file. If the store's
 //! posting lists, binary-searched time slices, response cache or snapshot
@@ -14,7 +15,7 @@
 use delta_gpu_resilience::corpus::{self, Corpus};
 use delta_gpu_resilience::prelude::*;
 use hpclog::{PciAddr, XidEvent};
-use servd::{ServerConfig, StoreHandle, StudyStore};
+use servd::{ErrorFilter, ServerConfig, StoreHandle, StudyStore};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,6 +23,8 @@ use xid::XidCode;
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0x0B5;
+/// The every-host `/errors` sweep's own study.
+const SWEEP_SEED: u64 = 0x5AAD;
 /// The scaled calendar stays inside 2022 (see E12/E13).
 const LOG_YEAR: i32 = 2022;
 
@@ -255,6 +258,90 @@ fn every_endpoint_is_byte_identical_to_the_offline_oracle() {
     }
 }
 
+/// Store-level `/errors` sweep at chaos {0%, 5%}: five representative
+/// filters, then every host in the dictionary — alone and
+/// `[from, to)`-bounded — each against the brute-force scan.
+#[test]
+fn every_host_and_filter_matches_the_brute_force_scan() {
+    for chaos_rate in [0.0, 0.05] {
+        let c = corpus::build(SCALE, SWEEP_SEED, chaos_rate, true);
+        let (oracle, quarantine) =
+            c.pipeline
+                .run_lenient(c.log(), LOG_YEAR, c.gpu_csv(), c.cpu_csv(), c.out_csv());
+        assert!(
+            oracle.errors.len() > 100,
+            "chaos={chaos_rate}: dataset too small to exercise the index"
+        );
+        let mut hosts: Vec<String> = oracle.errors.iter().map(|e| e.host.clone()).collect();
+        hosts.sort();
+        hosts.dedup();
+        assert!(hosts.len() >= 4, "need several hosts to sweep");
+        let store = StudyStore::build(oracle.clone(), Some(&quarantine));
+        let scan = |f: &ErrorFilter| {
+            let xid = f.kind.map(ErrorKind::primary_code);
+            brute_force_errors(&oracle, f.host.as_deref(), xid, f.from, f.to)
+        };
+
+        // Representative filters, anchored in the data.
+        let probe = &oracle.errors[oracle.errors.len() / 2];
+        let from = oracle.errors[oracle.errors.len() / 4].time;
+        let to = oracle.errors[3 * oracle.errors.len() / 4].time;
+        let filters = vec![
+            ErrorFilter::default(),
+            ErrorFilter {
+                kind: Some(probe.kind),
+                ..ErrorFilter::default()
+            },
+            ErrorFilter {
+                from: Some(from),
+                to: Some(to),
+                ..ErrorFilter::default()
+            },
+            ErrorFilter {
+                host: Some(probe.host.clone()),
+                kind: Some(probe.kind),
+                from: Some(from),
+                to: Some(to),
+            },
+            ErrorFilter {
+                host: Some("nosuchhost".to_owned()),
+                ..ErrorFilter::default()
+            },
+        ];
+        for filter in &filters {
+            assert_eq!(
+                store.errors_csv(filter),
+                scan(filter),
+                "chaos={chaos_rate}: filter {filter:?} diverged from brute force"
+            );
+        }
+        // Every host in the dictionary, so the first and last host and
+        // every posting list between are exercised.
+        for host in &hosts {
+            let by_host = ErrorFilter {
+                host: Some(host.clone()),
+                ..ErrorFilter::default()
+            };
+            assert_eq!(
+                store.errors_csv(&by_host),
+                scan(&by_host),
+                "chaos={chaos_rate}: host {host} diverged"
+            );
+            let bounded = ErrorFilter {
+                host: Some(host.clone()),
+                from: Some(from),
+                to: Some(to),
+                ..ErrorFilter::default()
+            };
+            assert_eq!(
+                store.errors_csv(&bounded),
+                scan(&bounded),
+                "chaos={chaos_rate}: bounded host {host} diverged"
+            );
+        }
+    }
+}
+
 /// Two distinguishable synthetic studies for the swap tests.
 fn synthetic_report(variant: u8) -> StudyReport {
     let base = StudyPeriods::delta().op.start;
@@ -348,6 +435,126 @@ fn no_reader_observes_a_torn_response_across_snapshot_swaps() {
     }
     assert!(total >= 24, "load too light to exercise the swaps: {total}");
     assert!(total_b > 0, "no reader ever saw a post-swap snapshot");
+    server.shutdown();
+}
+
+/// A growing event stream: publish `i` is built from a longer prefix of
+/// it, as a streaming pipeline would produce.
+fn event_stream() -> Vec<XidEvent> {
+    let base = StudyPeriods::delta().op.start;
+    let codes: [u16; 8] = [119, 74, 31, 63, 79, 48, 94, 95];
+    (0..120u64)
+        .map(|i| {
+            XidEvent::new(
+                base + Duration::from_secs(500 + i * 997),
+                format!("gpub{:03}", 1 + (i * 5) % 8).as_str(),
+                PciAddr::for_gpu_index((i % 4) as u8),
+                XidCode::new(codes[(i as usize * 3) % codes.len()]),
+                "",
+            )
+        })
+        .collect()
+}
+
+/// Torn-response stress over growing snapshots: a writer publishes 12
+/// stores, each from a longer prefix of one event stream, while six
+/// keep-alive readers alternate `/errors` and `/mtbe`. Every response
+/// names one snapshot in `X-Snapshot`, and its body is exactly the
+/// offline render of that snapshot. The whole sequence is precomputed,
+/// so readers can assert exact bodies for whatever id they are served.
+#[test]
+fn errors_and_mtbe_are_never_torn_across_growing_publishes() {
+    /// Snapshots published after the initial store (ids 2..=PUBLISHES+1).
+    const PUBLISHES: usize = 12;
+    const READERS: usize = 6;
+    let events = event_stream();
+    // Snapshot id -> the report it serves. Id 1 is the initial store;
+    // ids 2.. are the publishes, each a longer prefix of the stream.
+    let reports: Vec<StudyReport> = (0..=PUBLISHES)
+        .map(|i| {
+            let len = events.len() * (i + 1) / (PUBLISHES + 1);
+            Pipeline::delta().run_events(events[..len.max(3)].to_vec(), None, &[], &[], &[])
+        })
+        .collect();
+    let expected_errors: Arc<Vec<String>> = Arc::new(
+        reports
+            .iter()
+            .map(|r| brute_force_errors(r, None, None, None, None))
+            .collect(),
+    );
+    let expected_mtbe: Arc<Vec<String>> =
+        Arc::new(reports.iter().map(|r| brute_force_mtbe(r, None)).collect());
+    for pair in expected_errors.windows(2) {
+        assert_ne!(pair[0], pair[1], "consecutive snapshots must differ");
+    }
+
+    let handle = Arc::new(StoreHandle::new(StudyStore::build(
+        reports[0].clone(),
+        None,
+    )));
+    let server = serve(Arc::clone(&handle));
+    let addr = server.addr();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let stop = Arc::clone(&stop);
+            let expected_errors = Arc::clone(&expected_errors);
+            let expected_mtbe = Arc::clone(&expected_mtbe);
+            std::thread::spawn(move || {
+                let mut conn = connect(addr);
+                let (mut served, mut distinct_max) = (0u64, 0u64);
+                while !stop.load(Ordering::Relaxed) {
+                    // Alternate the two endpoints per reader.
+                    let (path, table): (&str, &Vec<String>) =
+                        if (served as usize + r).is_multiple_of(2) {
+                            ("/errors", &expected_errors)
+                        } else {
+                            ("/mtbe", &expected_mtbe)
+                        };
+                    let resp = get_on(&mut conn, path);
+                    assert_eq!(resp.status, 200, "{path} failed mid-swap");
+                    let id: u64 = resp
+                        .header("X-Snapshot")
+                        .and_then(|v| v.parse().ok())
+                        .expect("every store response names its snapshot");
+                    let expected = table
+                        .get((id - 1) as usize)
+                        .unwrap_or_else(|| panic!("unknown snapshot id {id}"));
+                    // Not torn, not mixed: the body is exactly the
+                    // offline render of the named snapshot.
+                    assert_eq!(
+                        &resp.text(),
+                        expected,
+                        "{path}: snapshot {id} served a torn or mixed body"
+                    );
+                    served += 1;
+                    distinct_max = distinct_max.max(id);
+                }
+                (served, distinct_max)
+            })
+        })
+        .collect();
+
+    for report in reports.iter().skip(1) {
+        handle.publish(StudyStore::build(report.clone(), None));
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    stop.store(true, Ordering::Relaxed);
+
+    let mut total = 0u64;
+    let mut max_seen = 0u64;
+    for reader in readers {
+        let (served, distinct_max) = reader.join().expect("reader thread clean");
+        assert!(served > 0, "every reader must have been served");
+        total += served;
+        max_seen = max_seen.max(distinct_max);
+    }
+    assert!(
+        total >= PUBLISHES as u64,
+        "load too light to exercise the swaps: {total}"
+    );
+    assert!(max_seen > 1, "no reader ever observed a post-swap snapshot");
     server.shutdown();
 }
 

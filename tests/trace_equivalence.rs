@@ -4,17 +4,16 @@
 //!
 //! Three claims, each checked differentially:
 //!
-//! 1. **Byte identity.** Across shard counts {1, 4} × chaos rates
-//!    {0%, 5%}, every query endpoint returns the same status, body,
-//!    `X-Snapshot`, and `X-Cache` header from a traced server as from
-//!    an untraced one — cold and cache-hit alike. The only wire
-//!    difference tracing may make is the presence of `X-Trace-Id`.
-//! 2. **Trace fidelity.** An uncached `/errors` on a 4-shard store
-//!    resolves through `/debug/traces?id=` to a record carrying one
-//!    `shard_scan` span per shard (and a `merge`), recorded inline by
-//!    the store's render; `/rollup` resolves too, with no `shard_scan`
-//!    span (a rollup miss folds its cube from the report). `/metrics`
-//!    from the traced server passes `obs::check`, and `/readyz` flips
+//! 1. **Byte identity.** Across chaos rates {0%, 5%}, every query
+//!    endpoint returns the same status, body, `X-Snapshot`, and
+//!    `X-Cache` header from a traced server as from an untraced one —
+//!    cold and cache-hit alike. The only wire difference tracing may
+//!    make is the presence of `X-Trace-Id`.
+//! 2. **Trace fidelity.** An uncached `/errors` and an uncached
+//!    `/rollup` each resolve through `/debug/traces?id=` to a record
+//!    with exactly the request stages — `parse`, `queue_wait`, `route`,
+//!    `cache_lookup`, `render` and `write`, each once. `/metrics` from
+//!    the traced server passes `obs::check`, and `/readyz` flips
 //!    200 → 503 when the ingest worker dies.
 //! 3. **History fidelity.** [`obs::Tsdb`] answers exactly what a
 //!    brute-force replay of the scrape-time snapshots answers, through
@@ -66,13 +65,11 @@ fn study(chaos_rate: f64) -> (StudyReport, resilience::QuarantineReport) {
 fn serve(
     report: &StudyReport,
     quarantine: &resilience::QuarantineReport,
-    shards: usize,
     traced: bool,
 ) -> servd::RunningServer {
-    let store = Arc::new(StoreHandle::new(StudyStore::build_sharded(
+    let store = Arc::new(StoreHandle::new(StudyStore::build(
         report.clone(),
         Some(quarantine),
-        shards,
     )));
     servd::start(
         ServerConfig {
@@ -121,9 +118,8 @@ fn resolve_trace(conn: &mut TcpStream, id: &str) -> String {
 
 // ------------------------------------------------------------ claim 1
 
-/// Shards {1,4} × chaos {0%,5%}: the traced and untraced arms serve
-/// identical bytes, cold and from cache, and `X-Trace-Id` appears on
-/// exactly one arm.
+/// Chaos {0%,5%}: the traced and untraced arms serve identical bytes,
+/// cold and from cache, and `X-Trace-Id` appears on exactly one arm.
 #[test]
 fn tracing_never_changes_served_bytes() {
     for chaos_rate in [0.0, 0.05] {
@@ -132,88 +128,80 @@ fn tracing_never_changes_served_bytes() {
             report.errors.len() > 100,
             "chaos={chaos_rate}: dataset too small"
         );
-        for shards in [1usize, 4] {
-            let plain = serve(&report, &quarantine, shards, false);
-            let traced = serve(&report, &quarantine, shards, true);
-            let mut plain_conn = connect(plain.addr());
-            let mut traced_conn = connect(traced.addr());
-            // Two passes: the first render-misses, the second must hit
-            // the response cache on both arms — byte identity has to
-            // survive the cache round-trip because cached entries are
-            // stored *before* the trace header is applied.
-            for pass in ["cold", "cached"] {
-                for path in SURFACE {
-                    let p = get_on(&mut plain_conn, path);
-                    let t = get_on(&mut traced_conn, path);
-                    assert_eq!(
-                        comparable(&p),
-                        comparable(&t),
-                        "chaos={chaos_rate} shards={shards} {pass} {path}: \
-                         traced arm diverged from plain"
-                    );
-                    assert!(
-                        p.header("X-Trace-Id").is_none(),
-                        "untraced arm leaked X-Trace-Id at {path}"
-                    );
-                    assert!(
-                        t.header("X-Trace-Id").is_some(),
-                        "traced arm missing X-Trace-Id at {path}"
-                    );
-                }
+        let plain = serve(&report, &quarantine, false);
+        let traced = serve(&report, &quarantine, true);
+        let mut plain_conn = connect(plain.addr());
+        let mut traced_conn = connect(traced.addr());
+        // Two passes: the first render-misses, the second must hit the
+        // response cache on both arms — byte identity has to survive the
+        // cache round-trip because cached entries are stored *before*
+        // the trace header is applied.
+        for pass in ["cold", "cached"] {
+            for path in SURFACE {
+                let p = get_on(&mut plain_conn, path);
+                let t = get_on(&mut traced_conn, path);
+                assert_eq!(
+                    comparable(&p),
+                    comparable(&t),
+                    "chaos={chaos_rate} {pass} {path}: traced arm diverged from plain"
+                );
+                assert!(
+                    p.header("X-Trace-Id").is_none(),
+                    "untraced arm leaked X-Trace-Id at {path}"
+                );
+                assert!(
+                    t.header("X-Trace-Id").is_some(),
+                    "traced arm missing X-Trace-Id at {path}"
+                );
             }
-            plain.shutdown();
-            traced.shutdown();
         }
+        plain.shutdown();
+        traced.shutdown();
     }
 }
 
 // ------------------------------------------------------------ claim 2
 
-/// A multi-shard `/errors` trace names every shard it scanned; a
-/// rollup's trace shows none (its cube folds from the report); and
-/// `/metrics` from the traced, self-scraping server still validates.
+/// The stage names of the one trace in a `/debug/traces?id=` document,
+/// sorted.
+fn stage_names(doc: &str) -> Vec<&str> {
+    let mut names: Vec<&str> = doc
+        .split("\"name\": \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+/// An uncached `/errors` and an uncached `/rollup` each record exactly
+/// the request stages, once each; and `/metrics` from the traced,
+/// self-scraping server still validates.
 #[test]
-fn trace_spans_mirror_the_scatter_plan() {
+fn traced_reads_record_exactly_the_request_stages() {
     let (report, quarantine) = study(0.0);
-    let server = serve(&report, &quarantine, 4, true);
+    let server = serve(&report, &quarantine, true);
     let mut conn = connect(server.addr());
 
-    let errors = get_on(&mut conn, "/errors");
-    assert_eq!(errors.status, 200);
-    let id = errors
-        .header("X-Trace-Id")
-        .expect("traced /errors carries X-Trace-Id")
-        .to_owned();
-    let doc = resolve_trace(&mut conn, &id);
-    let scans = doc.matches("\"name\": \"shard_scan\"").count();
-    assert_eq!(scans, 4, "one shard_scan per shard, got {scans}: {doc}");
-    assert_eq!(doc.matches("\"name\": \"merge\"").count(), 1, "{doc}");
-    for stage in ["parse", "route", "cache_lookup", "render", "write"] {
-        assert!(
-            doc.contains(&format!("\"name\": \"{stage}\"")),
-            "missing {stage} span: {doc}"
-        );
+    let mut expected = vec![
+        "parse",
+        "queue_wait",
+        "route",
+        "cache_lookup",
+        "render",
+        "write",
+    ];
+    expected.sort_unstable();
+    for path in ["/errors", "/rollup?metric=errors&bucket=day"] {
+        let resp = get_on(&mut conn, path);
+        assert_eq!(resp.status, 200, "{path}");
+        let id = resp
+            .header("X-Trace-Id")
+            .unwrap_or_else(|| panic!("traced {path} carries X-Trace-Id"))
+            .to_owned();
+        let doc = resolve_trace(&mut conn, &id);
+        assert_eq!(stage_names(&doc), expected, "{path}: {doc}");
     }
-    // Shard details name real shards: `shard=0..3` in some order.
-    for shard in 0..4 {
-        assert!(
-            doc.contains(&format!("\"detail\": \"shard={shard}\"")),
-            "missing shard={shard} detail: {doc}"
-        );
-    }
-
-    let rollup = get_on(&mut conn, "/rollup?metric=errors&bucket=day");
-    assert_eq!(rollup.status, 200);
-    let id = rollup
-        .header("X-Trace-Id")
-        .expect("traced /rollup carries X-Trace-Id")
-        .to_owned();
-    let doc = resolve_trace(&mut conn, &id);
-    assert_eq!(
-        doc.matches("\"name\": \"shard_scan\"").count(),
-        0,
-        "a rollup folds its cube from the report; no shard_scan expected: {doc}"
-    );
 
     // The exposition stays valid with tracing and the self-scrape on.
     let metrics = get_on(&mut conn, "/metrics");

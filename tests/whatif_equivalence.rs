@@ -7,9 +7,9 @@
 //!    query parameters collapse to one cache key (observable via
 //!    `X-Cache: hit`), and malformed specs are typed `400`s.
 //! 2. **Determinism** — the same spec + seed yields a byte-identical
-//!    response body across event-loop worker counts {1, 4} × store
-//!    shard layouts {1, 4} × (cold compute, cached, and recomputed
-//!    after a snapshot swap), and those bytes — and the `sched` and
+//!    response body across event-loop worker counts {1, 4} × (cold
+//!    compute, cached, and recomputed after a snapshot swap), and those
+//!    bytes — and the `sched` and
 //!    `xid_rate` axes' — match an offline oracle that drives the
 //!    simulation substrates directly, without going through
 //!    `resilience::scenario`.
@@ -41,11 +41,9 @@ fn suite_lock() -> std::sync::MutexGuard<'static, ()> {
     }
 }
 
-fn empty_store(shards: usize) -> Arc<StoreHandle> {
+fn empty_store() -> Arc<StoreHandle> {
     let report = Pipeline::delta().run_events(Vec::new(), None, &[], &[], &[]);
-    Arc::new(StoreHandle::new(StudyStore::build_sharded(
-        report, None, shards,
-    )))
+    Arc::new(StoreHandle::new(StudyStore::build(report, None)))
 }
 
 fn serve(
@@ -73,7 +71,7 @@ fn serve(
 #[test]
 fn equivalent_specs_share_one_cache_key() {
     let _guard = suite_lock();
-    let store = empty_store(1);
+    let store = empty_store();
     let server = serve(store, 2, 1);
     let addr = server.addr();
 
@@ -114,7 +112,7 @@ fn equivalent_specs_share_one_cache_key() {
 #[test]
 fn malformed_specs_are_typed_400s() {
     let _guard = suite_lock();
-    let store = empty_store(1);
+    let store = empty_store();
     let server = serve(store, 1, 1);
     let addr = server.addr();
     for (query, needle) in [
@@ -255,50 +253,48 @@ fn bodies_are_identical_across_workers_shards_and_snapshot_swaps() {
     let expected = oracle_body();
     let path = "/whatif?mttr_scale=0.5&reps=2&seed=9";
     for loop_workers in [1, 4] {
-        for shards in [1, 4] {
-            let store = empty_store(shards);
-            let server = serve(Arc::clone(&store), loop_workers, 2);
-            let addr = server.addr();
-            let label = format!("workers={loop_workers} shards={shards}");
+        let store = empty_store();
+        let server = serve(Arc::clone(&store), loop_workers, 2);
+        let addr = server.addr();
+        let label = format!("workers={loop_workers}");
 
-            let cold = request(addr, "GET", path, b"");
-            assert_eq!(cold.status, 200, "{label}: {}", cold.text());
-            assert_eq!(cold.header("X-Cache"), Some("miss"), "{label}");
-            assert_eq!(cold.text(), expected, "{label}: cold vs oracle");
+        let cold = request(addr, "GET", path, b"");
+        assert_eq!(cold.status, 200, "{label}: {}", cold.text());
+        assert_eq!(cold.header("X-Cache"), Some("miss"), "{label}");
+        assert_eq!(cold.text(), expected, "{label}: cold vs oracle");
 
-            let cached = request(addr, "GET", path, b"");
-            assert_eq!(cached.header("X-Cache"), Some("hit"), "{label}");
-            assert_eq!(cached.body, cold.body, "{label}: cached");
+        let cached = request(addr, "GET", path, b"");
+        assert_eq!(cached.header("X-Cache"), Some("hit"), "{label}");
+        assert_eq!(cached.body, cold.body, "{label}: cached");
 
-            // Swap the snapshot: the what-if cache is snapshot-scoped,
-            // so the next request recomputes — to the same bytes,
-            // because the campaign depends only on the spec.
-            let report = Pipeline::delta().run_events(Vec::new(), None, &[], &[], &[]);
-            let old_id = store.current().id;
-            let new_id = store.publish(StudyStore::build_sharded(report, None, shards));
-            assert_ne!(old_id, new_id);
-            let post_swap = request(addr, "GET", path, b"");
-            assert_eq!(post_swap.status, 200, "{label}: {}", post_swap.text());
-            assert_eq!(
-                post_swap.header("X-Cache"),
-                Some("miss"),
-                "{label}: post-swap"
-            );
-            assert_eq!(
-                post_swap.header("X-Snapshot"),
-                Some(new_id.to_string().as_str())
-            );
-            assert_eq!(post_swap.body, cold.body, "{label}: post-swap bytes");
+        // Swap the snapshot: the what-if cache is snapshot-scoped, so the
+        // next request recomputes — to the same bytes, because the
+        // campaign depends only on the spec.
+        let report = Pipeline::delta().run_events(Vec::new(), None, &[], &[], &[]);
+        let old_id = store.current().id;
+        let new_id = store.publish(StudyStore::build(report, None));
+        assert_ne!(old_id, new_id);
+        let post_swap = request(addr, "GET", path, b"");
+        assert_eq!(post_swap.status, 200, "{label}: {}", post_swap.text());
+        assert_eq!(
+            post_swap.header("X-Cache"),
+            Some("miss"),
+            "{label}: post-swap"
+        );
+        assert_eq!(
+            post_swap.header("X-Snapshot"),
+            Some(new_id.to_string().as_str())
+        );
+        assert_eq!(post_swap.body, cold.body, "{label}: post-swap bytes");
 
-            server.shutdown();
-        }
+        server.shutdown();
     }
 }
 
 #[test]
 fn long_campaigns_answer_202_and_poll_to_the_same_bytes() {
     let _guard = suite_lock();
-    let store = empty_store(1);
+    let store = empty_store();
     let server = serve(store, 2, 2);
     let addr = server.addr();
 
@@ -324,7 +320,7 @@ fn long_campaigns_answer_202_and_poll_to_the_same_bytes() {
 #[test]
 fn sched_and_xid_rate_axes_match_the_substrate_oracle() {
     let _guard = suite_lock();
-    let store = empty_store(1);
+    let store = empty_store();
     let server = serve(store, 2, 2);
     let addr = server.addr();
     let cases = [
@@ -370,7 +366,7 @@ fn metric_value(addr: std::net::SocketAddr, name: &str) -> u64 {
 fn concurrent_identical_specs_compute_one_campaign() {
     let _guard = suite_lock();
     obs::set_enabled(true);
-    let store = empty_store(2);
+    let store = empty_store();
     let server = serve(store, 4, 2);
     let addr = server.addr();
     let computed_before = metric_value(addr, "servd_whatif_computed_total");
