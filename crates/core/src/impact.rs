@@ -475,14 +475,20 @@ impl MixFold {
 }
 
 impl MixFolds {
+    /// Adds `jobs` and settles the folds they added rows to; a fold the
+    /// push left alone is already settled.
     fn extend(&mut self, jobs: &[AccountedJob]) {
+        let mut touched = [false; MIX_BUCKETS.len()];
         for job in jobs {
             if let Some(bucket) = mix_bucket(job) {
                 self.0[bucket].add(job);
+                touched[bucket] = true;
             }
         }
-        for fold in &mut self.0 {
-            fold.settle();
+        for (fold, touched) in self.0.iter_mut().zip(touched) {
+            if touched {
+                fold.settle();
+            }
         }
     }
 

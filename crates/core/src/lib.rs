@@ -93,7 +93,6 @@ pub mod availability;
 pub mod burst;
 pub mod checkpoint;
 pub mod coalesce;
-pub mod correlate;
 pub mod csvio;
 pub mod error;
 pub mod findings;

@@ -17,7 +17,7 @@ use crate::impact::{JobImpact, JobIndex, JobMixRow, ATTRIBUTION_WINDOW};
 use crate::job::{AccountedJob, OutageRecord};
 use crate::stats::{exclude_dominant_gpu, ErrorStats, OutlierReport};
 use hpclog::archive::Archive;
-use hpclog::extract::{ExtractStats, XidExtractor};
+use hpclog::extract::{ExtractStats, ScanCounters, XidExtractor};
 use hpclog::quarantine::QuarantineLedger;
 use hpclog::XidEvent;
 use simtime::{Duration, Phase, StudyPeriods};
@@ -73,7 +73,11 @@ impl Pipeline {
             span.add_items(extractor.stats().lines_seen);
             events
         };
-        hpclog::extract::record_scan_metrics(&ExtractStats::default(), &extractor.stats());
+        hpclog::extract::record_scan_metrics(
+            &ScanCounters::default(),
+            &ExtractStats::default(),
+            &extractor.stats(),
+        );
         self.run_events(events, Some(extractor.stats()), gpu_jobs, cpu_jobs, outages)
     }
 
@@ -143,7 +147,11 @@ impl Pipeline {
             obs::counter("core_events_coalesced_total", &[]).add(events_in);
             obs::counter("core_coalesce_merges_total", &[]).add(events_in - errors.len() as u64);
         }
-        let (gpu, cpu) = (JobIndex::build(gpu_jobs), JobIndex::build(cpu_jobs));
+        let (gpu, cpu) = {
+            let mut span = obs::span("stage_job_index");
+            span.add_items((gpu_jobs.len() + cpu_jobs.len()) as u64);
+            (JobIndex::build(gpu_jobs), JobIndex::build(cpu_jobs))
+        };
         let records = Records {
             gpu_jobs: &gpu,
             gpu_tail: &[],

@@ -201,7 +201,7 @@ impl XidExtractor {
             self.scan_line(&raw, line_no, &mut prev_accepted, ledger, &mut events);
         }
         span.add_items(self.stats.lines_seen - before.lines_seen);
-        record_scan_metrics(&before, &self.stats);
+        record_scan_metrics(&ScanCounters::default(), &before, &self.stats);
         events
     }
 
@@ -317,34 +317,61 @@ impl XidExtractor {
     }
 }
 
-/// Publishes the delta between two extractor-stats snapshots to the
-/// global metrics registry.
+/// The scan counters' global-registry handles, looked up once, so a scan
+/// fed chunk by chunk records through them instead of the registry.
+#[derive(Debug, Clone)]
+pub struct ScanCounters {
+    lines: obs::Counter,
+    xid_lines: obs::Counter,
+    malformed: obs::Counter,
+    extracted: obs::Counter,
+    excluded: obs::Counter,
+    /// One per [`QuarantineCategory::ALL`] entry, in that order.
+    quarantined: [obs::Counter; QuarantineCategory::ALL.len()],
+}
+
+impl Default for ScanCounters {
+    fn default() -> Self {
+        ScanCounters {
+            lines: obs::counter("hpclog_lines_scanned_total", &[]),
+            xid_lines: obs::counter("hpclog_xid_lines_total", &[]),
+            malformed: obs::counter("hpclog_lines_malformed_total", &[]),
+            extracted: obs::counter("hpclog_events_extracted_total", &[]),
+            excluded: obs::counter("hpclog_events_excluded_total", &[]),
+            quarantined: QuarantineCategory::ALL.map(|category| {
+                obs::counter(
+                    "hpclog_lines_quarantined_total",
+                    &[("category", category.label())],
+                )
+            }),
+        }
+    }
+}
+
+/// Publishes the delta between two extractor-stats snapshots through
+/// `counters`.
 ///
 /// Strictly write-only (nothing here feeds back into extraction), and
 /// purely additive: every scan path — archive, batch lenient,
 /// streaming — emits its deltas through this one function, so the totals
 /// agree across execution modes whenever the scanned bytes do.
-pub fn record_scan_metrics(before: &ExtractStats, after: &ExtractStats) {
+pub fn record_scan_metrics(counters: &ScanCounters, before: &ExtractStats, after: &ExtractStats) {
     if !obs::is_enabled() {
         return;
     }
     let d = |a: u64, b: u64| a.saturating_sub(b);
-    obs::counter("hpclog_lines_scanned_total", &[]).add(d(after.lines_seen, before.lines_seen));
-    obs::counter("hpclog_xid_lines_total", &[]).add(d(after.xid_lines, before.xid_lines));
-    obs::counter("hpclog_lines_malformed_total", &[]).add(d(after.malformed, before.malformed));
-    obs::counter("hpclog_events_extracted_total", &[]).add(d(after.extracted, before.extracted));
-    obs::counter("hpclog_events_excluded_total", &[]).add(d(after.excluded, before.excluded));
-    for category in QuarantineCategory::ALL {
+    counters.lines.add(d(after.lines_seen, before.lines_seen));
+    counters.xid_lines.add(d(after.xid_lines, before.xid_lines));
+    counters.malformed.add(d(after.malformed, before.malformed));
+    counters.extracted.add(d(after.extracted, before.extracted));
+    counters.excluded.add(d(after.excluded, before.excluded));
+    for (counter, category) in counters.quarantined.iter().zip(QuarantineCategory::ALL) {
         let delta = d(
             after.quarantined.get(category),
             before.quarantined.get(category),
         );
         if delta > 0 {
-            obs::counter(
-                "hpclog_lines_quarantined_total",
-                &[("category", category.label())],
-            )
-            .add(delta);
+            counter.add(delta);
         }
     }
 }

@@ -22,7 +22,7 @@
 //! `core`'s differential suite replays full campaigns through this type at
 //! batch sizes from one byte upward and byte-compares every surface.
 
-use crate::extract::{ExtractStats, XidExtractor};
+use crate::extract::{record_scan_metrics, ExtractStats, ScanCounters, XidExtractor};
 use crate::nvrm::XidEvent;
 use crate::quarantine::QuarantineLedger;
 use simtime::Timestamp;
@@ -60,6 +60,27 @@ pub struct LenientScan {
     prev_accepted: Option<Timestamp>,
     /// Total bytes fed, including the carry (lets a resuming caller seek).
     bytes_fed: u64,
+    /// Registry handles, looked up once per scanner: a feed may be a
+    /// single byte, so it must not pay for registry lookups.
+    metrics: StreamCounters,
+}
+
+/// The stream's own counters beside the scan counters.
+#[derive(Debug, Clone)]
+struct StreamCounters {
+    chunks: obs::Counter,
+    bytes: obs::Counter,
+    scan: ScanCounters,
+}
+
+impl StreamCounters {
+    fn new() -> Self {
+        StreamCounters {
+            chunks: obs::counter("hpclog_stream_chunks_total", &[]),
+            bytes: obs::counter("hpclog_stream_bytes_total", &[]),
+            scan: ScanCounters::default(),
+        }
+    }
 }
 
 /// Plain-data image of a [`LenientScan`] mid-stream, for checkpointing.
@@ -97,6 +118,7 @@ impl LenientScan {
             line_no: 0,
             prev_accepted: None,
             bytes_fed: 0,
+            metrics: StreamCounters::new(),
         }
     }
 
@@ -171,9 +193,12 @@ impl LenientScan {
         }
         self.carry.extend_from_slice(rest);
         if obs::is_enabled() {
-            obs::counter("hpclog_stream_chunks_total", &[]).inc();
-            obs::counter("hpclog_stream_bytes_total", &[]).add(bytes.len() as u64);
-            crate::extract::record_scan_metrics(&before, &self.extractor.stats());
+            self.metrics.chunks.inc();
+            self.metrics.bytes.add(bytes.len() as u64);
+            let after = self.extractor.stats();
+            if after != before {
+                record_scan_metrics(&self.metrics.scan, &before, &after);
+            }
         }
     }
 
@@ -195,7 +220,7 @@ impl LenientScan {
             events,
         );
         self.carry.clear();
-        crate::extract::record_scan_metrics(&before, &self.extractor.stats());
+        record_scan_metrics(&self.metrics.scan, &before, &self.extractor.stats());
     }
 
     /// What [`finish`](Self::finish) would do now, on scratch copies: the
@@ -250,6 +275,7 @@ impl LenientScan {
             line_no: snapshot.line_no,
             prev_accepted: snapshot.prev_accepted,
             bytes_fed: snapshot.bytes_fed,
+            metrics: StreamCounters::new(),
         }
     }
 }

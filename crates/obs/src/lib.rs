@@ -7,17 +7,20 @@
 //!   sets. Registration interns the `(name, labels)` key behind a mutex;
 //!   the returned handles are `Arc`-shared atomics, so the hot path is a
 //!   single relaxed atomic op with no locking.
-//! * [`span`] — RAII span guards (`obs::span("stage_scan")`) that add
-//!   each stage's count, items, total and longest wall time to
-//!   `obs_span_*{span="stage_scan"}` series in the registry.
+//! * [`span`] — RAII span guards (`obs::span("stage_scan")`), the one
+//!   stage record: each adds its stage's count, items, total and longest
+//!   wall time to `obs_span_*{span="stage_scan"}` series in the
+//!   registry, and also lands in the request trace its thread has
+//!   entered, if any.
 //! * [`expose`] — [`ObsReport`](expose::ObsReport): a point-in-time
 //!   snapshot of the registry, rendered as Prometheus text exposition
 //!   format or JSON. [`check`] validates those renderings (used by the
 //!   `obs_check` smoke gate).
 //! * [`trace`] — request-scoped tracing: a [`FlightRecorder`] mints a
-//!   trace id per request, stages append child spans, and sealed
-//!   traces are retained slowest-N per rolling window plus all error
-//!   traces (the `/debug/traces` substrate).
+//!   trace id per request, the spans that drop while a thread has
+//!   entered the trace become its stages, and sealed traces are
+//!   retained slowest-N per rolling window plus all error traces (the
+//!   `/debug/traces` substrate).
 //! * [`tsdb`] — a fixed-capacity ring time-series store that absorbs
 //!   registry snapshots on an injected-clock cadence and serves
 //!   downsampled `[from, to)` range queries (the `/metrics/history`
@@ -56,11 +59,13 @@ pub mod tsdb;
 pub use expose::ObsReport;
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use span::Span;
-pub use trace::{FlightRecorder, StageGuard, StageRecord, Trace, TraceRecord};
+pub use trace::{FlightRecorder, StageRecord, Trace, TraceRecord};
 pub use tsdb::{HistoryQuery, HistoryResult, Tsdb};
 
+use span::SpanTable;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// A registry and the enable flag its handles and spans share: the
 /// unit every instrumented layer writes into, and exposition reads from.
@@ -68,6 +73,7 @@ use std::sync::{Arc, OnceLock};
 pub struct Obs {
     enabled: Arc<AtomicBool>,
     registry: Registry,
+    spans: SpanTable,
 }
 
 impl Obs {
@@ -78,7 +84,11 @@ impl Obs {
         // Registered at 0 so every exposition and history query has the
         // series before a trace first overflows its stage cap.
         registry.counter("obs_spans_dropped_total", &[]);
-        Obs { enabled, registry }
+        Obs {
+            enabled,
+            registry,
+            spans: SpanTable::default(),
+        }
     }
 
     /// Turns recording on or off. Handles stay valid either way; while
@@ -101,6 +111,14 @@ impl Obs {
     /// `obs_span_*` series.
     pub fn span(&self, name: &'static str) -> Span<'_> {
         Span::new(self, name)
+    }
+
+    /// Adds one completed stage of `name` to its `obs_span_*` series,
+    /// while recording is on.
+    pub(crate) fn add_span(&self, name: &'static str, took: Duration, items: u64) {
+        if self.is_enabled() {
+            self.spans.add(&self.registry, name, took, items);
+        }
     }
 
     /// Snapshots the registry into an exposable report.

@@ -1,4 +1,4 @@
-//! RAII stage spans whose totals live in the registry.
+//! RAII stage spans: the one record of a pipeline or request stage.
 //!
 //! `obs::span("stage_scan")` opens a guard; dropping it adds the stage's
 //! run to four registry series labelled `span=<name>`:
@@ -10,13 +10,21 @@
 //!
 //! The totals cover every span since start-up, and they render in
 //! `/metrics` and reach the `/metrics/history` store like any other
-//! series. The drop looks its four series up through the registry, one
-//! short mutex each; spans mark stages, not items, so that runs a few
-//! hundred times a second at most. While obs is disabled a drop is one
-//! relaxed load.
+//! series. Each [`Obs`] looks a name's four series up once, on the
+//! name's first drop, and keeps the handles in a name → series table:
+//! a later drop is one short lock and a hash of the name. While obs is
+//! disabled the series are left alone.
+//!
+//! If the dropping thread has entered a request trace
+//! ([`crate::Trace::enter`]), the span also lands in that trace as a
+//! stage, whether or not obs is enabled. A span dropped on any other
+//! thread never reaches the trace.
 
+use crate::registry::{Counter, Gauge, Registry};
 use crate::Obs;
-use std::time::Instant;
+use std::collections::HashMap;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// RAII guard for an in-flight span. Records on drop.
 #[derive(Debug)]
@@ -45,16 +53,47 @@ impl<'a> Span<'a> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let us = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let labels = [("span", self.name)];
-        let registry = self.obs.registry();
-        registry.counter("obs_span_count", &labels).inc();
-        registry.counter("obs_span_items", &labels).add(self.items);
-        registry.counter("obs_span_total_us", &labels).add(us);
-        registry.gauge("obs_span_max_us", &labels).set_max(us);
+        let end = Instant::now();
+        crate::trace::record_entered(self.name, self.start, end, self.items);
+        self.obs.add_span(
+            self.name,
+            end.saturating_duration_since(self.start),
+            self.items,
+        );
+    }
+}
+
+/// The four series of one span name.
+#[derive(Debug)]
+struct SpanSeries {
+    count: Counter,
+    items: Counter,
+    total_us: Counter,
+    max_us: Gauge,
+}
+
+/// Span name → its four series, filled on each name's first drop.
+#[derive(Debug, Default)]
+pub(crate) struct SpanTable(Mutex<HashMap<&'static str, SpanSeries>>);
+
+impl SpanTable {
+    /// Adds one completed span of `name` to its series in `registry`.
+    pub(crate) fn add(&self, registry: &Registry, name: &'static str, took: Duration, items: u64) {
+        let us = took.as_micros().min(u64::MAX as u128) as u64;
+        let mut table = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        let series = table.entry(name).or_insert_with(|| {
+            let labels = [("span", name)];
+            SpanSeries {
+                count: registry.counter("obs_span_count", &labels),
+                items: registry.counter("obs_span_items", &labels),
+                total_us: registry.counter("obs_span_total_us", &labels),
+                max_us: registry.gauge("obs_span_max_us", &labels),
+            }
+        });
+        series.count.inc();
+        series.items.add(items);
+        series.total_us.add(us);
+        series.max_us.set_max(us);
     }
 }
 
@@ -62,7 +101,8 @@ impl Drop for Span<'_> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use crate::registry::MetricValue;
-    use crate::Obs;
+    use crate::{FlightRecorder, Obs};
+    use std::time::Instant;
 
     /// The value of `name{span="<span>"}` in `obs`, if registered.
     fn read(obs: &Obs, name: &str, span: &str) -> Option<u64> {
@@ -119,5 +159,48 @@ mod tests {
         obs.set_enabled(false);
         let _ = obs.span("quiet");
         assert_eq!(read(&obs, "obs_span_count", "quiet"), None);
+    }
+
+    /// A span lands in the trace its thread has entered and in the
+    /// totals; outside any trace, or on another thread, only in the
+    /// totals; with obs disabled, only in the entered trace. A nested
+    /// enter restores the outer trace when it ends.
+    #[test]
+    fn spans_land_in_the_entered_trace_and_in_the_totals() {
+        let obs = Obs::new();
+        let recorder = FlightRecorder::new(4);
+        let (trace, inner) = (
+            recorder.begin(Instant::now(), 0),
+            recorder.begin(Instant::now(), 0),
+        );
+        drop(obs.span("outside"));
+        {
+            let _entered = trace.enter();
+            let mut inside = obs.span("inside");
+            inside.add_items(3);
+            drop(inside);
+            std::thread::scope(|s| {
+                s.spawn(|| drop(obs.span("elsewhere")));
+            });
+            {
+                let _inner = inner.enter();
+                drop(obs.span("nested"));
+            }
+            obs.set_enabled(false);
+            drop(obs.span("disabled"));
+            obs.set_enabled(true);
+        }
+        drop(obs.span("after"));
+
+        let sealed = trace.seal("GET /x", 200, 0);
+        let names: Vec<&str> = sealed.stages.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["inside", "disabled"]);
+        assert_eq!(sealed.stages[0].items, 3);
+        assert_eq!(inner.seal("GET /x", 200, 0).stages[0].name, "nested");
+        for name in ["outside", "inside", "elsewhere", "nested", "after"] {
+            assert_eq!(read(&obs, "obs_span_count", name), Some(1), "{name}");
+        }
+        assert_eq!(read(&obs, "obs_span_items", "inside"), Some(3));
+        assert_eq!(read(&obs, "obs_span_count", "disabled"), None);
     }
 }

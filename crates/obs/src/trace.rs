@@ -1,14 +1,17 @@
-//! Request-scoped tracing: per-request trace ids, child stage spans,
-//! and a bounded flight recorder.
+//! Request-scoped tracing: per-request trace ids, their stages, and a
+//! bounded flight recorder.
 //!
 //! The process-global [`crate::span`] totals answer "where does this
-//! *process* spend its time"; this module answers "where did *that
-//! request* go". A [`FlightRecorder`] mints one [`Trace`] per accepted
-//! request; pipeline stages append [`StageRecord`]s (either through the
-//! RAII [`StageGuard`] or with explicit instants via
-//! [`Trace::record_span`]); when the response has fully drained the
-//! server seals the trace into a [`TraceRecord`] and admits it back
-//! into the recorder.
+//! *process* spend its time"; a trace answers "where did *that request*
+//! go". A stage is recorded once and lands in both. A
+//! [`FlightRecorder`] mints one [`Trace`] per accepted request. While a
+//! thread has entered it ([`Trace::enter`]), every [`crate::Span`] that
+//! drops on that thread appends a [`StageRecord`] to it. Stages the
+//! caller timed across event-loop iterations (parse, queue wait, write)
+//! go in through [`Trace::record_span`], which adds them to the same
+//! `obs_span_*` series a span adds to. When the response has fully
+//! drained the server seals the trace into a [`TraceRecord`] and admits
+//! it back into the recorder.
 //!
 //! # Retention policy
 //!
@@ -31,11 +34,19 @@
 //! absorbed, ids are plain `u64`s rendered as 16 hex digits.
 
 use crate::expose::escape;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+thread_local! {
+    /// The trace this thread has entered: where a dropping span also
+    /// records its stage.
+    static ENTERED: RefCell<Option<Arc<Trace>>> = const { RefCell::new(None) };
+}
 
 /// Milliseconds since the unix epoch, for stamping trace starts. The
 /// recorder itself never calls this — callers inject timestamps so
@@ -60,11 +71,8 @@ pub fn parse_hex_id(s: &str) -> Option<u64> {
 /// One completed stage inside a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageRecord {
-    /// Stage name (static, interned by the call site).
+    /// Stage name: the span's name, also its `obs_span_*` label.
     pub name: &'static str,
-    /// Free-form low-cardinality detail (`kind=79`); empty
-    /// when the stage needs none.
-    pub detail: String,
     /// Start offset from the trace's epoch, in nanoseconds.
     pub start_ns: u64,
     /// Wall-clock duration, in nanoseconds.
@@ -81,7 +89,7 @@ struct StageLog {
 
 /// An in-flight request trace: an id, an epoch instant, and the stages
 /// recorded so far. Shared as `Arc<Trace>`: the connection keeps it
-/// until the response drains, and every open stage guard holds a clone.
+/// until the response drains, and an entered thread holds a clone.
 #[derive(Debug)]
 pub struct Trace {
     id: u64,
@@ -100,10 +108,11 @@ impl Trace {
             id,
             epoch,
             started_unix_ms,
-            // Pre-sized for the longest request path (queue wait, parse,
-            // route, the four what-if stages, write; a read records at
-            // most six) so the per-request path allocates once, not on
-            // every push.
+            // Pre-sized for the longest request path: parse, queue wait
+            // and write from the event loop, plus the spans that drop
+            // while the router has entered the trace (route and the
+            // four what-if stages; a read records six). The
+            // per-request path allocates once, not on every push.
             stages: Mutex::new(StageLog {
                 stages: Vec::with_capacity(8),
                 dropped: 0,
@@ -136,7 +145,13 @@ impl Trace {
         self.stages.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn push(&self, record: StageRecord) {
+    fn push(&self, name: &'static str, start: Instant, end: Instant, items: u64) {
+        let record = StageRecord {
+            name,
+            start_ns: saturating_ns(start.saturating_duration_since(self.epoch).as_nanos()),
+            duration_ns: saturating_ns(end.saturating_duration_since(start).as_nanos()),
+            items,
+        };
         let mut log = self.lock();
         if log.stages.len() < Self::MAX_STAGES {
             log.stages.push(record);
@@ -147,37 +162,29 @@ impl Trace {
         crate::counter("obs_spans_dropped_total", &[]).inc();
     }
 
-    /// Opens an RAII stage guard; dropping it records the stage. The
-    /// guard owns an `Arc` clone, so it can outlive the caller's borrow.
-    pub fn stage(self: &Arc<Self>, name: &'static str) -> StageGuard {
-        StageGuard {
-            trace: Arc::clone(self),
-            name,
-            detail: String::new(),
-            start: Instant::now(),
-            items: 0,
+    /// Enters this trace on the calling thread until the guard drops:
+    /// every [`crate::Span`] that drops on this thread meanwhile is also
+    /// recorded here as a stage. The guard restores whatever trace the
+    /// thread had entered before.
+    #[must_use = "the trace stays entered only while the guard lives"]
+    pub fn enter(self: &Arc<Self>) -> Entered {
+        let previous = ENTERED
+            .try_with(|cell| cell.replace(Some(Arc::clone(self))))
+            .ok()
+            .flatten();
+        Entered {
+            previous,
+            _thread_bound: PhantomData,
         }
     }
 
     /// Records a stage from explicit instants — for stages whose
-    /// boundaries the caller already timed (parse, queue wait, write).
-    pub fn record_span(
-        &self,
-        name: &'static str,
-        detail: &str,
-        start: Instant,
-        end: Instant,
-        items: u64,
-    ) {
-        let start_ns = saturating_ns(start.saturating_duration_since(self.epoch).as_nanos());
-        let duration_ns = saturating_ns(end.saturating_duration_since(start).as_nanos());
-        self.push(StageRecord {
-            name,
-            detail: detail.to_owned(),
-            start_ns,
-            duration_ns,
-            items,
-        });
+    /// boundaries the caller timed across event-loop iterations (parse,
+    /// queue wait, write) — and adds it to the global `obs_span_*`
+    /// series, as a dropping [`crate::Span`] would.
+    pub fn record_span(&self, name: &'static str, start: Instant, end: Instant, items: u64) {
+        self.push(name, start, end, items);
+        crate::global().add_span(name, end.saturating_duration_since(start), items);
     }
 
     /// Seals the trace into an immutable record. The stages recorded so
@@ -203,38 +210,32 @@ impl Trace {
     }
 }
 
-/// RAII guard for an in-flight stage; records into its trace on drop.
+/// Guard of an entered trace (see [`Trace::enter`]). It is bound to the
+/// thread that entered, and dropping it restores the trace that thread
+/// had entered before.
 #[derive(Debug)]
-pub struct StageGuard {
-    trace: Arc<Trace>,
-    name: &'static str,
-    detail: String,
-    start: Instant,
-    items: u64,
+pub struct Entered {
+    previous: Option<Arc<Trace>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
-impl StageGuard {
-    /// Sets the stage's detail string (`kind=79`).
-    pub fn set_detail(&mut self, detail: impl Into<String>) {
-        self.detail = detail.into();
-    }
-
-    /// Adds to the stage's item count.
-    pub fn add_items(&mut self, n: u64) {
-        self.items += n;
-    }
-}
-
-impl Drop for StageGuard {
+impl Drop for Entered {
     fn drop(&mut self) {
-        self.trace.record_span(
-            self.name,
-            &self.detail,
-            self.start,
-            Instant::now(),
-            self.items,
-        );
+        let previous = self.previous.take();
+        // A guard dropped while the thread tears down its locals has
+        // nothing left to restore.
+        let _ = ENTERED.try_with(|cell| cell.replace(previous));
     }
+}
+
+/// Records a span's stage in the trace the calling thread has entered,
+/// if any.
+pub(crate) fn record_entered(name: &'static str, start: Instant, end: Instant, items: u64) {
+    let _ = ENTERED.try_with(|cell| {
+        if let Some(trace) = cell.borrow().as_ref() {
+            trace.push(name, start, end, items);
+        }
+    });
 }
 
 /// A completed, sealed trace as retained by the flight recorder.
@@ -433,10 +434,9 @@ pub fn render_traces_json(records: &[TraceRecord]) -> String {
             }
             let _ = write!(
                 out,
-                "\n      {{\"name\": \"{}\", \"detail\": \"{}\", \"start_us\": {}, \
-                 \"duration_us\": {}, \"items\": {}}}",
+                "\n      {{\"name\": \"{}\", \"start_us\": {}, \"duration_us\": {}, \
+                 \"items\": {}}}",
                 escape(s.name),
-                escape(&s.detail),
                 s.start_ns / 1_000,
                 s.duration_ns / 1_000,
                 s.items,
@@ -473,21 +473,23 @@ mod tests {
     }
 
     #[test]
-    fn stage_guards_record_ordered_offsets() {
+    fn entered_spans_record_ordered_offsets() {
         let rec = FlightRecorder::new(4);
         let t = rec.begin(Instant::now(), 1_000);
+        let obs = crate::Obs::new();
         {
-            let mut g = t.stage("route");
-            g.set_detail("path=/errors");
-            g.add_items(3);
-        }
-        {
-            let _g = t.stage("render");
+            let _entered = t.enter();
+            {
+                let mut g = obs.span("route");
+                g.add_items(3);
+            }
+            {
+                let _g = obs.span("render");
+            }
         }
         let sealed = t.seal("GET /errors", 200, 5_000);
         assert_eq!(sealed.stages.len(), 2);
         assert_eq!(sealed.stages[0].name, "route");
-        assert_eq!(sealed.stages[0].detail, "path=/errors");
         assert_eq!(sealed.stages[0].items, 3);
         assert_eq!(sealed.stages[1].name, "render");
         assert!(sealed.stages[0].start_ns <= sealed.stages[1].start_ns);
@@ -499,7 +501,7 @@ mod tests {
         let epoch = Instant::now();
         let t = rec.begin(epoch, 1_000);
         let later = epoch + std::time::Duration::from_millis(2);
-        t.record_span("parse", "", epoch, later, 7);
+        t.record_span("parse", epoch, later, 7);
         let sealed = t.seal("GET /x", 200, 0);
         assert_eq!(sealed.stages[0].start_ns, 0);
         assert!(sealed.stages[0].duration_ns >= 2_000_000);
@@ -573,7 +575,7 @@ mod tests {
         let t = rec.begin(Instant::now(), 0);
         let now = Instant::now();
         for _ in 0..Trace::MAX_STAGES + 5 {
-            t.record_span("s", "", now, now, 0);
+            t.record_span("s", now, now, 0);
         }
         let sealed = t.seal("GET /x", 200, 0);
         assert_eq!(sealed.stages.len(), Trace::MAX_STAGES);
@@ -589,11 +591,9 @@ mod tests {
     fn json_rendering_validates_and_escapes() {
         let rec = FlightRecorder::new(2);
         let t = rec.begin(Instant::now(), 42);
-        {
-            let mut g = t.stage("route");
-            g.set_detail("q=\"a\\b\"");
-        }
-        rec.admit(t.seal("GET /errors?host=\"x\"", 200, 1_234_000));
+        let now = Instant::now();
+        t.record_span("route", now, now, 0);
+        rec.admit(t.seal("GET /errors?host=\"a\\b\"", 200, 1_234_000));
         let json = render_traces_json(&rec.snapshot());
         crate::check::validate_json(&json).unwrap();
         assert!(json.contains(&t.id_hex()));

@@ -7,6 +7,12 @@
 //! `X-Snapshot` header naming that snapshot and an `X-Cache: hit|miss`
 //! header, giving tests a deterministic view of cache behavior without
 //! reading global metrics.
+//!
+//! Each request stage is an [`obs::span()`]: `route` around the dispatch,
+//! `cache_lookup` and `render` on the read path, and `whatif_parse`,
+//! `whatif_cache`, `whatif_enqueue` and `whatif_wait` on the compute
+//! path. Every span adds to its `obs_span_*` series, and
+//! [`handle_traced`] enters the request's trace so they land in it too.
 
 use crate::admission;
 use crate::cache::ResponseCache;
@@ -47,8 +53,8 @@ pub fn handle(
     handle_traced(req, store, cache, ingest, None, &ObsState::default(), None)
 }
 
-/// [`handle`] with the request's trace riding along: the dispatch runs
-/// under a `route` child span, and the response carries an `X-Trace-Id`
+/// [`handle`] with the request's trace entered on this thread around
+/// the dispatch, so the stage spans land in it, and an `X-Trace-Id`
 /// header naming the trace. The header is attached *after* the cache
 /// write (like `X-Snapshot`/`X-Cache`), so cached bytes stay
 /// trace-free and responses are byte-identical with tracing on or off.
@@ -62,9 +68,11 @@ pub fn handle_traced(
     trace: Option<&Arc<Trace>>,
 ) -> Response {
     let started = Instant::now();
-    let route = trace.map(|t| t.stage("route"));
-    let response = dispatch(req, store, cache, ingest, whatif, state, trace);
+    let entered = trace.map(Trace::enter);
+    let route = obs::span("route");
+    let response = dispatch(req, store, cache, ingest, whatif, state);
     drop(route);
+    drop(entered);
     if obs::is_enabled() {
         obs::counter(
             "servd_requests_total",
@@ -124,13 +132,12 @@ fn dispatch(
     ingest: Option<&IngestHandle>,
     whatif: Option<&WhatifHandle>,
     state: &ObsState,
-    trace: Option<&Arc<Trace>>,
 ) -> Response {
     if let Some(segment) = req.path.strip_prefix("/ingest/") {
         return dispatch_ingest(req, segment, ingest);
     }
     if req.path == "/whatif" || req.path.starts_with("/whatif/") {
-        return dispatch_whatif(req, store, whatif, trace);
+        return dispatch_whatif(req, store, whatif);
     }
     if req.method != "GET" && req.method != "HEAD" {
         return method_not_allowed("GET, HEAD", "only GET and HEAD are supported here\n");
@@ -152,7 +159,7 @@ fn dispatch(
     // request.
     let published = store.current();
     let key = ResponseCache::key(&req.path, &req.canonical_query());
-    let lookup = trace.map(|t| t.stage("cache_lookup"));
+    let lookup = obs::span("cache_lookup");
     let cached = cache.get(published.id, &key);
     drop(lookup);
     if let Some(cached) = cached {
@@ -167,7 +174,7 @@ fn dispatch(
         obs::counter("servd_cache_misses_total", &[]).inc();
     }
 
-    let render = trace.map(|t| t.stage("render"));
+    let render = obs::span("render");
     let s = &published.store;
     let response = match req.path.as_str() {
         "/tables/1" => Response::text(200, s.table1()),
@@ -322,12 +329,7 @@ fn metrics_history(req: &Request, state: &ObsState) -> Response {
 /// Results are cached by the what-if job registry itself, keyed by
 /// `(snapshot, canonical spec)`; `X-Cache` reports whether this request
 /// hit a finished campaign.
-fn dispatch_whatif(
-    req: &Request,
-    store: &StoreHandle,
-    whatif: Option<&WhatifHandle>,
-    trace: Option<&Arc<Trace>>,
-) -> Response {
+fn dispatch_whatif(req: &Request, store: &StoreHandle, whatif: Option<&WhatifHandle>) -> Response {
     let Some(handle) = whatif else {
         return Response::text(404, "the what-if service is not enabled on this server\n");
     };
@@ -343,7 +345,7 @@ fn dispatch_whatif(
     if req.method != "GET" && req.method != "HEAD" && req.method != "POST" {
         return method_not_allowed("GET, HEAD, POST", "use GET or POST for /whatif\n");
     }
-    let parse = trace.map(|t| t.stage("whatif_parse"));
+    let parse = obs::span("whatif_parse");
     let pairs = match whatif::request_pairs(req) {
         Ok(pairs) => pairs,
         Err(msg) => return Response::text(400, msg),
@@ -356,7 +358,7 @@ fn dispatch_whatif(
     // Snapshot-scoped like the read path: pin the current snapshot once
     // and fold its id into the job key.
     let published = store.current();
-    let lookup = trace.map(|t| t.stage("whatif_cache"));
+    let lookup = obs::span("whatif_cache");
     let submitted = handle.submit(published.id, &spec);
     drop(lookup);
     match submitted {
@@ -370,9 +372,9 @@ fn dispatch_whatif(
             Response::text(503, "the what-if service is shutting down\n")
         }
         whatif::Submit::Accepted { id } => {
-            drop(trace.map(|t| t.stage("whatif_enqueue")));
+            drop(obs::span("whatif_enqueue"));
             if spec.reps <= whatif::SYNC_REPS {
-                let wait = trace.map(|t| t.stage("whatif_wait"));
+                let wait = obs::span("whatif_wait");
                 let resp = whatif::sync_response(handle, &id);
                 drop(wait);
                 if resp.status == 200 {

@@ -12,6 +12,10 @@
 //! through a buffered non-blocking write with `EPOLLOUT` armed only
 //! while bytes are pending.
 //!
+//! Every request stage is also an `obs_span_*` series on `/metrics`:
+//! the loop times `parse`, `queue_wait` and `write` across iterations,
+//! and the router's spans time the rest (see `Conn::advance`).
+//!
 //! Every resource stays capped, exactly as in the thread-pool
 //! predecessor: concurrent connections (`workers + max_queue`; one past
 //! the cap is answered `503` in one round-trip), request-head bytes
@@ -556,9 +560,9 @@ impl Conn {
     /// epoch is the arrival of its first byte: `parse` covers first
     /// byte → dispatch, `queue_wait` covers the epoll wakeup →
     /// dispatch (for pipelined requests that includes time spent
-    /// serving earlier requests in the batch), the router records its
-    /// own child stages, and the final `write` stage lands when the
-    /// response bytes drain (see [`EventLoop::after_io`]).
+    /// serving earlier requests in the batch), the router enters the
+    /// trace so that its spans land in it, and the final `write` stage
+    /// lands when the response bytes drain (see [`EventLoop::after_io`]).
     fn advance(&mut self, now: Instant, ctx: &Dispatch<'_>) {
         while matches!(self.phase, Phase::Serving) && !self.closing && !self.dead {
             match self.parser.poll(Some(now)) {
@@ -570,14 +574,8 @@ impl Conn {
                     let trace = ctx.obs.recorder.as_ref().map(|recorder| {
                         let epoch = self.req_started.unwrap_or(now);
                         let trace = recorder.begin(epoch, obs::trace::unix_ms_now());
-                        trace.record_span(
-                            "parse",
-                            "",
-                            epoch,
-                            dispatch_start,
-                            req.body.len() as u64,
-                        );
-                        trace.record_span("queue_wait", "", now, dispatch_start, 0);
+                        trace.record_span("parse", epoch, dispatch_start, req.body.len() as u64);
+                        trace.record_span("queue_wait", now, dispatch_start, 0);
                         trace
                     });
                     let response = router::handle_traced(
@@ -1027,7 +1025,7 @@ fn seal_pending(conn: &mut Conn, obs_state: &ObsState, now: Instant, terminal: &
         return;
     };
     for p in conn.pending.drain(..) {
-        p.trace.record_span(terminal, "", p.queued, now, 0);
+        p.trace.record_span(terminal, p.queued, now, 0);
         let total_ns = now
             .saturating_duration_since(p.trace.epoch())
             .as_nanos()
@@ -1039,7 +1037,11 @@ fn seal_pending(conn: &mut Conn, obs_state: &ObsState, now: Instant, terminal: &
 /// One NCSA Common Log Format line to stderr:
 /// `peer - - [07/Aug/2026:12:00:00 +0000] "GET /errors?host=h HTTP/1.1" 200 1234`.
 /// The timestamp is wall-clock UTC; the byte count is the body length
-/// (what `Content-Length` declares, also for `HEAD`).
+/// (what `Content-Length` declares, also for `HEAD`). The target is
+/// rebuilt from the decoded path and query pairs with every byte outside
+/// RFC 3986's unreserved set and `/` percent-encoded, and the method
+/// with every non-token byte encoded, so no request can break the line,
+/// close the quoted field or shift a space-separated field.
 fn access_log_line(peer: Option<SocketAddr>, req: &Request, response: &Response) {
     let t = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -1052,22 +1054,42 @@ fn access_log_line(peer: Option<SocketAddr>, req: &Request, response: &Response)
         "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
     ];
     let month = MONTHS[(mo as usize - 1).min(11)];
-    let mut target = req.path.clone();
+    let target_byte = |b: u8| b.is_ascii_alphanumeric() || b"-._~/".contains(&b);
+    let mut target = String::with_capacity(req.path.len());
+    push_encoded(&mut target, &req.path, target_byte);
     for (i, (k, v)) in req.query.iter().enumerate() {
         target.push(if i == 0 { '?' } else { '&' });
-        target.push_str(k);
+        push_encoded(&mut target, k, target_byte);
         target.push('=');
-        target.push_str(v);
+        push_encoded(&mut target, v, target_byte);
     }
+    let mut method = String::with_capacity(req.method.len());
+    push_encoded(&mut method, &req.method, |b| {
+        b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
+    });
     let peer = peer.map_or_else(|| "-".to_owned(), |p| p.ip().to_string());
     let mut err = io::stderr().lock();
     let _ = writeln!(
         err,
-        "{peer} - - [{d:02}/{month}/{y}:{h:02}:{mi:02}:{s:02} +0000] \"{} {target} HTTP/1.1\" {} {}",
-        req.method,
+        "{peer} - - [{d:02}/{month}/{y}:{h:02}:{mi:02}:{s:02} +0000] \"{method} {target} HTTP/1.1\" {} {}",
         response.status,
         response.body.len(),
     );
+}
+
+/// Appends `text` to `out`, writing each byte that `keep` rejects as
+/// `%XX`.
+fn push_encoded(out: &mut String, text: &str, keep: impl Fn(u8) -> bool) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    for b in text.bytes() {
+        if keep(b) {
+            out.push(char::from(b));
+        } else {
+            out.push('%');
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xF)]));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,9 +20,6 @@
 //! * [`JobRecord`] ([`job`]) — the sacct-style output record the analysis
 //!   pipeline consumes: submit/start/end, node list, GPU count, exit state
 //!   and job name.
-//! * [`feed`] — incremental replay of finished records in deterministic
-//!   `(end, id)` order, the way a live `sacct` poller discovers them;
-//!   feeds the streaming analysis pipeline.
 //!
 //! # Example
 //!
@@ -40,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod feed;
 pub mod job;
 pub mod kill;
 pub mod scheduler;

@@ -142,6 +142,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let (has_jobs, has_outages) = (!inputs.gpu_jobs.is_empty(), !inputs.outages.is_empty());
     let (report_out, _) = inputs.run(&pipeline);
 
+    let render = obs::span("stage_render");
     println!("\n=== Table I ===\n{}", report::table1(&report_out));
     if has_jobs {
         println!("=== Table II ===\n{}", report::table2(&report_out));
@@ -179,6 +180,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     if flags.has("deep") {
         println!("\n=== Deep analyses ===\n{}", report::deep(&report_out));
     }
+    drop(render);
     if let Some(sink) = &metrics {
         sink.write()?;
         println!("metrics written to {}", sink.path.display());

@@ -471,7 +471,12 @@ fn scan_logs(paths: &[String]) -> Result<LogScan, CliError> {
         }
     };
     for file in &files {
-        let bytes = read_bytes(file)?;
+        let bytes = {
+            let mut read = obs::span("stage_read");
+            let bytes = read_bytes(file)?;
+            read.add_items(bytes.len() as u64);
+            bytes
+        };
         if let Some((year, month)) = date_from_filename(file) {
             scan.set_reference(year, month);
         }
@@ -498,14 +503,20 @@ type Csvs = (Vec<AccountedJob>, Vec<AccountedJob>, Vec<OutageRecord>);
 /// error; an absent flag decodes as empty.
 fn decode_csvs(flags: &Flags) -> Result<Csvs, CliError> {
     let mut span = obs::span("stage_csv");
+    let read = |path: &str| {
+        let mut span = obs::span("stage_read");
+        let text = read_to_string(path)?;
+        span.add_items(text.len() as u64);
+        Ok::<_, CliError>(text)
+    };
     let jobs = |flag: &str, input: CsvInput| match flags.value(flag) {
-        Some(path) => parse_jobs_csv(&read_to_string(path)?, input),
+        Some(path) => parse_jobs_csv(&read(path)?, input),
         None => Ok(Vec::new()),
     };
     let gpu_jobs = jobs("jobs", CsvInput::GpuJobs)?;
     let cpu_jobs = jobs("cpu-jobs", CsvInput::CpuJobs)?;
     let outages = match flags.value("outages") {
-        Some(path) => parse_outages_csv(&read_to_string(path)?)?,
+        Some(path) => parse_outages_csv(&read(path)?)?,
         None => Vec::new(),
     };
     span.add_items((gpu_jobs.len() + cpu_jobs.len() + outages.len()) as u64);

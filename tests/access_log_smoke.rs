@@ -5,7 +5,8 @@
 //! The serving CI job tails this format with standard tooling
 //! (`awk '{print $9}'`, `grep ' 500 '` and friends), so the shape is
 //! load-bearing: `host - - [day/mon/year:h:m:s +0000] "METHOD target
-//! HTTP/1.1" status bytes`.
+//! HTTP/1.1" status bytes`. The target is percent-encoded, so a query
+//! string cannot add a line, close the quoted field or shift a field.
 
 use servd::testutil::get_on;
 use std::io::{BufRead, BufReader};
@@ -90,8 +91,13 @@ impl Server {
     }
 }
 
-/// One spawned server, three requests, three well-formed CLF lines on
-/// stderr — including the query string and a non-200 status.
+/// A query value that decodes to a line break, a quote and spaces: logged
+/// raw, it would write a second, forged CLF line.
+const FORGERY: &str = "/healthz?note=a%0A127.0.0.1%20-%20-%20%5Bforged%5D%20%22GET+/x";
+
+/// One spawned server, four requests, four well-formed CLF lines on
+/// stderr — including the query string, a non-200 status, and a query
+/// value that tries to forge a line of its own.
 #[test]
 fn access_log_emits_common_log_format_on_stderr() {
     let mut server = spawn_server();
@@ -109,9 +115,11 @@ fn access_log_emits_common_log_format_on_stderr() {
     assert_eq!(errors.status, 200);
     let missing = get_on(&mut conn, "/nosuchpath");
     assert_eq!(missing.status, 404);
+    let forgery = get_on(&mut conn, FORGERY);
+    assert_eq!(forgery.status, 200);
     drop(conn);
 
-    // Collect stderr until all three lines are in (the writes are
+    // Collect stderr until all four lines are in (the writes are
     // line-buffered per request, but give the pipe a moment).
     let mut lines: Vec<String> = Vec::new();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -119,7 +127,7 @@ fn access_log_emits_common_log_format_on_stderr() {
         while let Ok(line) = server.stderr.try_recv() {
             lines.push(line);
         }
-        if lines.iter().filter(|l| l.contains(" - - [")).count() >= 3 {
+        if lines.iter().filter(|l| l.contains(" - - [")).count() >= 4 {
             break;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -135,6 +143,33 @@ fn access_log_emits_common_log_format_on_stderr() {
         clf.len() >= 3,
         "want 3 access-log lines, got {}: {lines:?}",
         clf.len()
+    );
+    // The forging request logs exactly one line, its decoded value
+    // re-encoded, with the status where `awk '{print $9}'` reads it.
+    let forged: Vec<&String> = lines
+        .iter()
+        .filter(|l| l.contains("note=") || l.contains("forged"))
+        .collect();
+    assert_eq!(
+        forged.len(),
+        1,
+        "one line for the forging request: {lines:?}"
+    );
+    let line = forged[0];
+    assert!(
+        line.starts_with("127.0.0.1 - - ["),
+        "CLF host field: {line}"
+    );
+    assert!(
+        line.contains(
+            "\"GET /healthz?note=a%0A127.0.0.1%20-%20-%20%5Bforged%5D%20%22GET%20/x HTTP/1.1\" 200 "
+        ),
+        "escaped target: {line}"
+    );
+    assert_eq!(
+        line.split_whitespace().nth(8),
+        Some("200"),
+        "status in field 9: {line}"
     );
     for (needle, status) in [
         ("\"GET /healthz HTTP/1.1\" 200 ", 200),

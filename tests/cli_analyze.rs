@@ -1,6 +1,6 @@
 //! `delta_cli analyze` driven as a process: its stdout against the
-//! in-process pipeline, the `stage_csv` span of its CSV decode, and the
-//! error order it keeps while that decode overlaps the log ingest.
+//! in-process pipeline, the stage spans its `--metrics-out` exports, and
+//! the error order it keeps while the CSV decode overlaps the log ingest.
 //!
 //! The `--periods auto` stdout is pinned by a committed golden. To
 //! regenerate it after an *intentional* change:
@@ -96,7 +96,8 @@ fn analyze_stdout_matches_in_process_pipeline() {
     assert!(out.status.success(), "{}", text(&out.stderr));
     assert_eq!(text(&out.stdout), expected_stdout(&dir));
 
-    // The CSV decode runs under its own span, counting the rows it read.
+    // The CSV decode runs under its own span, counting the rows it read;
+    // the job index, the printing and every file read have theirs.
     let prom = dir.join("metrics.prom");
     let mut args = analyze_args(&dir);
     args.extend([PathBuf::from("--metrics-out"), prom.clone()]);
@@ -114,6 +115,22 @@ fn analyze_stdout_matches_in_process_pipeline() {
     assert!(
         metrics.contains(&format!("obs_span_items{{span=\"stage_csv\"}} {rows}\n")),
         "{metrics}"
+    );
+    for stage in ["stage_job_index", "stage_render"] {
+        assert!(
+            metrics.contains(&format!("obs_span_count{{span=\"{stage}\"}} 1\n")),
+            "{stage}: {metrics}"
+        );
+    }
+    let day_files = cli::collect_log_files(&[dir.join("logs").display().to_string()])
+        .unwrap()
+        .len();
+    assert!(
+        metrics.contains(&format!(
+            "obs_span_count{{span=\"stage_read\"}} {}\n",
+            day_files + 3
+        )),
+        "one stage_read per day file and CSV: {metrics}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,9 +12,10 @@
 //! 2. **Trace fidelity.** An uncached `/errors` and an uncached
 //!    `/rollup` each resolve through `/debug/traces?id=` to a record
 //!    with exactly the request stages — `parse`, `queue_wait`, `route`,
-//!    `cache_lookup`, `render` and `write`, each once. `/metrics` from
-//!    the traced server passes `obs::check`, and `/readyz` flips
-//!    200 → 503 when the ingest worker dies.
+//!    `cache_lookup`, `render` and `write`, each once — and every one of
+//!    those stages is an `obs_span_count` series on `/metrics`.
+//!    `/metrics` from the traced server passes `obs::check`, and
+//!    `/readyz` flips 200 → 503 when the ingest worker dies.
 //! 3. **History fidelity.** [`obs::Tsdb`] answers exactly what a
 //!    brute-force replay of the scrape-time snapshots answers, through
 //!    an independent reimplementation of the bucket downsampling.
@@ -174,9 +175,19 @@ fn stage_names(doc: &str) -> Vec<&str> {
     names
 }
 
+/// The value of `obs_span_count{span="<span>"}` in a Prometheus text
+/// exposition, if the series is there.
+fn span_count(exposition: &str, span: &str) -> Option<u64> {
+    let prefix = format!("obs_span_count{{span=\"{span}\"}} ");
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(&prefix)?.parse().ok())
+}
+
 /// An uncached `/errors` and an uncached `/rollup` each record exactly
-/// the request stages, once each; and `/metrics` from the traced,
-/// self-scraping server still validates.
+/// the request stages, once each, and each stage reaches `/metrics` as
+/// a span series; and `/metrics` from the traced, self-scraping server
+/// still validates.
 #[test]
 fn traced_reads_record_exactly_the_request_stages() {
     let (report, quarantine) = study(0.0);
@@ -203,9 +214,20 @@ fn traced_reads_record_exactly_the_request_stages() {
         assert_eq!(stage_names(&doc), expected, "{path}: {doc}");
     }
 
-    // The exposition stays valid with tracing and the self-scrape on.
+    // Every stage of both traces is also a span series. The registry is
+    // process-global (other tests in this binary serve requests too), so
+    // the counts are lower bounds.
     let metrics = get_on(&mut conn, "/metrics");
     assert_eq!(metrics.status, 200, "/metrics status");
+    for stage in &expected {
+        let count = span_count(&metrics.text(), stage);
+        assert!(
+            count.is_some_and(|n| n >= 2),
+            "obs_span_count{{span=\"{stage}\"}} is {count:?}, want >= 2"
+        );
+    }
+
+    // The exposition stays valid with tracing and the self-scrape on.
     let summary = obs::check::validate_prometheus(&metrics.text())
         .unwrap_or_else(|e| panic!("/metrics failed obs::check with tracing on: {e}"));
     assert!(
