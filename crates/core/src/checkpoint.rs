@@ -147,16 +147,22 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Writes `bytes` to `path` atomically: a `<name>.tmp` sibling in the
-/// same directory is written, flushed, fsynced and then renamed over the
-/// target. A crash at any point leaves either the previous complete file
-/// or the new complete file — the torn-checkpoint failure mode cannot
-/// occur. Both `stream_study --checkpoint` and the `servd` ingest tier
-/// route their snapshot writes through here.
+/// Writes `bytes` to `path` atomically and durably: a `<name>.tmp`
+/// sibling in the same directory is written, flushed, fsynced and then
+/// renamed over the target, and the parent directory (`.` for a bare
+/// file name) is fsynced after the rename. A crash at any point leaves
+/// either the previous complete file or the new complete file — the
+/// torn-checkpoint failure mode cannot occur — and once this returns,
+/// a power loss cannot bring back the old name: a rename is durable only
+/// once its directory is synced, and the `servd` ingest tier compacts
+/// its write-ahead log behind the new checkpoint. Both
+/// `stream_study --checkpoint` and that tier route their snapshot writes
+/// through here.
 ///
 /// # Errors
 ///
-/// Any underlying filesystem error (create, write, sync, rename).
+/// Any underlying filesystem error (create, write, sync, rename, and
+/// opening or syncing the directory).
 pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_owned();
@@ -168,7 +174,17 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
         file.flush()?;
         file.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    std::fs::File::open(parent_dir(path))?.sync_all()
+}
+
+/// The directory that names `path`: `.` for a bare file name, whose
+/// `parent()` is the empty path.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 /// Little-endian primitive writer backing the checkpoint encoder.
@@ -593,5 +609,14 @@ mod tests {
             "staging file must be renamed away"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The directory synced after the rename is the one that names the
+    /// file, and a bare file name lives in the working directory.
+    #[test]
+    fn write_atomic_syncs_the_directory_that_names_the_file() {
+        assert_eq!(parent_dir(Path::new("state.ckpt")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("d/state.ckpt")), Path::new("d"));
+        assert_eq!(parent_dir(Path::new("/state.ckpt")), Path::new("/"));
     }
 }

@@ -9,6 +9,14 @@
 //! keep every good row and divert bad ones into a
 //! [`QuarantineLedger`] instead of aborting.
 //!
+//! A job row has one decoder, which makes every check, parses the GPU
+//! slot field once into slots of the caller's type, and borrows the
+//! name from the text. [`JobIndex::from_csv`](crate::impact::JobIndex::from_csv)
+//! takes each decoded row, its slot hosts borrowed too, straight into
+//! the index, so no owned row exists; [`parse_jobs`], the lenient parser
+//! and the streaming engine build each [`AccountedJob`] through the same
+//! decoder.
+//!
 //! ## Job schema
 //!
 //! ```text
@@ -74,26 +82,59 @@ pub const OUTAGE_HEADER: &str = "host,start,duration_secs";
 ///
 /// Returns [`CsvError`] naming the offending line on any malformed row.
 pub fn parse_jobs(text: &str) -> Result<Vec<AccountedJob>, CsvError> {
+    let mut jobs = Vec::new();
+    strict_rows(text, JOB_HEADER, |raw, line_no| {
+        jobs.push(parse_job_row(raw, line_no)?);
+        Ok(())
+    })?;
+    Ok(jobs)
+}
+
+/// Decodes a job export row by row without owning any of it: each
+/// checked row goes to `each` in input order, its name and slot hosts
+/// borrowed from `text`. Fails with the error [`parse_jobs`] returns, at
+/// the first malformed line; the rows before it have gone to `each`.
+pub(crate) fn decode_jobs<'a>(
+    text: &'a str,
+    mut each: impl FnMut(&JobRow<'a>),
+) -> Result<(), CsvError> {
+    // One slot buffer serves every row.
+    let mut slots = Vec::new();
+    strict_rows(text, JOB_HEADER, |raw, line_no| {
+        let row = JobRow::decode(raw, line_no, std::mem::take(&mut slots), |host, gpu| {
+            (host, gpu)
+        })?;
+        each(&row);
+        slots = row.slots;
+        Ok(())
+    })
+}
+
+/// Checks the header line of `text` against `header`, then hands every
+/// non-blank row after it, with its 1-based line number, to `row`,
+/// stopping at the first error.
+fn strict_rows<'a>(
+    text: &'a str,
+    header: &str,
+    mut row: impl FnMut(&'a str, usize) -> Result<(), CsvError>,
+) -> Result<(), CsvError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
-        Some((_, header)) if header.trim() == JOB_HEADER => {}
-        Some((_, header)) => {
+        Some((_, first)) if first.trim() == header => {}
+        Some((_, first)) => {
             return Err(CsvError::new(
                 1,
-                format!("expected header {JOB_HEADER:?}, got {header:?}"),
+                format!("expected header {header:?}, got {first:?}"),
             ))
         }
         None => return Err(CsvError::new(1, "empty input")),
     }
-    let mut jobs = Vec::new();
     for (i, raw) in lines {
-        let line_no = i + 1;
-        if raw.trim().is_empty() {
-            continue;
+        if !raw.trim().is_empty() {
+            row(raw, i + 1)?;
         }
-        jobs.push(parse_job_row(raw, line_no)?);
     }
-    Ok(jobs)
+    Ok(())
 }
 
 /// Splits a row on `,` into exactly `N` fields, or reports the number of
@@ -117,54 +158,97 @@ fn split_fields<const N: usize>(raw: &str, line_no: usize) -> Result<[&str; N], 
 }
 
 pub(crate) fn parse_job_row(raw: &str, line_no: usize) -> Result<AccountedJob, CsvError> {
-    let fields: [&str; 8] = split_fields(raw, line_no)?;
-    let id: u64 = fields[0]
-        .parse()
-        .map_err(|_| CsvError::new(line_no, format!("bad id {:?}", fields[0])))?;
-    let time = |s: &str, what: &str| {
-        s.parse::<Timestamp>()
-            .map_err(|e| CsvError::new(line_no, format!("bad {what}: {e}")))
-    };
-    let submit = time(fields[2], "submit")?;
-    let start = time(fields[3], "start")?;
-    let end = time(fields[4], "end")?;
-    if end < start || start < submit {
-        return Err(CsvError::new(
-            line_no,
-            "times must satisfy submit <= start <= end",
-        ));
-    }
-    let gpus: u32 = fields[5]
-        .parse()
-        .map_err(|_| CsvError::new(line_no, format!("bad gpus {:?}", fields[5])))?;
-    let gpu_slots = parse_slots(fields[6], line_no)?;
+    let row = JobRow::decode(raw, line_no, Vec::new(), |host, gpu| (host.to_owned(), gpu))?;
     Ok(AccountedJob {
-        id,
-        name: fields[1].to_owned(),
-        submit,
-        start,
-        end,
-        gpus,
-        gpu_slots,
-        completed: fields[7].trim() == "COMPLETED",
+        id: row.id,
+        name: row.name.to_owned(),
+        submit: row.submit,
+        start: row.start,
+        end: row.end,
+        gpus: row.gpus,
+        gpu_slots: row.slots,
+        completed: row.completed,
     })
 }
 
-fn parse_slots(field: &str, line_no: usize) -> Result<Vec<(String, u8)>, CsvError> {
-    if field.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut slots = Vec::with_capacity(field.bytes().filter(|&b| b == b';').count() + 1);
-    for pair in field.split(';') {
-        let (host, idx) = pair
-            .split_once(':')
-            .ok_or_else(|| CsvError::new(line_no, format!("bad gpu slot {pair:?}")))?;
-        let idx: u8 = idx
+/// One row of a job export that passed every check the schema sets
+/// (eight fields, numeric id and GPU count, parseable times with
+/// `submit <= start <= end`, `host:index` slot pairs), borrowing its
+/// name from the export's text. Each slot is a `T`: [`decode_jobs`]
+/// yields rows whose slots borrow their hosts; an [`AccountedJob`] owns
+/// them.
+#[derive(Debug)]
+pub(crate) struct JobRow<'a, T = (&'a str, u8)> {
+    pub(crate) id: u64,
+    pub(crate) name: &'a str,
+    pub(crate) submit: Timestamp,
+    pub(crate) start: Timestamp,
+    pub(crate) end: Timestamp,
+    pub(crate) gpus: u32,
+    pub(crate) completed: bool,
+    /// One `slot(host, index)` per `host:index` pair, in field order.
+    pub(crate) slots: Vec<T>,
+}
+
+impl<'a, T> JobRow<'a, T> {
+    /// Decodes the data row at `line_no`, or names its first failed
+    /// check. `slots` is cleared and takes one `slot(host, index)` per
+    /// GPU slot, the field parsed once; when it has no room for them it
+    /// is replaced by a `Vec` of exactly their count, so a fresh one is
+    /// allocated at its exact size.
+    fn decode(
+        raw: &'a str,
+        line_no: usize,
+        mut slots: Vec<T>,
+        slot: impl Fn(&'a str, u8) -> T,
+    ) -> Result<Self, CsvError> {
+        let fields: [&str; 8] = split_fields(raw, line_no)?;
+        let id: u64 = fields[0]
             .parse()
-            .map_err(|_| CsvError::new(line_no, format!("bad gpu index in {pair:?}")))?;
-        slots.push((host.to_owned(), idx));
+            .map_err(|_| CsvError::new(line_no, format!("bad id {:?}", fields[0])))?;
+        let time = |s: &str, what: &str| {
+            s.parse::<Timestamp>()
+                .map_err(|e| CsvError::new(line_no, format!("bad {what}: {e}")))
+        };
+        let submit = time(fields[2], "submit")?;
+        let start = time(fields[3], "start")?;
+        let end = time(fields[4], "end")?;
+        if end < start || start < submit {
+            return Err(CsvError::new(
+                line_no,
+                "times must satisfy submit <= start <= end",
+            ));
+        }
+        let gpus: u32 = fields[5]
+            .parse()
+            .map_err(|_| CsvError::new(line_no, format!("bad gpus {:?}", fields[5])))?;
+        slots.clear();
+        if !fields[6].trim().is_empty() {
+            let count = fields[6].bytes().filter(|&b| b == b';').count() + 1;
+            if slots.capacity() < count {
+                slots = Vec::with_capacity(count);
+            }
+            for pair in fields[6].split(';') {
+                let (host, idx) = pair
+                    .split_once(':')
+                    .ok_or_else(|| CsvError::new(line_no, format!("bad gpu slot {pair:?}")))?;
+                let idx: u8 = idx
+                    .parse()
+                    .map_err(|_| CsvError::new(line_no, format!("bad gpu index in {pair:?}")))?;
+                slots.push(slot(host, idx));
+            }
+        }
+        Ok(JobRow {
+            id,
+            name: fields[1],
+            submit,
+            start,
+            end,
+            gpus,
+            completed: fields[7].trim() == "COMPLETED",
+            slots,
+        })
     }
-    Ok(slots)
 }
 
 /// Renders jobs in the [`JOB_HEADER`] schema (the inverse of
@@ -199,25 +283,11 @@ pub fn render_jobs(jobs: &[AccountedJob]) -> String {
 ///
 /// Returns [`CsvError`] naming the offending line on any malformed row.
 pub fn parse_outages(text: &str) -> Result<Vec<OutageRecord>, CsvError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, header)) if header.trim() == OUTAGE_HEADER => {}
-        Some((_, header)) => {
-            return Err(CsvError::new(
-                1,
-                format!("expected header {OUTAGE_HEADER:?}, got {header:?}"),
-            ))
-        }
-        None => return Err(CsvError::new(1, "empty input")),
-    }
     let mut outages = Vec::new();
-    for (i, raw) in lines {
-        let line_no = i + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
+    strict_rows(text, OUTAGE_HEADER, |raw, line_no| {
         outages.push(parse_outage_row(raw, line_no)?);
-    }
+        Ok(())
+    })?;
     Ok(outages)
 }
 

@@ -9,10 +9,18 @@
 //! attribution window (20 seconds in the paper) after the error. Multiple
 //! error kinds near one termination are all attributed, exactly as §V-B
 //! describes.
+//!
+//! A report reads the job exports only through a [`JobIndex`] per export:
+//! each GPU's holders for the join, the Table III folds and the counts.
+//! The batch loader decodes every CSV row straight into it
+//! ([`JobIndex::from_csv`]), so it holds no job rows; the slice functions
+//! below ([`JobImpact::compute`], [`job_mix`], [`success_rate`]) and the
+//! streaming engine fold owned [`AccountedJob`]s through the same parts.
 
 use crate::coalesce::CoalescedError;
+use crate::csvio::{self, CsvError};
 use crate::histogram::{mean, percentile_sorted};
-use crate::job::AccountedJob;
+use crate::job::{is_ml_name, AccountedJob};
 use simtime::{Duration, Timestamp};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use xid::ErrorKind;
@@ -198,7 +206,9 @@ pub const MIX_BUCKETS: [(u32, u32, &str); 8] = [
 /// zeroed statistics.
 pub fn job_mix(jobs: &[AccountedJob]) -> Vec<JobMixRow> {
     let mut mix = MixFolds::default();
-    mix.extend(jobs);
+    for job in jobs {
+        mix.add(job.gpus, job.elapsed(), &job.name);
+    }
     mix.rows(&[])
 }
 
@@ -221,21 +231,29 @@ fn rate(jobs: u64, completed: u64) -> Option<f64> {
 ///
 /// It holds each GPU's holders sorted stably by start, the Table III
 /// bucket folds (count, sorted elapsed minutes, and ML and non-ML
-/// GPU-hours summed in input order) and the completed count. Extending
-/// it costs the new rows plus an amortized merge; a report from it costs
-/// `O(E log J)` for Table II and one pass over the sorted minutes for
-/// Table III, with every float summed in the order the one-shot
-/// functions sum it, so the rows are bit-identical to theirs.
+/// GPU-hours summed in input order), the row and completed counts, and
+/// the earliest submit and latest end. A row costs its slots plus an
+/// amortized sort; a report from it costs `O(E log J)` for Table II and
+/// one pass over the sorted minutes for Table III, with every float
+/// summed in the order the one-shot functions sum it, so the rows are
+/// bit-identical to theirs. A CPU row (no GPUs, no slots) adds only to
+/// the counts and the time fold.
 ///
-/// Every read takes a `tail`: rows that follow the indexed ones in input
-/// order but are not indexed (a streaming view's partial CSV row). They
-/// join and fold as if [`extend`](Self::extend) had taken them.
+/// The batch loader decodes each export straight into one
+/// ([`from_csv`](Self::from_csv)); the slice entry points and the
+/// streaming engine add owned rows. Either way rows are pushed one at a
+/// time and settled once the call's rows are in. Every read takes a
+/// `tail`: rows that follow the indexed ones in input order but are not
+/// indexed (a streaming view's partial CSV row). They join and fold as
+/// if they had been added.
 #[derive(Debug, Default)]
-pub(crate) struct JobIndex {
+pub struct JobIndex {
     slots: SlotLists,
     mix: MixFolds,
     jobs: u64,
     completed: u64,
+    /// The earliest submit and the latest end over the rows.
+    span: Option<(Timestamp, Timestamp)>,
 }
 
 impl JobIndex {
@@ -246,12 +264,83 @@ impl JobIndex {
         index
     }
 
+    /// Decodes a job export ([`csvio::JOB_HEADER`] schema) straight into
+    /// an index, one row at a time: no [`AccountedJob`] is built, and
+    /// every row is checked as [`csvio::parse_jobs`] checks it.
+    ///
+    /// # Errors
+    ///
+    /// The [`CsvError`] [`csvio::parse_jobs`] returns on the same text.
+    pub fn from_csv(text: &str) -> Result<Self, CsvError> {
+        let mut index = JobIndex::default();
+        csvio::decode_jobs(text, |row| {
+            let holder = Holder {
+                start: row.start,
+                end: row.end,
+                id: row.id,
+                completed: row.completed,
+            };
+            let slots = row.slots.iter().copied();
+            index.push(holder, row.submit, row.gpus, row.name, slots);
+        })?;
+        index.settle([true; MIX_BUCKETS.len()]);
+        Ok(index)
+    }
+
     /// Adds the rows that follow the indexed ones.
     pub(crate) fn extend(&mut self, jobs: &[AccountedJob]) {
-        self.slots.extend(jobs);
-        self.mix.extend(jobs);
-        self.jobs += jobs.len() as u64;
-        self.completed += completed(jobs);
+        let mut touched = [false; MIX_BUCKETS.len()];
+        for job in jobs {
+            let holder = Holder::of(job);
+            if let Some(bucket) = self.push(holder, job.submit, job.gpus, &job.name, slots_of(job))
+            {
+                touched[bucket] = true;
+            }
+        }
+        self.settle(touched);
+    }
+
+    /// Adds one row after the indexed ones, to be settled; returns its
+    /// Table III bucket, if it has one.
+    fn push<'s>(
+        &mut self,
+        holder: Holder,
+        submit: Timestamp,
+        gpus: u32,
+        name: &str,
+        slots: impl Iterator<Item = (&'s str, u8)>,
+    ) -> Option<usize> {
+        self.slots.add(holder, slots);
+        self.jobs += 1;
+        self.completed += u64::from(holder.completed);
+        self.span = Some(match self.span {
+            Some((first, last)) => (first.min(submit), last.max(holder.end)),
+            None => (submit, holder.end),
+        });
+        self.mix.add(gpus, holder.end - holder.start, name)
+    }
+
+    /// Puts the rows pushed since the last settle in order: each GPU's
+    /// holders by start, and the minutes of the `touched` folds; a fold
+    /// no row touched is already settled.
+    fn settle(&mut self, touched: [bool; MIX_BUCKETS.len()]) {
+        self.slots.settle();
+        for (fold, touched) in self.mix.0.iter_mut().zip(touched) {
+            if touched {
+                fold.settle();
+            }
+        }
+    }
+
+    /// The rows indexed.
+    pub fn jobs(&self) -> u64 {
+        self.jobs
+    }
+
+    /// The earliest submit and the latest end over the indexed rows;
+    /// `None` when there are none.
+    pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
+        self.span
     }
 
     /// [`JobImpact::compute`] over the indexed rows and `tail`.
@@ -289,34 +378,59 @@ struct Holder {
     completed: bool,
 }
 
-/// Each GPU's holders, sorted stably by start.
+impl Holder {
+    fn of(job: &AccountedJob) -> Self {
+        Holder {
+            start: job.start,
+            end: job.end,
+            id: job.id,
+            completed: job.completed,
+        }
+    }
+}
+
+/// An owned job's GPU slots, borrowed.
+fn slots_of(job: &AccountedJob) -> impl Iterator<Item = (&str, u8)> {
+    job.gpu_slots
+        .iter()
+        .map(|(host, gpu)| (host.as_str(), *gpu))
+}
+
+/// Each GPU's holders, sorted stably by start once settled.
 #[derive(Debug, Default)]
 struct SlotLists {
     /// Host → its GPUs as `(GPU index, position in lists)`.
     ids: HashMap<String, Vec<(u8, usize)>>,
     lists: Vec<Vec<Holder>>,
+    /// Lists that took a holder out of start order since the last
+    /// settle, and where.
+    unsorted: Vec<(usize, usize)>,
 }
 
 impl SlotLists {
     fn extend(&mut self, jobs: &[AccountedJob]) {
-        // Lists that took a holder out of start order, and where.
-        let mut unsorted = Vec::new();
         for job in jobs {
-            let holder = Holder {
-                start: job.start,
-                end: job.end,
-                id: job.id,
-                completed: job.completed,
-            };
-            for (host, gpu) in &job.gpu_slots {
-                let id = self.list_id(host, *gpu);
-                let list = &mut self.lists[id];
-                if list.last().is_some_and(|last| last.start > holder.start) {
-                    unsorted.push((id, list.len()));
-                }
-                list.push(holder);
-            }
+            self.add(Holder::of(job), slots_of(job));
         }
+        self.settle();
+    }
+
+    /// Appends `holder` to the list of each slot.
+    fn add<'s>(&mut self, holder: Holder, slots: impl Iterator<Item = (&'s str, u8)>) {
+        for (host, gpu) in slots {
+            let id = self.list_id(host, gpu);
+            let list = &mut self.lists[id];
+            if list.last().is_some_and(|last| last.start > holder.start) {
+                self.unsorted.push((id, list.len()));
+            }
+            list.push(holder);
+        }
+    }
+
+    /// Restores the stable start order of the lists holders were added
+    /// to out of order.
+    fn settle(&mut self) {
+        let mut unsorted = std::mem::take(&mut self.unsorted);
         // A list is sorted up to its first out-of-order holder, and every
         // holder after that came later in input order, so a stable sort
         // from the first holder that can move equals the stable sort of
@@ -423,7 +537,8 @@ struct MixFolds([MixFold; MIX_BUCKETS.len()]);
 struct MixFold {
     /// Elapsed minutes, ascending.
     mins: Vec<f64>,
-    /// Minutes added since `mins` last took them in, ascending.
+    /// Minutes added since `mins` last took them in, ascending once
+    /// settled.
     fresh: Vec<f64>,
     /// GPU-hours of ML jobs, summed in input order.
     ml_hours: f64,
@@ -432,12 +547,13 @@ struct MixFold {
 }
 
 impl MixFold {
-    fn add(&mut self, job: &AccountedJob) {
-        self.fresh.push(job.elapsed().as_mins_f64());
-        if job.is_ml() {
-            self.ml_hours += job.gpu_hours();
+    fn add(&mut self, gpus: u32, elapsed: Duration, ml: bool) {
+        self.fresh.push(elapsed.as_mins_f64());
+        let hours = gpus as f64 * elapsed.as_hours_f64();
+        if ml {
+            self.ml_hours += hours;
         } else {
-            self.non_ml_hours += job.gpu_hours();
+            self.non_ml_hours += hours;
         }
     }
 
@@ -465,8 +581,11 @@ impl MixFold {
             ml_hours: self.ml_hours,
             non_ml_hours: self.non_ml_hours,
         };
-        for job in tail.iter().filter(|job| mix_bucket(job) == Some(bucket)) {
-            view.add(job);
+        for job in tail
+            .iter()
+            .filter(|job| mix_bucket(job.gpus) == Some(bucket))
+        {
+            view.add(job.gpus, job.elapsed(), job.is_ml());
         }
         view.mins.append(&mut view.fresh);
         view.mins.sort_by(f64::total_cmp);
@@ -475,21 +594,12 @@ impl MixFold {
 }
 
 impl MixFolds {
-    /// Adds `jobs` and settles the folds they added rows to; a fold the
-    /// push left alone is already settled.
-    fn extend(&mut self, jobs: &[AccountedJob]) {
-        let mut touched = [false; MIX_BUCKETS.len()];
-        for job in jobs {
-            if let Some(bucket) = mix_bucket(job) {
-                self.0[bucket].add(job);
-                touched[bucket] = true;
-            }
-        }
-        for (fold, touched) in self.0.iter_mut().zip(touched) {
-            if touched {
-                fold.settle();
-            }
-        }
+    /// Adds a job to its bucket's fold and returns the bucket; a CPU job
+    /// has none.
+    fn add(&mut self, gpus: u32, elapsed: Duration, name: &str) -> Option<usize> {
+        let bucket = mix_bucket(gpus)?;
+        self.0[bucket].add(gpus, elapsed, is_ml_name(name));
+        Some(bucket)
     }
 
     fn rows(&self, tail: &[AccountedJob]) -> Vec<JobMixRow> {
@@ -530,12 +640,12 @@ impl MixFolds {
     }
 }
 
-/// A GPU job's Table III bucket; `None` for a CPU job. The buckets are
-/// disjoint, so the first match is the only match.
-fn mix_bucket(job: &AccountedJob) -> Option<usize> {
+/// The Table III bucket of a job with `gpus` GPUs; `None` for a CPU job.
+/// The buckets are disjoint, so the first match is the only match.
+fn mix_bucket(gpus: u32) -> Option<usize> {
     MIX_BUCKETS
         .iter()
-        .position(|&(lo, hi, _)| job.gpus >= lo && job.gpus <= hi)
+        .position(|&(lo, hi, _)| gpus >= lo && gpus <= hi)
 }
 
 #[cfg(test)]

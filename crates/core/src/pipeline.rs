@@ -120,7 +120,26 @@ impl Pipeline {
     }
 
     /// Runs the pipeline from already-extracted events (Stage I done
-    /// elsewhere, e.g. when replaying a pre-parsed export).
+    /// elsewhere, e.g. when replaying a pre-parsed export): indexes the
+    /// job rows, then [`run_indexed`](Self::run_indexed).
+    pub fn run_events(
+        &self,
+        events: Vec<XidEvent>,
+        extract_stats: Option<ExtractStats>,
+        gpu_jobs: &[AccountedJob],
+        cpu_jobs: &[AccountedJob],
+        outages: &[OutageRecord],
+    ) -> StudyReport {
+        let (gpu, cpu) = {
+            let mut span = obs::span("stage_job_index");
+            span.add_items((gpu_jobs.len() + cpu_jobs.len()) as u64);
+            (JobIndex::build(gpu_jobs), JobIndex::build(cpu_jobs))
+        };
+        self.run_indexed(events, extract_stats, &gpu, &cpu, outages)
+    }
+
+    /// Runs the pipeline from already-extracted events and job exports
+    /// already indexed, as the batch loader decodes them.
     ///
     /// Events are first put into the canonical `(time, host, seq)` order
     /// (see [`hpclog::shard`]): a stable sort that every batch entry path
@@ -128,12 +147,12 @@ impl Pipeline {
     /// so equal inputs always produce byte-identical reports. Coalescing
     /// never merges across hosts, so the sort cannot change any aggregate
     /// number.
-    pub fn run_events(
+    pub fn run_indexed(
         &self,
         mut events: Vec<XidEvent>,
         extract_stats: Option<ExtractStats>,
-        gpu_jobs: &[AccountedJob],
-        cpu_jobs: &[AccountedJob],
+        gpu_jobs: &JobIndex,
+        cpu_jobs: &JobIndex,
         outages: &[OutageRecord],
     ) -> StudyReport {
         hpclog::shard::canonical_sort(&mut events);
@@ -147,15 +166,10 @@ impl Pipeline {
             obs::counter("core_events_coalesced_total", &[]).add(events_in);
             obs::counter("core_coalesce_merges_total", &[]).add(events_in - errors.len() as u64);
         }
-        let (gpu, cpu) = {
-            let mut span = obs::span("stage_job_index");
-            span.add_items((gpu_jobs.len() + cpu_jobs.len()) as u64);
-            (JobIndex::build(gpu_jobs), JobIndex::build(cpu_jobs))
-        };
         let records = Records {
-            gpu_jobs: &gpu,
+            gpu_jobs,
             gpu_tail: &[],
-            cpu_jobs: &cpu,
+            cpu_jobs,
             cpu_tail: &[],
             outages,
             outage_tail: &[],
@@ -165,7 +179,7 @@ impl Pipeline {
 
     /// Stages iii–v on an already-coalesced, canonically ordered error set.
     ///
-    /// Shared tail of [`run_events`](Self::run_events) and the incremental
+    /// Shared tail of [`run_indexed`](Self::run_indexed) and the incremental
     /// engine's materialization (`core::incremental`): both paths produce
     /// their coalesced errors differently but must assemble the
     /// [`StudyReport`] through the one code path, so equivalence reduces to

@@ -1,15 +1,18 @@
 //! Property tests for the analysis pipeline's invariants: coalescing
-//! conservation and idempotence, MTBE identities, attribution monotonicity
-//! and histogram conservation — on the in-repo `propcheck` harness.
+//! conservation and idempotence, MTBE identities, attribution monotonicity,
+//! histogram conservation, and job exports decoded straight into their
+//! indexes reporting like the row path — on the in-repo `propcheck`
+//! harness.
 
 use hpclog::{PciAddr, Timestamp, XidEvent};
 use propcheck::{run, Gen};
 use resilience::coalesce::{coalesce, CoalesceSummary};
 use resilience::csvio;
 use resilience::histogram::{percentile, Histogram};
-use resilience::impact::JobImpact;
+use resilience::impact::{JobImpact, JobIndex};
 use resilience::job::AccountedJob;
 use resilience::stats::ErrorStats;
+use resilience::Pipeline;
 use simtime::{Duration, Phase, StudyPeriods};
 use xid::XidCode;
 
@@ -217,6 +220,98 @@ fn csv_jobs_roundtrip() {
         let csv = csvio::render_jobs(&jobs);
         let back = csvio::parse_jobs(&csv).unwrap();
         assert_eq!(back, jobs);
+    });
+}
+
+/// One row of a scheduler export over two hosts of two GPUs: overlapping
+/// starts (so holders arrive out of start order), slot lists that need
+/// not match the GPU count, and CPU and GPU rows in either export.
+fn export_job(g: &mut Gen) -> AccountedJob {
+    let start = StudyPeriods::delta().op.start + Duration::from_secs(g.u64_below(3_000));
+    AccountedJob {
+        id: g.u64_below(1_000),
+        name: g
+            .choose(&["train_net", "namd", "llm_eval", "cfd"])
+            .to_owned(),
+        submit: start - Duration::from_secs(g.u64_below(600)),
+        start,
+        end: start + Duration::from_secs(g.u64_below(900)),
+        gpus: g.choose(&[0u32, 0, 1, 1, 2, 4, 8, 64, 300]),
+        gpu_slots: (0..g.usize_in(0, 4))
+            .map(|_| (g.choose(&["gpub001", "gpub002"]).to_owned(), g.u8_in(0, 2)))
+            .collect(),
+        completed: g.bool(),
+    }
+}
+
+/// [`csvio::render_jobs`] of `jobs` with blank and whitespace-only lines
+/// scattered among the rows.
+fn export_text(g: &mut Gen, jobs: &[AccountedJob]) -> String {
+    let mut text = String::new();
+    for line in csvio::render_jobs(jobs).lines() {
+        text.push_str(line);
+        text.push('\n');
+        if g.bool_with(0.15) {
+            text.push_str(g.choose(&["", "  ", "\t"]));
+            text.push('\n');
+        }
+    }
+    text
+}
+
+/// The report from job exports decoded straight into their indexes
+/// equals the report from `run_events` over the rows `parse_jobs` builds,
+/// and on byte-mutated exports the decode fails exactly where, and with
+/// the message, `parse_jobs` fails.
+#[test]
+fn decoded_indexes_report_like_the_row_path() {
+    run("decoded_indexes_report_like_the_row_path", 128, |g| {
+        let op = StudyPeriods::delta().op.start;
+        let events: Vec<XidEvent> = g.vec_with(0, 24, |g| {
+            XidEvent::new(
+                op + Duration::from_secs(g.u64_below(4_000)),
+                g.choose(&["gpub001", "gpub002"]),
+                PciAddr::for_gpu_index(g.u8_in(0, 2)),
+                XidCode::new(g.choose(&[31u16, 48, 79, 119])),
+                "",
+            )
+        });
+        let gpu_jobs = g.vec_with(0, 40, export_job);
+        let cpu_jobs = g.vec_with(0, 20, export_job);
+        let (mut gpu_text, cpu_text) = (export_text(g, &gpu_jobs), export_text(g, &cpu_jobs));
+        let report = |gpu_text: &str| {
+            let rows = csvio::parse_jobs(gpu_text);
+            let index = JobIndex::from_csv(gpu_text);
+            assert_eq!(index.as_ref().err(), rows.as_ref().err());
+            let (Ok(rows), Ok(index)) = (rows, index) else {
+                return;
+            };
+            let cpu_rows = csvio::parse_jobs(&cpu_text).unwrap();
+            let cpu_index = JobIndex::from_csv(&cpu_text).unwrap();
+            let pipeline = Pipeline::delta();
+            let want = pipeline.run_events(events.clone(), None, &rows, &cpu_rows, &[]);
+            let got = pipeline.run_indexed(events.clone(), None, &index, &cpu_index, &[]);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(index.jobs(), rows.len() as u64);
+            let span = rows.iter().map(|j| (j.submit, j.end));
+            let span = span.reduce(|(s, e), (s2, e2)| (s.min(s2), e.max(e2)));
+            assert_eq!(index.time_span(), span);
+        };
+        report(&gpu_text);
+        // Byte-mutated rows: the same first error, or the same report.
+        for _ in 0..g.usize_in(1, 4) {
+            let at = g.usize_in(0, gpu_text.len() + 1);
+            let byte = g.choose(b"0123456789,;:-TZ x\n") as char;
+            match g.u8_in(0, 3) {
+                0 => gpu_text.insert(at, byte),
+                _ if at == gpu_text.len() => gpu_text.push(byte),
+                1 => {
+                    gpu_text.remove(at);
+                }
+                _ => gpu_text.replace_range(at..at + 1, byte.encode_utf8(&mut [0; 4])),
+            }
+        }
+        report(&gpu_text);
     });
 }
 

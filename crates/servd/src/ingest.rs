@@ -703,14 +703,11 @@ pub fn recover(
                 source,
             }
         })?;
-    } else if !wal_path.exists() {
-        write_atomic(&wal_path, &[]).map_err(|source| IngestError::Io {
-            what: "creating write-ahead log",
-            path: wal_path.clone(),
-            source,
-        })?;
     }
+    // A missing log starts empty; its appends are not fsynced (see the
+    // module docs), so creating it needs no sync either.
     let wal = OpenOptions::new()
+        .create(true)
         .append(true)
         .open(&wal_path)
         .map_err(|source| IngestError::Io {

@@ -27,6 +27,7 @@
 use delta_gpu_resilience::cli::{self, parse_flags, CliError, MetricsSink};
 use delta_gpu_resilience::corpus;
 use delta_gpu_resilience::prelude::*;
+use resilience::impact::JobIndex;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -139,7 +140,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             )))
         }
     }
-    let (has_jobs, has_outages) = (!inputs.gpu_jobs.is_empty(), !inputs.outages.is_empty());
+    let (has_jobs, has_outages) = (inputs.gpu_jobs.jobs() > 0, !inputs.outages.is_empty());
     let (report_out, _) = inputs.run(&pipeline);
 
     let render = obs::span("stage_render");
@@ -189,16 +190,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Infers a study calendar from the observed data span (the first and
-/// last accepted log lines, widened by the job records), keeping Delta's
-/// 273:896-day pre-op/op proportions.
-fn infer_periods(
-    span: Option<(Timestamp, Timestamp)>,
-    jobs: &[AccountedJob],
-) -> Option<StudyPeriods> {
+/// last accepted log lines, widened by the jobs' earliest submit and
+/// latest end), keeping Delta's 273:896-day pre-op/op proportions.
+fn infer_periods(span: Option<(Timestamp, Timestamp)>, jobs: &JobIndex) -> Option<StudyPeriods> {
     let (mut first, mut last) = span?;
-    for j in jobs {
-        first = first.min(j.submit);
-        last = last.max(j.end);
+    if let Some((submit, end)) = jobs.time_span() {
+        first = first.min(submit);
+        last = last.max(end);
     }
     if last <= first {
         return None;
@@ -327,16 +325,28 @@ mod tests {
     fn infer_periods_keeps_delta_ratio() {
         let start = Timestamp::from_ymd_hms(2022, 1, 1, 0, 0, 0).unwrap();
         let end = start + Duration::from_days(1169);
-        let periods = infer_periods(Some((start, end)), &[]).unwrap();
+        let periods = infer_periods(Some((start, end)), &JobIndex::default()).unwrap();
         assert_eq!(periods.pre_op.start, start);
         let pre_days = periods.pre_op.days();
         assert!((pre_days - 273.0).abs() < 1.5, "{pre_days}");
         assert!(periods.op.end > end);
+
+        // A job submitted before the first log line and ending after the
+        // last widens the span through the index's time fold.
+        let csv = format!(
+            "{}\n1,a,2021-12-31T00:00:00Z,2022-01-01T00:00:00Z,{},1,gpub001:0,FAILED\n",
+            resilience::csvio::JOB_HEADER,
+            end + Duration::from_days(1)
+        );
+        let jobs = cli::index_jobs_csv(&csv, resilience::error::CsvInput::GpuJobs).unwrap();
+        let periods = infer_periods(Some((start, end)), &jobs).unwrap();
+        assert_eq!(periods.pre_op.start, start - Duration::from_days(1));
+        assert_eq!(periods.op.end, end + Duration::from_secs(86_401));
     }
 
     #[test]
     fn infer_periods_empty_is_none() {
-        assert!(infer_periods(None, &[]).is_none());
+        assert!(infer_periods(None, &JobIndex::default()).is_none());
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! It also owns the one batch loader, [`load_study`]: `delta-cli analyze`
 //! and batch `delta-serve` read their day files and CSV exports through
 //! it, so both run the same Stage I (the lenient scan, with its year
-//! rule) and hand the same inputs to [`Pipeline::run_events`].
+//! rule) and hand the same inputs to [`Pipeline::run_indexed`]. The job
+//! exports decode row by row straight into their
+//! [`JobIndex`]es on the loader's one decode thread, so the batch path
+//! holds no job rows and builds no index after the join.
 //!
 //! It also owns the observability surface of the binaries:
 //! [`MetricsSink`] interprets the `--metrics-out` / `--metrics-format`
@@ -24,9 +27,8 @@ use hpclog::quarantine::QuarantineLedger;
 use hpclog::stream::LenientScan;
 use hpclog::{LogLine, Timestamp, XidEvent};
 use resilience::error::{CsvInput, PipelineError};
-use resilience::{
-    AccountedJob, CheckpointError, OutageRecord, Pipeline, QuarantineReport, StudyReport,
-};
+use resilience::impact::JobIndex;
+use resilience::{CheckpointError, OutageRecord, Pipeline, QuarantineReport, StudyReport};
 use std::fmt;
 use std::io::{self, IsTerminal};
 use std::path::{Path, PathBuf};
@@ -244,11 +246,10 @@ pub fn write_file_atomic(
     })
 }
 
-/// Parses a CSV job export, tagging schema errors with which export they
-/// came from.
-pub fn parse_jobs_csv(text: &str, input: CsvInput) -> Result<Vec<AccountedJob>, CliError> {
-    resilience::csvio::parse_jobs(text)
-        .map_err(|e| CliError::Pipeline(PipelineError::csv(input, e)))
+/// Decodes a CSV job export straight into a [`JobIndex`], tagging schema
+/// errors with which export they came from.
+pub fn index_jobs_csv(text: &str, input: CsvInput) -> Result<JobIndex, CliError> {
+    JobIndex::from_csv(text).map_err(|e| CliError::Pipeline(PipelineError::csv(input, e)))
 }
 
 /// Parses a CSV outage export with the same error tagging.
@@ -382,24 +383,25 @@ impl LogScan {
     }
 }
 
-/// A batch study's inputs: the scanned logs and the decoded exports.
+/// A batch study's inputs: the scanned logs, the job exports as the
+/// indexes the report reads, and the outages.
 #[derive(Debug)]
 pub struct StudyInputs {
     /// Stage I's output.
     pub logs: LogScan,
-    /// `--jobs`, decoded (empty without the flag).
-    pub gpu_jobs: Vec<AccountedJob>,
-    /// `--cpu-jobs`, decoded (empty without the flag).
-    pub cpu_jobs: Vec<AccountedJob>,
+    /// `--jobs`, indexed (empty without the flag).
+    pub gpu_jobs: JobIndex,
+    /// `--cpu-jobs`, indexed (empty without the flag).
+    pub cpu_jobs: JobIndex,
     /// `--outages`, decoded (empty without the flag).
     pub outages: Vec<OutageRecord>,
 }
 
 impl StudyInputs {
-    /// Runs stages ii–v over the inputs ([`Pipeline::run_events`]) and
+    /// Runs stages ii–v over the inputs ([`Pipeline::run_indexed`]) and
     /// returns the report with the scan's quarantine report.
     pub fn run(self, pipeline: &Pipeline) -> (StudyReport, QuarantineReport) {
-        let report = pipeline.run_events(
+        let report = pipeline.run_indexed(
             self.logs.events,
             Some(self.logs.stats),
             &self.gpu_jobs,
@@ -412,8 +414,8 @@ impl StudyInputs {
 
 /// Loads a batch study: the log files named by `flags.positionals` go
 /// through the lenient scan ([`LenientScan`]) on this thread while
-/// `--jobs`, `--cpu-jobs` and `--outages` decode strictly on a scoped
-/// thread.
+/// `--jobs`, `--cpu-jobs` and `--outages` decode strictly on one scoped
+/// thread, each job row straight into its export's [`JobIndex`].
 ///
 /// Nothing in the logs is fatal: defective lines are quarantined, and
 /// each caveat they raise is printed to stderr. `scanned` then runs on
@@ -496,22 +498,23 @@ fn scan_logs(paths: &[String]) -> Result<LogScan, CliError> {
     })
 }
 
-/// The decoded `--jobs`, `--cpu-jobs` and `--outages` exports.
-type Csvs = (Vec<AccountedJob>, Vec<AccountedJob>, Vec<OutageRecord>);
+/// The indexed `--jobs` and `--cpu-jobs` exports and the decoded
+/// `--outages`.
+type Csvs = (JobIndex, JobIndex, Vec<OutageRecord>);
 
 /// Reads and decodes the CSV exports in flag order, stopping at the first
 /// error; an absent flag decodes as empty.
 fn decode_csvs(flags: &Flags) -> Result<Csvs, CliError> {
     let mut span = obs::span("stage_csv");
     let read = |path: &str| {
-        let mut span = obs::span("stage_read");
+        let mut span = obs::span("stage_csv_read");
         let text = read_to_string(path)?;
         span.add_items(text.len() as u64);
         Ok::<_, CliError>(text)
     };
     let jobs = |flag: &str, input: CsvInput| match flags.value(flag) {
-        Some(path) => parse_jobs_csv(&read(path)?, input),
-        None => Ok(Vec::new()),
+        Some(path) => index_jobs_csv(&read(path)?, input),
+        None => Ok(JobIndex::default()),
     };
     let gpu_jobs = jobs("jobs", CsvInput::GpuJobs)?;
     let cpu_jobs = jobs("cpu-jobs", CsvInput::CpuJobs)?;
@@ -519,7 +522,7 @@ fn decode_csvs(flags: &Flags) -> Result<Csvs, CliError> {
         Some(path) => parse_outages_csv(&read(path)?)?,
         None => Vec::new(),
     };
-    span.add_items((gpu_jobs.len() + cpu_jobs.len() + outages.len()) as u64);
+    span.add_items(gpu_jobs.jobs() + cpu_jobs.jobs() + outages.len() as u64);
     Ok((gpu_jobs, cpu_jobs, outages))
 }
 
@@ -875,7 +878,7 @@ mod tests {
 
     #[test]
     fn csv_errors_carry_the_input_name() {
-        let err = parse_jobs_csv("not,a,header\n", CsvInput::GpuJobs).unwrap_err();
+        let err = index_jobs_csv("not,a,header\n", CsvInput::GpuJobs).unwrap_err();
         assert!(err.to_string().contains("gpu-jobs"), "{err}");
     }
 
