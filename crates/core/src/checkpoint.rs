@@ -10,11 +10,17 @@
 //! byte — loading returns an error, never UB and never a `panic!`.
 //!
 //! The encoding of the pipeline state itself lives with the state, in
-//! [`crate::incremental`]; this module owns the container format and the
-//! primitive readers/writers. The [`Encoder`]/[`Decoder`] pair is public
-//! so downstream subsystems (the `servd` ingest tier wraps an engine
-//! checkpoint in its own envelope) can speak the same wire discipline
-//! instead of inventing a second codec.
+//! [`crate::incremental`], and each job export's part beside its index,
+//! in [`crate::impact`]. Format 3 stores that index itself (each GPU's
+//! holders at fixed width, the Table III minutes, the counts), so a
+//! restore rebuilds and re-sorts nothing; this build still reads format
+//! 2, which stored the job rows, by decoding them into the index once.
+//! This module owns the container format and the primitive
+//! readers/writers. The [`Encoder`]/[`Decoder`] pair is public so
+//! downstream subsystems (the `servd` ingest tier wraps an engine
+//! checkpoint in its own envelope, which the engine encodes into in
+//! place) can speak the same wire discipline instead of inventing a
+//! second codec.
 //!
 //! [`write_atomic`] is the one blessed way to put a checkpoint (or any
 //! snapshot-like artifact, e.g. the ingest write-ahead segment) on disk:
@@ -43,10 +49,14 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Leading magic bytes of every checkpoint.
     pub const MAGIC: [u8; 8] = *b"DGR-CKPT";
-    /// Current format version. Bumped on any wire-format change; older
-    /// readers reject newer snapshots with
+    /// Current format version, the one every encoder writes. Bumped on
+    /// any wire-format change; older readers reject newer snapshots with
     /// [`CheckpointError::UnsupportedVersion`] instead of misparsing them.
-    pub const VERSION: u32 = 2;
+    /// Format 3 stores each job export's index; format 2 stored its rows.
+    pub const VERSION: u32 = 3;
+    /// The oldest format version this build still reads. A format-2
+    /// checkpoint restores by decoding its job rows into their index.
+    pub const MIN_VERSION: u32 = 2;
     /// Trailing end marker, guarding against silent truncation at a field
     /// boundary.
     pub(crate) const END_MARKER: u32 = 0x444E_4521; // "END!"
@@ -125,7 +135,8 @@ impl fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported checkpoint version {v} (this build reads {})",
+                    "unsupported checkpoint version {v} (this build reads versions {} to {})",
+                    Checkpoint::MIN_VERSION,
                     Checkpoint::VERSION
                 )
             }
@@ -200,15 +211,34 @@ impl Encoder {
     /// A new encoder with the container header already written.
     pub fn new() -> Self {
         let mut enc = Encoder { buf: Vec::new() };
-        enc.buf.extend_from_slice(&Checkpoint::MAGIC);
-        enc.u32(Checkpoint::VERSION);
+        enc.header();
         enc
+    }
+
+    fn header(&mut self) {
+        self.buf.extend_from_slice(&Checkpoint::MAGIC);
+        self.u32(Checkpoint::VERSION);
     }
 
     /// Writes the end marker and seals the checkpoint.
     pub fn finish(mut self) -> Checkpoint {
         self.u32(Checkpoint::END_MARKER);
         Checkpoint::from_encoder(self.buf)
+    }
+
+    /// Writes a checkpoint whose body `body` encodes as a length-prefixed
+    /// byte string: the bytes [`bytes`](Self::bytes) writes for that
+    /// checkpoint once finished, encoded in place instead of copied.
+    /// Returns the nested checkpoint's length.
+    pub(crate) fn nested(&mut self, body: impl FnOnce(&mut Encoder)) -> usize {
+        let at = self.buf.len();
+        self.u64(0); // the length, patched below
+        self.header();
+        body(self);
+        self.u32(Checkpoint::END_MARKER);
+        let len = self.buf.len() - at - 8;
+        self.buf[at..at + 8].copy_from_slice(&(len as u64).to_le_bytes());
+        len
     }
 
     /// Writes one byte.
@@ -286,22 +316,23 @@ impl<'a> Decoder<'a> {
     }
 
     /// Validates magic + version, leaving the cursor at the first body
-    /// field.
+    /// field, and returns the version: any from
+    /// [`Checkpoint::MIN_VERSION`] to [`Checkpoint::VERSION`].
     ///
     /// # Errors
     ///
     /// [`CheckpointError::BadMagic`] / [`CheckpointError::UnsupportedVersion`]
     /// on a wrong header, [`CheckpointError::Truncated`] when too short.
-    pub fn header(&mut self) -> Result<(), CheckpointError> {
+    pub fn header(&mut self) -> Result<u32, CheckpointError> {
         let magic = self.take(Checkpoint::MAGIC.len())?;
         if magic != Checkpoint::MAGIC {
             return Err(CheckpointError::BadMagic);
         }
         let version = self.u32()?;
-        if version != Checkpoint::VERSION {
+        if !(Checkpoint::MIN_VERSION..=Checkpoint::VERSION).contains(&version) {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        Ok(())
+        Ok(version)
     }
 
     /// Consumes the end marker and requires the input to end with it.
@@ -429,12 +460,27 @@ impl<'a> Decoder<'a> {
     ///
     /// [`CheckpointError::Invalid`] (tagged `what`) on an oversized count.
     pub fn len(&mut self, what: &'static str) -> Result<usize, CheckpointError> {
+        self.len_of(1, what)
+    }
+
+    /// [`len`](Self::len) for elements that each cost at least `width`
+    /// encoded bytes, so the count is bounded by the remaining bytes over
+    /// `width`.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Invalid`] (tagged `what`) on an oversized count.
+    pub(crate) fn len_of(
+        &mut self,
+        width: usize,
+        what: &'static str,
+    ) -> Result<usize, CheckpointError> {
         let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| CheckpointError::Invalid { what })?;
-        if n > self.buf.len() - self.pos {
-            return Err(CheckpointError::Invalid { what });
-        }
-        Ok(n)
+        let remaining = self.buf.len() - self.pos;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n.checked_mul(width).is_some_and(|bytes| bytes <= remaining))
+            .ok_or(CheckpointError::Invalid { what })
     }
 
     /// Decodes a length-prefixed byte string.
@@ -498,7 +544,7 @@ mod tests {
             // Either the container header already fails, or the body
             // decode must fail — never a success, never a panic.
             let mut dec = Decoder::new(prefix);
-            let result = dec.header().and_then(|()| {
+            let result = dec.header().and_then(|_| {
                 dec.u64()?;
                 dec.str("s")?;
                 dec.opt_u64("o")?;
@@ -524,6 +570,65 @@ mod tests {
         assert_eq!(
             Checkpoint::from_bytes(bytes).unwrap_err(),
             CheckpointError::UnsupportedVersion(99)
+        );
+    }
+
+    #[test]
+    fn every_readable_version_is_accepted_and_returned() {
+        for version in Checkpoint::MIN_VERSION..=Checkpoint::VERSION {
+            let mut bytes = sample().into_bytes();
+            bytes[Checkpoint::MAGIC.len()] = version as u8;
+            let ck = Checkpoint::from_bytes(bytes).unwrap();
+            assert_eq!(ck.version(), version);
+            assert_eq!(Decoder::new(ck.as_bytes()).header(), Ok(version));
+        }
+        let message = CheckpointError::UnsupportedVersion(1).to_string();
+        assert!(message.contains("versions 2 to 3"), "{message}");
+    }
+
+    #[test]
+    fn a_nested_checkpoint_is_the_finished_one_as_bytes() {
+        let body = |enc: &mut Encoder| {
+            enc.u64(42);
+            enc.str("hello");
+        };
+        let mut inner = Encoder::new();
+        body(&mut inner);
+        let inner = inner.finish();
+
+        let mut copied = Encoder::new();
+        copied.u8(7);
+        copied.bytes(inner.as_bytes());
+        let mut nested = Encoder::new();
+        nested.u8(7);
+        assert_eq!(nested.nested(body), inner.as_bytes().len());
+        assert_eq!(nested.finish(), copied.finish());
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left_over_their_width() {
+        let mut enc = Encoder::new();
+        enc.u64(3); // three 8-byte elements claimed, 24 bytes follow
+        for v in [1u64, 2, 3] {
+            enc.u64(v);
+        }
+        let bytes = enc.finish().into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        dec.header().unwrap();
+        assert_eq!(dec.len_of(8, "n"), Ok(3));
+        let mut dec = Decoder::new(&bytes);
+        dec.header().unwrap();
+        // 24 bytes of elements plus the 4-byte end marker: not room for
+        // three of 10 bytes each.
+        assert_eq!(
+            dec.len_of(10, "n"),
+            Err(CheckpointError::Invalid { what: "n" })
+        );
+        let mut dec = Decoder::new(&bytes);
+        dec.header().unwrap();
+        assert_eq!(
+            dec.len_of(usize::MAX, "n"),
+            Err(CheckpointError::Invalid { what: "n" })
         );
     }
 

@@ -12,10 +12,10 @@
 //! A job row has one decoder, which makes every check, parses the GPU
 //! slot field once into slots of the caller's type, and borrows the
 //! name from the text. [`JobIndex::from_csv`](crate::impact::JobIndex::from_csv)
-//! takes each decoded row, its slot hosts borrowed too, straight into
-//! the index, so no owned row exists; [`parse_jobs`], the lenient parser
-//! and the streaming engine build each [`AccountedJob`] through the same
-//! decoder.
+//! and the streaming engine take each decoded row, its slot hosts
+//! borrowed too, straight into the index, so no owned row exists;
+//! [`parse_jobs`], the lenient parser and a streaming view's partial row
+//! build each [`AccountedJob`] through the same decoder.
 //!
 //! ## Job schema
 //!
@@ -196,7 +196,7 @@ impl<'a, T> JobRow<'a, T> {
     /// GPU slot, the field parsed once; when it has no room for them it
     /// is replaced by a `Vec` of exactly their count, so a fresh one is
     /// allocated at its exact size.
-    fn decode(
+    pub(crate) fn decode(
         raw: &'a str,
         line_no: usize,
         mut slots: Vec<T>,

@@ -12,13 +12,16 @@
 //!
 //! A report reads the job exports only through a [`JobIndex`] per export:
 //! each GPU's holders for the join, the Table III folds and the counts.
-//! The batch loader decodes every CSV row straight into it
-//! ([`JobIndex::from_csv`]), so it holds no job rows; the slice functions
-//! below ([`JobImpact::compute`], [`job_mix`], [`success_rate`]) and the
-//! streaming engine fold owned [`AccountedJob`]s through the same parts.
+//! The batch loader ([`JobIndex::from_csv`]) and the streaming engine
+//! decode every CSV row straight into it, so neither holds job rows; the
+//! slice functions below ([`JobImpact::compute`], [`job_mix`],
+//! [`success_rate`]) fold owned [`AccountedJob`]s through the same parts.
+//! A streaming checkpoint stores the index itself (format 3), encoded
+//! here beside it.
 
+use crate::checkpoint::{CheckpointError, Decoder, Encoder};
 use crate::coalesce::CoalescedError;
-use crate::csvio::{self, CsvError};
+use crate::csvio::{self, CsvError, JobRow};
 use crate::histogram::{mean, percentile_sorted};
 use crate::job::{is_ml_name, AccountedJob};
 use simtime::{Duration, Timestamp};
@@ -239,13 +242,13 @@ fn rate(jobs: u64, completed: u64) -> Option<f64> {
 /// bit-identical to theirs. A CPU row (no GPUs, no slots) adds only to
 /// the counts and the time fold.
 ///
-/// The batch loader decodes each export straight into one
-/// ([`from_csv`](Self::from_csv)); the slice entry points and the
-/// streaming engine add owned rows. Either way rows are pushed one at a
-/// time and settled once the call's rows are in. Every read takes a
-/// `tail`: rows that follow the indexed ones in input order but are not
-/// indexed (a streaming view's partial CSV row). They join and fold as
-/// if they had been added.
+/// The batch loader ([`from_csv`](Self::from_csv)) and the streaming
+/// engine push each decoded CSV row straight into one; the slice entry
+/// points add owned rows. Either way rows are pushed one at a time and
+/// settled once the call's rows are in. Every read takes a `tail`: rows
+/// that follow the indexed ones in input order but are not indexed (a
+/// streaming view's partial CSV row). They join and fold as if they had
+/// been added.
 #[derive(Debug, Default)]
 pub struct JobIndex {
     slots: SlotLists,
@@ -255,6 +258,11 @@ pub struct JobIndex {
     /// The earliest submit and the latest end over the rows.
     span: Option<(Timestamp, Timestamp)>,
 }
+
+/// Encoded bytes of one holder: start, end and id, then the state byte.
+const HOLDER_BYTES: usize = 25;
+/// Encoded bytes of one Table III minute.
+const MINUTE_BYTES: usize = 8;
 
 impl JobIndex {
     /// An index over `jobs`.
@@ -273,35 +281,38 @@ impl JobIndex {
     /// The [`CsvError`] [`csvio::parse_jobs`] returns on the same text.
     pub fn from_csv(text: &str) -> Result<Self, CsvError> {
         let mut index = JobIndex::default();
-        csvio::decode_jobs(text, |row| {
-            let holder = Holder {
-                start: row.start,
-                end: row.end,
-                id: row.id,
-                completed: row.completed,
-            };
-            let slots = row.slots.iter().copied();
-            index.push(holder, row.submit, row.gpus, row.name, slots);
-        })?;
-        index.settle([true; MIX_BUCKETS.len()]);
+        csvio::decode_jobs(text, |row| index.push_row(row))?;
+        index.settle();
         Ok(index)
     }
 
     /// Adds the rows that follow the indexed ones.
     pub(crate) fn extend(&mut self, jobs: &[AccountedJob]) {
-        let mut touched = [false; MIX_BUCKETS.len()];
         for job in jobs {
-            let holder = Holder::of(job);
-            if let Some(bucket) = self.push(holder, job.submit, job.gpus, &job.name, slots_of(job))
-            {
-                touched[bucket] = true;
-            }
+            self.push(
+                Holder::of(job),
+                job.submit,
+                job.gpus,
+                &job.name,
+                slots_of(job),
+            );
         }
-        self.settle(touched);
+        self.settle();
     }
 
-    /// Adds one row after the indexed ones, to be settled; returns its
-    /// Table III bucket, if it has one.
+    /// Adds one decoded CSV row after the indexed ones, to be settled.
+    pub(crate) fn push_row(&mut self, row: &JobRow<'_>) {
+        let holder = Holder {
+            start: row.start,
+            end: row.end,
+            id: row.id,
+            completed: row.completed,
+        };
+        let slots = row.slots.iter().copied();
+        self.push(holder, row.submit, row.gpus, row.name, slots);
+    }
+
+    /// Adds one row after the indexed ones, to be settled.
     fn push<'s>(
         &mut self,
         holder: Holder,
@@ -309,7 +320,7 @@ impl JobIndex {
         gpus: u32,
         name: &str,
         slots: impl Iterator<Item = (&'s str, u8)>,
-    ) -> Option<usize> {
+    ) {
         self.slots.add(holder, slots);
         self.jobs += 1;
         self.completed += u64::from(holder.completed);
@@ -317,19 +328,68 @@ impl JobIndex {
             Some((first, last)) => (first.min(submit), last.max(holder.end)),
             None => (submit, holder.end),
         });
-        self.mix.add(gpus, holder.end - holder.start, name)
+        self.mix.add(gpus, holder.end - holder.start, name);
     }
 
     /// Puts the rows pushed since the last settle in order: each GPU's
-    /// holders by start, and the minutes of the `touched` folds; a fold
-    /// no row touched is already settled.
-    fn settle(&mut self, touched: [bool; MIX_BUCKETS.len()]) {
+    /// holders by start, and the minutes of the folds they were added
+    /// to; a fold no row touched is already settled.
+    pub(crate) fn settle(&mut self) {
         self.slots.settle();
-        for (fold, touched) in self.mix.0.iter_mut().zip(touched) {
-            if touched {
-                fold.settle();
-            }
+        for fold in &mut self.mix.0 {
+            fold.settle();
         }
+    }
+
+    /// Writes the settled index as checkpoint format 3 stores it: each
+    /// GPU's holders, list by list, at fixed width; each Table III fold's
+    /// sorted and fresh minutes and its GPU-hours as `f64` bits; the row
+    /// and completed counts; and the first-submit/last-end span.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        self.slots.encode(enc);
+        for fold in &self.mix.0 {
+            fold.encode(enc);
+        }
+        enc.u64(self.jobs);
+        enc.u64(self.completed);
+        enc.opt_u64(self.span.map(|(first, _)| first.unix()));
+        enc.opt_u64(self.span.map(|(_, last)| last.unix()));
+    }
+
+    /// Reads what [`encode`](Self::encode) wrote, rebuilding and
+    /// re-sorting nothing. It checks what a damaged checkpoint could
+    /// break: the counts against the bytes left, one list per GPU, each
+    /// list in start order, each fold's minutes ascending, and counts
+    /// and span that agree.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError`] on short input or any of those defects.
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        let slots = SlotLists::decode(dec)?;
+        let mut mix = MixFolds::default();
+        for fold in &mut mix.0 {
+            *fold = MixFold::decode(dec)?;
+        }
+        let jobs = dec.u64()?;
+        let completed = dec.u64()?;
+        let span = match (dec.opt_u64("job span")?, dec.opt_u64("job span")?) {
+            (Some(first), Some(last)) if first <= last => {
+                Some((Timestamp::from_unix(first), Timestamp::from_unix(last)))
+            }
+            (None, None) => None,
+            _ => return Err(CheckpointError::Invalid { what: "job span" }),
+        };
+        if completed > jobs || span.is_some() != (jobs > 0) {
+            return Err(CheckpointError::Invalid { what: "job counts" });
+        }
+        Ok(JobIndex {
+            slots,
+            mix,
+            jobs,
+            completed,
+            span,
+        })
     }
 
     /// The rows indexed.
@@ -463,6 +523,64 @@ impl SlotLists {
         next
     }
 
+    fn encode(&self, enc: &mut Encoder) {
+        // The dictionary in list order, whatever order the map keeps.
+        let mut keys = vec![("", 0); self.lists.len()];
+        for (host, gpus) in &self.ids {
+            for &(gpu, id) in gpus {
+                keys[id] = (host.as_str(), gpu);
+            }
+        }
+        enc.u64(self.lists.len() as u64);
+        for ((host, gpu), list) in keys.into_iter().zip(&self.lists) {
+            enc.str(host);
+            enc.u8(gpu);
+            enc.u64(list.len() as u64);
+            for holder in list {
+                enc.u64(holder.start.unix());
+                enc.u64(holder.end.unix());
+                enc.u64(holder.id);
+                enc.bool(holder.completed);
+            }
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        let mut slots = SlotLists::default();
+        for id in 0..dec.len("slot list count")? {
+            let host = dec.str("slot host")?;
+            let gpu = dec.u8()?;
+            let gpus = slots.ids.entry(host).or_default();
+            if gpus.iter().any(|&(g, _)| g == gpu) {
+                return Err(CheckpointError::Invalid {
+                    what: "slot dictionary",
+                });
+            }
+            gpus.push((gpu, id));
+            let n = dec.len_of(HOLDER_BYTES, "holder count")?;
+            let mut list = Vec::with_capacity(n);
+            for _ in 0..n {
+                let holder = Holder {
+                    start: Timestamp::from_unix(dec.u64()?),
+                    end: Timestamp::from_unix(dec.u64()?),
+                    id: dec.u64()?,
+                    completed: dec.bool("holder state")?,
+                };
+                if list
+                    .last()
+                    .is_some_and(|last: &Holder| last.start > holder.start)
+                {
+                    return Err(CheckpointError::Invalid {
+                        what: "holder order",
+                    });
+                }
+                list.push(holder);
+            }
+            slots.lists.push(list);
+        }
+        Ok(slots)
+    }
+
     fn holders(&self, host: &str, gpu: u8) -> &[Holder] {
         self.ids
             .get(host)
@@ -544,10 +662,13 @@ struct MixFold {
     ml_hours: f64,
     /// GPU-hours of the other jobs, summed in input order.
     non_ml_hours: f64,
+    /// Whether a row was added since the last settle.
+    touched: bool,
 }
 
 impl MixFold {
     fn add(&mut self, gpus: u32, elapsed: Duration, ml: bool) {
+        self.touched = true;
         self.fresh.push(elapsed.as_mins_f64());
         let hours = gpus as f64 * elapsed.as_hours_f64();
         if ml {
@@ -559,14 +680,56 @@ impl MixFold {
 
     /// Sorts the fresh minutes, and merges them into the rest once they
     /// outgrow an eighth of it: a minute is merged a bounded number of
-    /// times on average, and a report merges at most a short run.
+    /// times on average, and a report merges at most a short run. A fold
+    /// no row was added to since the last settle is left as it is.
     fn settle(&mut self) {
+        if !std::mem::take(&mut self.touched) {
+            return;
+        }
         self.fresh.sort_by(f64::total_cmp);
         if self.fresh.len() * 8 > self.mins.len() {
             self.mins.append(&mut self.fresh);
             // Two ascending runs: the stable sort merges them in one pass.
             self.mins.sort_by(f64::total_cmp);
         }
+    }
+
+    fn encode(&self, enc: &mut Encoder) {
+        for mins in [&self.mins, &self.fresh] {
+            enc.u64(mins.len() as u64);
+            for &m in mins {
+                enc.f64(m);
+            }
+        }
+        enc.f64(self.ml_hours);
+        enc.f64(self.non_ml_hours);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        let mut minutes = || {
+            let n = dec.len_of(MINUTE_BYTES, "minute count")?;
+            let mut mins = Vec::with_capacity(n);
+            let mut prev = 0.0;
+            for _ in 0..n {
+                let m = dec.f64()?;
+                // Elapsed minutes are finite, non-negative and ascending.
+                if !(prev <= m && m.is_finite()) {
+                    return Err(CheckpointError::Invalid {
+                        what: "minutes order",
+                    });
+                }
+                mins.push(m);
+                prev = m;
+            }
+            Ok(mins)
+        };
+        Ok(MixFold {
+            mins: minutes()?,
+            fresh: minutes()?,
+            ml_hours: dec.f64()?,
+            non_ml_hours: dec.f64()?,
+            touched: false,
+        })
     }
 
     /// This fold with the jobs of `tail` in its bucket added, and every
@@ -580,6 +743,7 @@ impl MixFold {
             fresh: Vec::new(),
             ml_hours: self.ml_hours,
             non_ml_hours: self.non_ml_hours,
+            touched: false,
         };
         for job in tail
             .iter()
@@ -594,12 +758,11 @@ impl MixFold {
 }
 
 impl MixFolds {
-    /// Adds a job to its bucket's fold and returns the bucket; a CPU job
-    /// has none.
-    fn add(&mut self, gpus: u32, elapsed: Duration, name: &str) -> Option<usize> {
-        let bucket = mix_bucket(gpus)?;
-        self.0[bucket].add(gpus, elapsed, is_ml_name(name));
-        Some(bucket)
+    /// Adds a job to its bucket's fold; a CPU job has none.
+    fn add(&mut self, gpus: u32, elapsed: Duration, name: &str) {
+        if let Some(bucket) = mix_bucket(gpus) {
+            self.0[bucket].add(gpus, elapsed, is_ml_name(name));
+        }
     }
 
     fn rows(&self, tail: &[AccountedJob]) -> Vec<JobMixRow> {

@@ -34,9 +34,9 @@
 //!   function folds through.
 //! * **Assemble** — materialization calls the same `Pipeline::assemble`
 //!   tail (stats, outlier rule, impact, availability) the batch path
-//!   calls, over the same job index: each job export's
-//!   `JobIndex` is extended as its CSV rows decode, where the batch
-//!   path builds it once.
+//!   calls, over the same job index: each job export's CSV rows decode
+//!   through the batch path's row decoder straight into its
+//!   `JobIndex`, as they do in the batch loader.
 //!
 //! # What a view costs
 //!
@@ -55,9 +55,10 @@
 //! (`core_reports_assembled_total` and the like) count once per view.
 //!
 //! Memory is bounded by the *analysis state*, not the stream: the
-//! coalesced error list, the job and outage records and their index,
-//! the bounded quarantine ledger, and the one-second tie buffer. Raw
-//! log lines are never retained.
+//! coalesced error list, each job export's index (its holders, Table III
+//! minutes and counts; no job rows are kept), the outage records, the
+//! bounded quarantine ledger, and the one-second tie buffer. Raw log
+//! lines are never retained.
 //!
 //! # Checkpoints
 //!
@@ -66,8 +67,11 @@
 //! load-bearing) into a versioned [`Checkpoint`];
 //! [`StreamingPipeline::restore`] rebuilds an engine that continues the
 //! stream exactly — including future reservoir-sampling decisions in the
-//! quarantine ledger, whose RNG state rides along. Corrupt or truncated
-//! snapshots load as typed [`CheckpointError`]s, never panics.
+//! quarantine ledger, whose RNG state rides along. Each job export is
+//! stored as its index (format 3), which restore takes as it is; a
+//! format-2 checkpoint, which stored the rows, restores by indexing them
+//! once. Corrupt or truncated snapshots load as typed
+//! [`CheckpointError`]s, never panics.
 //!
 //! # Feed-order contract
 //!
@@ -81,7 +85,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Decoder, Encoder};
 use crate::coalesce::{CoalescedError, Coalescer, Pushed};
-use crate::csvio::{self, CsvError, JOB_HEADER, OUTAGE_HEADER};
+use crate::csvio::{self, CsvError, JobRow, JOB_HEADER, OUTAGE_HEADER};
 use crate::impact::JobIndex;
 use crate::job::{AccountedJob, OutageRecord};
 use crate::pipeline::{Pipeline, QuarantineReport, Records, StudyReport};
@@ -108,6 +112,9 @@ struct CsvFeed {
     carry: String,
 }
 
+/// Takes one data row with its physical line number, or rejects it.
+type RowSink<'s> = dyn FnMut(&str, usize) -> Result<(), CsvError> + 's;
+
 impl CsvFeed {
     fn new() -> Self {
         CsvFeed {
@@ -117,13 +124,14 @@ impl CsvFeed {
         }
     }
 
-    fn feed<T>(
+    /// Feeds `text`: each completed data row goes to `row`, and a row it
+    /// rejects is recorded in `ledger`.
+    fn feed(
         &mut self,
         text: &str,
         header: &str,
         ledger: &mut QuarantineLedger,
-        out: &mut Vec<T>,
-        parse: fn(&str, usize) -> Result<T, CsvError>,
+        row: &mut RowSink<'_>,
     ) {
         let mut rest = text;
         while let Some(pos) = rest.find('\n') {
@@ -131,12 +139,12 @@ impl CsvFeed {
             if self.carry.is_empty() {
                 // `str::lines` strips one \r before the \n; so do we.
                 let line = head.strip_suffix('\r').unwrap_or(head);
-                self.line(line, header, ledger, out, parse);
+                self.line(line, header, ledger, row);
             } else {
                 self.carry.push_str(head);
                 let full = std::mem::take(&mut self.carry);
                 let line = full.strip_suffix('\r').unwrap_or(full.as_str());
-                self.line(line, header, ledger, out, parse);
+                self.line(line, header, ledger, row);
             }
             rest = &tail[1..];
         }
@@ -145,38 +153,24 @@ impl CsvFeed {
 
     /// Processes the trailing unterminated line, if any. Like
     /// `str::lines`, a final line without `\n` keeps any trailing `\r`.
-    fn finish<T>(
-        &mut self,
-        header: &str,
-        ledger: &mut QuarantineLedger,
-        out: &mut Vec<T>,
-        parse: fn(&str, usize) -> Result<T, CsvError>,
-    ) {
+    fn finish(&mut self, header: &str, ledger: &mut QuarantineLedger, row: &mut RowSink<'_>) {
         if self.carry.is_empty() {
             return;
         }
         let full = std::mem::take(&mut self.carry);
-        self.line(&full, header, ledger, out, parse);
+        self.line(&full, header, ledger, row);
     }
 
-    fn line<T>(
+    fn line(
         &mut self,
         raw: &str,
         header: &str,
         ledger: &mut QuarantineLedger,
-        out: &mut Vec<T>,
-        parse: fn(&str, usize) -> Result<T, CsvError>,
+        row: &mut RowSink<'_>,
     ) {
         self.line_no += 1;
         let header_slot = std::mem::replace(&mut self.awaiting_header, false);
-        out.extend(classify(
-            header_slot,
-            self.line_no,
-            raw,
-            header,
-            ledger,
-            parse,
-        ));
+        classify(header_slot, self.line_no, raw, header, ledger, row);
     }
 
     /// The record [`finish`](Self::finish) would take from the partial
@@ -190,82 +184,102 @@ impl CsvFeed {
         if self.carry.is_empty() {
             return None;
         }
+        let mut record = None;
         let (header_slot, line_no) = (self.awaiting_header, self.line_no + 1);
-        classify(header_slot, line_no, &self.carry, header, ledger, parse)
+        classify(
+            header_slot,
+            line_no,
+            &self.carry,
+            header,
+            ledger,
+            &mut |raw, line_no| {
+                record = Some(parse(raw, line_no)?);
+                Ok(())
+            },
+        );
+        record
     }
 }
 
 /// One physical CSV line at `line_no`: the header slot is checked
-/// against `header`, a blank row is skipped, and any other row is parsed
-/// or recorded in `ledger` as a bad record.
-fn classify<T>(
+/// against `header`, a blank row is skipped, and any other row goes to
+/// `row` or, rejected, to `ledger` as a bad record.
+fn classify(
     header_slot: bool,
     line_no: u64,
     raw: &str,
     header: &str,
     ledger: &mut QuarantineLedger,
-    parse: fn(&str, usize) -> Result<T, CsvError>,
-) -> Option<T> {
+    row: &mut RowSink<'_>,
+) {
     if header_slot {
         if raw.trim() != header {
             // A wrong header is itself a bad record, recorded at line 1;
             // the rows below it may still be sound.
             ledger.record(QuarantineCategory::BadRecord, 1, raw.as_bytes());
         }
-        return None;
+        return;
     }
     if raw.trim().is_empty() {
-        return None;
+        return;
     }
-    match parse(raw, line_no as usize) {
-        Ok(record) => Some(record),
-        Err(_) => {
-            ledger.record(QuarantineCategory::BadRecord, line_no, raw.as_bytes());
-            None
-        }
+    if row(raw, line_no as usize).is_err() {
+        ledger.record(QuarantineCategory::BadRecord, line_no, raw.as_bytes());
     }
 }
 
-/// One job export: its CSV feed, the rows decoded so far in input order
-/// (as checkpoints store them), and their `JobIndex`.
+/// One job export: its CSV feed, and the `JobIndex` its rows decode
+/// straight into.
 #[derive(Debug)]
 struct JobFeed {
     csv: CsvFeed,
-    rows: Vec<AccountedJob>,
     index: JobIndex,
 }
 
 impl JobFeed {
     fn new() -> Self {
-        JobFeed::restored(CsvFeed::new(), Vec::new())
+        JobFeed {
+            csv: CsvFeed::new(),
+            index: JobIndex::default(),
+        }
     }
 
-    fn restored(csv: CsvFeed, rows: Vec<AccountedJob>) -> Self {
-        let index = JobIndex::build(&rows);
-        JobFeed { csv, rows, index }
-    }
-
+    /// Feeds `text`, settling the index once its rows are in.
     fn push(&mut self, text: &str, ledger: &mut QuarantineLedger) {
-        let from = self.rows.len();
-        self.csv.feed(
-            text,
-            JOB_HEADER,
-            ledger,
-            &mut self.rows,
-            csvio::parse_job_row,
-        );
-        self.index.extend(&self.rows[from..]);
+        self.csv
+            .feed(text, JOB_HEADER, ledger, &mut index_rows(&mut self.index));
+        self.index.settle();
     }
 
     fn finish(&mut self, ledger: &mut QuarantineLedger) {
-        let from = self.rows.len();
         self.csv
-            .finish(JOB_HEADER, ledger, &mut self.rows, csvio::parse_job_row);
-        self.index.extend(&self.rows[from..]);
+            .finish(JOB_HEADER, ledger, &mut index_rows(&mut self.index));
+        self.index.settle();
     }
 
+    /// The partial row a view reads as a one-row owned tail.
     fn preview(&self, ledger: &mut QuarantineLedger) -> Option<AccountedJob> {
         self.csv.preview(JOB_HEADER, ledger, csvio::parse_job_row)
+    }
+}
+
+/// Decodes each job row through the one `csvio` row decoder straight
+/// into `index`, to be settled.
+fn index_rows(index: &mut JobIndex) -> impl FnMut(&str, usize) -> Result<(), CsvError> + '_ {
+    move |raw, line_no| {
+        let row = JobRow::decode(raw, line_no, Vec::new(), |host, gpu| (host, gpu))?;
+        index.push_row(&row);
+        Ok(())
+    }
+}
+
+/// Parses each outage row onto `outages`.
+fn outage_rows(
+    outages: &mut Vec<OutageRecord>,
+) -> impl FnMut(&str, usize) -> Result<(), CsvError> + '_ {
+    move |raw, line_no| {
+        outages.push(csvio::parse_outage_row(raw, line_no)?);
+        Ok(())
     }
 }
 
@@ -387,8 +401,7 @@ impl StreamingPipeline {
             text,
             OUTAGE_HEADER,
             &mut self.ledger,
-            &mut self.outages,
-            csvio::parse_outage_row,
+            &mut outage_rows(&mut self.outages),
         );
     }
 
@@ -455,8 +468,9 @@ impl StreamingPipeline {
             + self.outage_feed.line_no
     }
 
-    /// Serialized size of the current state in bytes — the "resident
-    /// state" metric E13 tracks. O(state) to compute.
+    /// Serialized size of the current state in bytes — the resident
+    /// state `tests/load_gates.rs` bounds by the log bytes. O(state) to
+    /// compute.
     pub fn state_size_bytes(&self) -> usize {
         self.checkpoint().as_bytes().len()
     }
@@ -530,8 +544,7 @@ impl StreamingPipeline {
         self.outage_feed.finish(
             OUTAGE_HEADER,
             &mut self.ledger,
-            &mut self.outages,
-            csvio::parse_outage_row,
+            &mut outage_rows(&mut self.outages),
         );
         self.flush_pending();
         self.materialize_full()
@@ -546,7 +559,25 @@ impl StreamingPipeline {
     pub fn checkpoint(&self) -> Checkpoint {
         let started = std::time::Instant::now();
         let mut enc = Encoder::new();
+        self.encode(&mut enc);
+        let checkpoint = enc.finish();
+        observe_encode(started, checkpoint.as_bytes().len());
+        checkpoint
+    }
 
+    /// Writes [`checkpoint`](Self::checkpoint)'s bytes into `enc` as a
+    /// length-prefixed byte string: what
+    /// `enc.bytes(self.checkpoint().as_bytes())` writes, encoded in place
+    /// instead of copied. The `servd` ingest envelope embeds the engine
+    /// this way.
+    pub fn checkpoint_into(&self, enc: &mut Encoder) {
+        let started = std::time::Instant::now();
+        let len = enc.nested(|enc| self.encode(enc));
+        observe_encode(started, len);
+    }
+
+    /// The checkpoint body, after the container header.
+    fn encode(&self, enc: &mut Encoder) {
         // Config.
         enc.u64(self.config.periods.pre_op.start.unix());
         enc.u64(self.config.periods.pre_op.end.unix());
@@ -597,7 +628,7 @@ impl StreamingPipeline {
         // Tie buffer (pending_time is derivable: all entries share it).
         enc.u64(self.pending.len() as u64);
         for ev in &self.pending {
-            encode_event(&mut enc, ev);
+            encode_event(enc, ev);
         }
 
         // Coalesced errors (the anchor table rebuilds from these).
@@ -605,47 +636,25 @@ impl StreamingPipeline {
         for err in self.coalescer.errors() {
             enc.u64(err.time.unix());
             enc.str(&err.host);
-            encode_pci(&mut enc, err.pci);
+            encode_pci(enc, err.pci);
             enc.u16(err.kind.primary_code().value());
             enc.u64(err.merged_lines);
         }
 
-        // CSV feeds and accumulated records.
+        // CSV feeds, each job export's index, and the outage records.
         for feed in [&self.gpu.csv, &self.cpu.csv, &self.outage_feed] {
             enc.bool(feed.awaiting_header);
             enc.u64(feed.line_no);
             enc.str(&feed.carry);
         }
-        for jobs in [&self.gpu.rows, &self.cpu.rows] {
-            enc.u64(jobs.len() as u64);
-            for job in jobs {
-                encode_job(&mut enc, job);
-            }
-        }
+        self.gpu.index.encode(enc);
+        self.cpu.index.encode(enc);
         enc.u64(self.outages.len() as u64);
         for o in &self.outages {
             enc.str(&o.host);
             enc.u64(o.start.unix());
             enc.u64(o.duration.as_secs());
         }
-
-        let checkpoint = enc.finish();
-        if obs::is_enabled() {
-            obs::counter("core_checkpoint_encodes_total", &[]).inc();
-            obs::histogram(
-                "core_checkpoint_encode_us",
-                &[],
-                obs::registry::DURATION_US_BUCKETS,
-            )
-            .observe_duration(started.elapsed());
-            obs::histogram(
-                "core_checkpoint_bytes",
-                &[],
-                obs::registry::SIZE_BYTES_BUCKETS,
-            )
-            .observe(checkpoint.as_bytes().len() as u64);
-        }
-        checkpoint
     }
 
     /// Rebuilds an engine from a [`Checkpoint`].
@@ -657,7 +666,7 @@ impl StreamingPipeline {
     pub fn restore(checkpoint: &Checkpoint) -> Result<Self, CheckpointError> {
         let started = std::time::Instant::now();
         let mut dec = Decoder::new(checkpoint.as_bytes());
-        dec.header()?;
+        let version = dec.header()?;
 
         // Config.
         let pre_op = decode_period(&mut dec)?;
@@ -731,7 +740,7 @@ impl StreamingPipeline {
         for slot in &mut rng_state {
             *slot = dec.u64()?;
         }
-        let n_exemplars = dec.len("exemplar count")?;
+        let n_exemplars = dec.len_of(EXEMPLAR_BYTES, "exemplar count")?;
         let mut exemplars = Vec::with_capacity(n_exemplars);
         for _ in 0..n_exemplars {
             let category = QuarantineCategory::from_index(dec.u8()? as usize).ok_or(
@@ -761,7 +770,7 @@ impl StreamingPipeline {
         })?;
 
         // Tie buffer.
-        let n_pending = dec.len("tie buffer count")?;
+        let n_pending = dec.len_of(EVENT_BYTES, "tie buffer count")?;
         let mut pending = Vec::with_capacity(n_pending);
         for _ in 0..n_pending {
             pending.push(decode_event(&mut dec)?);
@@ -772,7 +781,7 @@ impl StreamingPipeline {
         }
 
         // Coalesced errors.
-        let n_errors = dec.len("error count")?;
+        let n_errors = dec.len_of(ERROR_BYTES, "error count")?;
         let mut errors = Vec::with_capacity(n_errors);
         for _ in 0..n_errors {
             let time = Timestamp::from_unix(dec.u64()?);
@@ -795,7 +804,7 @@ impl StreamingPipeline {
         }
         let coalescer = Coalescer::from_errors(coalesce_window, errors);
 
-        // CSV feeds and accumulated records.
+        // CSV feeds, job indexes and outage records.
         let mut feeds = Vec::with_capacity(3);
         for _ in 0..3 {
             feeds.push(CsvFeed {
@@ -807,9 +816,14 @@ impl StreamingPipeline {
         let outage_feed = feeds.pop().unwrap_or_else(CsvFeed::new);
         let cpu_feed = feeds.pop().unwrap_or_else(CsvFeed::new);
         let gpu_feed = feeds.pop().unwrap_or_else(CsvFeed::new);
-        let gpu_jobs = decode_jobs(&mut dec)?;
-        let cpu_jobs = decode_jobs(&mut dec)?;
-        let n_outages = dec.len("outage count")?;
+        let (gpu_index, cpu_index) = if version == 2 {
+            // Format 2 stored each export's rows: index them once.
+            let gpu = JobIndex::build(&decode_jobs(&mut dec)?);
+            (gpu, JobIndex::build(&decode_jobs(&mut dec)?))
+        } else {
+            (JobIndex::decode(&mut dec)?, JobIndex::decode(&mut dec)?)
+        };
+        let n_outages = dec.len_of(OUTAGE_BYTES, "outage count")?;
         let mut outages = Vec::with_capacity(n_outages);
         for _ in 0..n_outages {
             outages.push(OutageRecord {
@@ -836,12 +850,47 @@ impl StreamingPipeline {
             pending,
             pending_time,
             coalescer,
-            gpu: JobFeed::restored(gpu_feed, gpu_jobs),
-            cpu: JobFeed::restored(cpu_feed, cpu_jobs),
+            gpu: JobFeed {
+                csv: gpu_feed,
+                index: gpu_index,
+            },
+            cpu: JobFeed {
+                csv: cpu_feed,
+                index: cpu_index,
+            },
             outage_feed,
             outages,
             metrics: StreamObs::new(),
         })
+    }
+}
+
+// The fewest encoded bytes of one record of each counted section, so a
+// damaged count can claim, and pre-allocate for, no more records than
+// the bytes left can hold.
+const EXEMPLAR_BYTES: usize = 17; // category, line, snippet length
+const EVENT_BYTES: usize = 30; // time, host length, PCI, code, detail length
+const ERROR_BYTES: usize = 30; // time, host length, PCI, kind, merged lines
+const OUTAGE_BYTES: usize = 24; // host length, start, duration
+const V2_JOB_BYTES: usize = 53; // id, name length, times, GPUs, slot count, state
+const V2_SLOT_BYTES: usize = 9; // host length, GPU index
+
+/// Records one checkpoint encode, `bytes` long, begun at `started`.
+fn observe_encode(started: std::time::Instant, bytes: usize) {
+    if obs::is_enabled() {
+        obs::counter("core_checkpoint_encodes_total", &[]).inc();
+        obs::histogram(
+            "core_checkpoint_encode_us",
+            &[],
+            obs::registry::DURATION_US_BUCKETS,
+        )
+        .observe_duration(started.elapsed());
+        obs::histogram(
+            "core_checkpoint_bytes",
+            &[],
+            obs::registry::SIZE_BYTES_BUCKETS,
+        )
+        .observe(bytes as u64);
     }
 }
 
@@ -901,23 +950,9 @@ fn decode_period(dec: &mut Decoder<'_>) -> Result<Period, CheckpointError> {
     Ok(Period { start, end })
 }
 
-fn encode_job(enc: &mut Encoder, job: &AccountedJob) {
-    enc.u64(job.id);
-    enc.str(&job.name);
-    enc.u64(job.submit.unix());
-    enc.u64(job.start.unix());
-    enc.u64(job.end.unix());
-    enc.u32(job.gpus);
-    enc.u64(job.gpu_slots.len() as u64);
-    for (host, idx) in &job.gpu_slots {
-        enc.str(host);
-        enc.u8(*idx);
-    }
-    enc.bool(job.completed);
-}
-
+/// One job export's rows as checkpoint format 2 stored them.
 fn decode_jobs(dec: &mut Decoder<'_>) -> Result<Vec<AccountedJob>, CheckpointError> {
-    let n = dec.len("job count")?;
+    let n = dec.len_of(V2_JOB_BYTES, "job count")?;
     let mut jobs = Vec::with_capacity(n);
     for _ in 0..n {
         let id = dec.u64()?;
@@ -926,7 +961,7 @@ fn decode_jobs(dec: &mut Decoder<'_>) -> Result<Vec<AccountedJob>, CheckpointErr
         let start = Timestamp::from_unix(dec.u64()?);
         let end = Timestamp::from_unix(dec.u64()?);
         let gpus = dec.u32()?;
-        let n_slots = dec.len("slot count")?;
+        let n_slots = dec.len_of(V2_SLOT_BYTES, "slot count")?;
         let mut gpu_slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
             let host = dec.str("slot host")?;
@@ -1110,19 +1145,75 @@ mod tests {
         }
     }
 
+    /// A format-2 engine checkpoint written by the last build that wrote
+    /// format 2 (see `tests/fixtures/README.md`): the whole fixture log
+    /// fed, and the first half of each CSV, so each carry holds a
+    /// partial row.
+    const V2_ENGINE: &[u8] = include_bytes!("../../../tests/fixtures/v2/engine.ckpt");
+
+    /// An engine fed the sample log, GPU and CPU rows (one malformed) and
+    /// an outage, with a partial row in each CSV carry.
+    fn engine_with_jobs() -> StreamingPipeline {
+        let row = |id: u64, gpus: u32, slots: &str, start: u64, end: u64, state: &str| {
+            format!(
+                "{id},train_{id},{},{},{},{gpus},{slots},{state}\n",
+                op_time(start),
+                op_time(start),
+                op_time(end)
+            )
+        };
+        let gpu_csv = [
+            format!("{JOB_HEADER}\n"),
+            row(1, 2, "gpub001:0;gpub003:0", 900, 1010, "FAILED"),
+            row(2, 1, "gpub002:1", 100, 5000, "COMPLETED"),
+            "3,broken\n".to_owned(),
+            row(4, 1, "gpub003:0", 10, 600, "FAILED"),
+            "5,train_5,".to_owned(),
+        ]
+        .concat();
+        let cpu_csv = [
+            format!("{JOB_HEADER}\n"),
+            row(7, 0, "", 0, 4000, "COMPLETED"),
+            row(8, 0, "", 50, 70, "FAILED"),
+            "9,cpu".to_owned(),
+        ]
+        .concat();
+        let mut engine = StreamingPipeline::new(Pipeline::delta(), 2024);
+        engine.push_log(&sample_log());
+        engine.finish_log();
+        engine.push_gpu_jobs_csv(&gpu_csv);
+        engine.push_cpu_jobs_csv(&cpu_csv);
+        engine.push_outages_csv(&format!(
+            "{OUTAGE_HEADER}\ngpub001,{},600\ngpub0",
+            op_time(0)
+        ));
+        engine
+    }
+
+    /// Checkpoints whose job sections hold rows: format 3 from an engine
+    /// fed jobs, and the format-2 fixture.
+    fn checkpoints_with_jobs() -> [Vec<u8>; 2] {
+        [
+            engine_with_jobs().checkpoint().into_bytes(),
+            V2_ENGINE.to_vec(),
+        ]
+    }
+
     #[test]
     fn truncated_checkpoints_never_panic() {
         let log = sample_log();
         let mut engine = StreamingPipeline::new(Pipeline::delta(), 2024);
         engine.push_log(&log);
-        let bytes = engine.checkpoint().into_bytes();
-        for cut in 0..bytes.len() {
-            // A decode error means the header already rejected it: fine.
-            if let Ok(ck) = Checkpoint::from_bytes(bytes[..cut].to_vec()) {
-                assert!(
-                    StreamingPipeline::restore(&ck).is_err(),
-                    "prefix of {cut} bytes restored"
-                );
+        let [v3, v2] = checkpoints_with_jobs();
+        for bytes in [engine.checkpoint().into_bytes(), v3, v2] {
+            for cut in 0..bytes.len() {
+                // A decode error means the header already rejected it: fine.
+                if let Ok(ck) = Checkpoint::from_bytes(bytes[..cut].to_vec()) {
+                    assert!(
+                        StreamingPipeline::restore(&ck).is_err(),
+                        "prefix of {cut} bytes restored"
+                    );
+                }
             }
         }
     }
@@ -1130,17 +1221,115 @@ mod tests {
     #[test]
     fn corrupted_checkpoint_fields_are_typed_errors() {
         let engine = StreamingPipeline::new(Pipeline::delta(), 2024);
-        let bytes = engine.checkpoint().into_bytes();
-        // Flip every byte in turn; restore must never panic. (Some flips
-        // still decode — e.g. a counter value — which is fine; structural
-        // fields must reject.)
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0xA5;
-            if let Ok(ck) = Checkpoint::from_bytes(corrupt) {
-                let _ = StreamingPipeline::restore(&ck);
+        let [v3, v2] = checkpoints_with_jobs();
+        for bytes in [engine.checkpoint().into_bytes(), v3, v2] {
+            // Flip every byte in turn; restore must never panic. (Some
+            // flips still decode — e.g. a counter value — which is fine;
+            // structural fields must reject.)
+            for i in 0..bytes.len() {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 0xA5;
+                if let Ok(ck) = Checkpoint::from_bytes(corrupt) {
+                    let _ = StreamingPipeline::restore(&ck);
+                }
             }
         }
+    }
+
+    /// Damage a valid job section could not hold is a typed error.
+    #[test]
+    fn impossible_job_indexes_are_rejected() {
+        let engine = engine_with_jobs();
+        let bytes = engine.checkpoint().into_bytes();
+        let restore = |bytes: Vec<u8>| {
+            StreamingPipeline::restore(&Checkpoint::from_bytes(bytes).unwrap()).map(|_| ())
+        };
+        // Only the GPU index has holders and minutes: gpub003:0 holds
+        // jobs 4 and 1, in start order, and the 1-GPU fold jobs 4 and 2.
+        let find = |needle: &[u8]| bytes.windows(needle.len()).position(|w| w == needle);
+        let start = |secs: u64| op_time(secs).unix().to_le_bytes();
+        let first = find(&start(10)).expect("job 4 starts at 10 s");
+        let second = first + 25;
+        assert_eq!(bytes[second..second + 8], start(900));
+        let mut swapped = bytes.clone();
+        let (a, b) = swapped.split_at_mut(second);
+        a[first..].swap_with_slice(&mut b[..25]);
+        assert_eq!(
+            restore(swapped),
+            Err(CheckpointError::Invalid {
+                what: "holder order"
+            })
+        );
+        let mins = |m: f64| m.to_bits().to_le_bytes();
+        let at = find(&mins(4900.0 / 60.0)).expect("job 2's minutes");
+        let mut negative = bytes.clone();
+        negative[at..at + 8].copy_from_slice(&mins(-1.0));
+        assert_eq!(
+            restore(negative),
+            Err(CheckpointError::Invalid {
+                what: "minutes order"
+            })
+        );
+        // A second list for gpub001:0 where gpub003:0 was (the last
+        // gpub003 of the checkpoint; the errors name it too).
+        let host = bytes
+            .windows(7)
+            .rposition(|w| w == b"gpub003")
+            .expect("a second host");
+        let mut duplicate = bytes.clone();
+        duplicate[host..host + 7].copy_from_slice(b"gpub001");
+        assert_eq!(
+            restore(duplicate),
+            Err(CheckpointError::Invalid {
+                what: "slot dictionary"
+            })
+        );
+        assert_eq!(restore(bytes), Ok(()));
+    }
+
+    #[test]
+    fn restoring_then_checkpointing_gives_back_the_same_bytes() {
+        let engine = engine_with_jobs();
+        let ck = engine.checkpoint();
+        assert_eq!(ck.version(), Checkpoint::VERSION);
+        let restored = StreamingPipeline::restore(&ck).unwrap();
+        assert_eq!(restored.checkpoint(), ck);
+        // The in-place encode writes the same checkpoint.
+        let mut enc = Encoder::new();
+        restored.checkpoint_into(&mut enc);
+        let mut copied = Encoder::new();
+        copied.bytes(ck.as_bytes());
+        assert_eq!(enc.finish(), copied.finish());
+    }
+
+    /// A format-2 checkpoint restores to the engine its rows describe: it
+    /// reports and re-checkpoints as the engine fed the same inputs.
+    #[test]
+    fn a_v2_checkpoint_restores_its_rows_into_the_index() {
+        let v2 = Checkpoint::from_bytes(V2_ENGINE.to_vec()).unwrap();
+        assert_eq!(v2.version(), 2);
+        let restored = StreamingPipeline::restore(&v2).unwrap();
+        let fixture = |name: &str| {
+            let path = format!(
+                "{}/../../tests/fixtures/v2/{name}",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            std::fs::read_to_string(path).unwrap()
+        };
+        let half = |text: &str| text[..text.len() / 2].to_owned();
+        let mut fed = StreamingPipeline::new(Pipeline::delta(), 2023);
+        fed.push_log(fixture("log").as_bytes());
+        fed.push_gpu_jobs_csv(&half(&fixture("gpu_jobs.csv")));
+        fed.push_cpu_jobs_csv(&half(&fixture("cpu_jobs.csv")));
+        fed.push_outages_csv(&half(&fixture("outages.csv")));
+        let (view, fed_view) = (restored.materialize_full(), fed.materialize_full());
+        assert_eq!(render(&view.0), render(&fed_view.0));
+        assert_eq!(view.1.ledger.exemplars(), fed_view.1.ledger.exemplars());
+        assert!(
+            view.0.impact.gpu_failed_jobs() > 0,
+            "the fixture joins no job"
+        );
+        assert_eq!(restored.checkpoint(), fed.checkpoint());
     }
 
     #[test]

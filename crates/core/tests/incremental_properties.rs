@@ -373,3 +373,80 @@ fn damaged_snapshots_are_typed_errors_never_panics() {
         }
     });
 }
+
+/// An engine fed a generated log cut at a random byte (finished or not),
+/// then GPU, CPU and outage exports each cut at a random byte, so every
+/// carry may hold a partial line or row.
+fn engine_with_exports(g: &mut Gen) -> StreamingPipeline {
+    let log = concat(&gen_lines(g));
+    let anchors: Vec<(Timestamp, String, u8)> = batch(&log)
+        .0
+        .errors
+        .iter()
+        .filter_map(|e| Some((e.time, e.host.clone(), e.gpu_index()?)))
+        .collect();
+    let mut engine = StreamingPipeline::new(Pipeline::delta(), LOG_YEAR);
+    let cut = g.usize_in(0, log.len() + 1);
+    feed_chunks(g, &log[..cut], |chunk| engine.push_log(chunk));
+    if g.bool() {
+        engine.finish_log();
+    }
+    let csvs = [
+        gen_job_csv(g, &anchors),
+        gen_job_csv(g, &anchors),
+        gen_outage_csv(g),
+    ];
+    for (stream, csv) in csvs.iter().enumerate() {
+        let cut = g.usize_in(0, csv.len() + 1);
+        feed_chunks(g, &csv.as_bytes()[..cut], |chunk| {
+            let text = std::str::from_utf8(chunk).expect("ASCII rows");
+            match stream {
+                0 => engine.push_gpu_jobs_csv(text),
+                1 => engine.push_cpu_jobs_csv(text),
+                _ => engine.push_outages_csv(text),
+            }
+        });
+    }
+    engine
+}
+
+/// [`damaged_snapshots_are_typed_errors_never_panics`] over snapshots
+/// whose job exports hold rows, with a partial row in each CSV carry.
+#[test]
+fn damaged_snapshots_holding_jobs_are_typed_errors_never_panics() {
+    run(
+        "damaged_snapshots_holding_jobs_are_typed_errors_never_panics",
+        40,
+        |g| {
+            let bytes = engine_with_exports(g).checkpoint().into_bytes();
+            for _ in 0..8 {
+                let prefix = g.usize_in(0, bytes.len() - 1);
+                if let Ok(ck) = Checkpoint::from_bytes(bytes[..prefix].to_vec()) {
+                    assert!(
+                        StreamingPipeline::restore(&ck).is_err(),
+                        "strict prefix of {prefix} bytes restored successfully"
+                    );
+                }
+            }
+            for _ in 0..8 {
+                let i = g.usize_in(0, bytes.len() - 1);
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= g.u8_in(1, 255);
+                if let Ok(ck) = Checkpoint::from_bytes(corrupt) {
+                    let _ = StreamingPipeline::restore(&ck);
+                }
+            }
+        },
+    );
+}
+
+/// A restored engine checkpoints to the very bytes it was restored
+/// from: the job indexes, the carries and the rest round-trip exactly.
+#[test]
+fn restored_snapshots_checkpoint_to_the_same_bytes() {
+    run("restored_snapshots_checkpoint_to_the_same_bytes", 80, |g| {
+        let ck = engine_with_exports(g).checkpoint();
+        let restored = StreamingPipeline::restore(&ck).expect("own snapshot restores");
+        assert!(restored.checkpoint() == ck, "re-checkpoint differs");
+    });
+}

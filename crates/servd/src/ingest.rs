@@ -19,6 +19,11 @@
 //!   → checkpoint (encode + temp + fsync + rename) → WAL compaction
 //! ```
 //!
+//! The checkpoint is an envelope around the engine's own checkpoint,
+//! which the engine encodes straight into it. Since format 3 that holds
+//! each job export's index, not its rows; recovery still reads a
+//! format-2 envelope.
+//!
 //! Each publish step is its own `obs` span inside `servd_ingest_publish`
 //! (`servd_ingest_materialize`, `servd_store_build`,
 //! `servd_ingest_checkpoint`, `servd_ingest_wal_compact`), so `/metrics`
@@ -890,7 +895,7 @@ fn publish(
     let ckpt_path = handle.config.dir.join(CKPT_FILE);
     let written = {
         let _checkpoint = obs::span("servd_ingest_checkpoint");
-        let envelope = encode_envelope(&engine.checkpoint(), applied);
+        let envelope = encode_envelope(engine, applied);
         write_atomic(&ckpt_path, envelope.as_bytes())
     };
     let persisted = written
@@ -977,12 +982,14 @@ fn decode_record(bytes: &[u8]) -> Option<(Record, &[u8])> {
     ))
 }
 
-/// Wraps an engine checkpoint plus the per-stream applied counts in the
-/// shared container format.
-fn encode_envelope(engine: &Checkpoint, applied: &[u64; 4]) -> Checkpoint {
+/// Wraps the engine's checkpoint plus the per-stream applied counts in
+/// the shared container format. The engine encodes straight into the
+/// envelope, which holds its checkpoint as a length-prefixed byte
+/// string: one encode and no second full-size copy per publish.
+fn encode_envelope(engine: &StreamingPipeline, applied: &[u64; 4]) -> Checkpoint {
     let mut enc = Encoder::new();
     enc.str(ENVELOPE_TAG);
-    enc.bytes(engine.as_bytes());
+    engine.checkpoint_into(&mut enc);
     for n in applied {
         enc.u64(*n);
     }
@@ -1085,13 +1092,33 @@ mod tests {
     #[test]
     fn envelope_roundtrip_rejects_bad_tag() {
         let engine = StreamingPipeline::new(Pipeline::delta(), 2023);
-        let env = encode_envelope(&engine.checkpoint(), &[1, 2, 3, 4]);
+        let env = encode_envelope(&engine, &[1, 2, 3, 4]);
         let (ckpt, applied) = decode_envelope(env.as_bytes()).unwrap();
         assert_eq!(applied, [1, 2, 3, 4]);
         assert!(StreamingPipeline::restore(&ckpt).is_ok());
 
         // A bare engine checkpoint is not an envelope.
         assert!(decode_envelope(engine.checkpoint().as_bytes()).is_err());
+    }
+
+    /// The engine encoded in place lays the envelope out byte for byte as
+    /// the tag, the engine's own checkpoint as a length-prefixed byte
+    /// string, and the applied counts.
+    #[test]
+    fn envelope_embeds_the_engine_checkpoint_unchanged() {
+        let mut engine = StreamingPipeline::new(Pipeline::delta(), 2023);
+        engine.push_log(b"Mar 10 04:00:00 gpub001 kernel: NVRM: Xid (PCI:0000:27:00): 119, x\n");
+        engine.push_gpu_jobs_csv(
+            "id,name,submit,start,end,gpus,gpu_slots,state\n\
+             1,train,2023-03-10T03:00:00Z,2023-03-10T03:00:00Z,2023-03-10T04:00:05Z,1,gpub001:0,FAILED\n2,ev",
+        );
+        let mut enc = Encoder::new();
+        enc.str(ENVELOPE_TAG);
+        enc.bytes(engine.checkpoint().as_bytes());
+        for n in [5, 6, 7, 8] {
+            enc.u64(n);
+        }
+        assert_eq!(encode_envelope(&engine, &[5, 6, 7, 8]), enc.finish());
     }
 
     #[test]

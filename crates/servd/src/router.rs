@@ -21,9 +21,11 @@ use crate::ingest::{IngestHandle, IngestStream, Offer};
 use crate::store::{parse_time, parse_xid, ErrorFilter, RollupMetric, RollupQuery, StoreHandle};
 use crate::whatif::{self, WhatifHandle};
 use obs::registry::DURATION_US_BUCKETS;
-use obs::{FlightRecorder, HistoryQuery, Trace, Tsdb};
+use obs::{Counter, FlightRecorder, Histogram, HistoryQuery, Trace, Tsdb};
 use resilience::scenario::ScenarioSpec;
 use simtime::civiltime::ParseCivilError;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,19 +76,64 @@ pub fn handle_traced(
     drop(route);
     drop(entered);
     if obs::is_enabled() {
-        obs::counter(
-            "servd_requests_total",
-            &[("endpoint", endpoint_label(&req.path))],
-        )
-        .inc();
-        let code = response.status.to_string();
-        obs::counter("servd_responses_total", &[("code", &code)]).inc();
-        obs::histogram("servd_request_duration_us", &[], DURATION_US_BUCKETS)
-            .observe(started.elapsed().as_micros() as u64);
+        let took_us = started.elapsed().as_micros() as u64;
+        RouteSeries::with(|s| s.count(endpoint_label(&req.path), response.status, took_us));
     }
     match trace {
         Some(t) => response.with_header("X-Trace-Id", t.id_hex()),
         None => response,
+    }
+}
+
+/// This thread's handles to the router's registry series, each looked
+/// up once per label value (as `obs` caches span series), so a request
+/// counts with relaxed atomic adds instead of a registry lookup, its
+/// label-set allocation and the registry's one mutex. A series is still
+/// registered on its first use, so `/metrics` lists the same series.
+#[derive(Default)]
+struct RouteSeries {
+    requests: HashMap<&'static str, Counter>,
+    responses: HashMap<u16, Counter>,
+    duration: Option<Histogram>,
+    cache_hits: Option<Counter>,
+    cache_misses: Option<Counter>,
+}
+
+impl RouteSeries {
+    fn with(f: impl FnOnce(&mut RouteSeries)) {
+        thread_local! {
+            static SERIES: RefCell<RouteSeries> = RefCell::default();
+        }
+        SERIES.with_borrow_mut(f);
+    }
+
+    /// Counts one answered request.
+    fn count(&mut self, endpoint: &'static str, status: u16, took_us: u64) {
+        self.requests
+            .entry(endpoint)
+            .or_insert_with(|| obs::counter("servd_requests_total", &[("endpoint", endpoint)]))
+            .inc();
+        self.responses
+            .entry(status)
+            .or_insert_with(|| {
+                obs::counter("servd_responses_total", &[("code", &status.to_string())])
+            })
+            .inc();
+        self.duration
+            .get_or_insert_with(|| {
+                obs::histogram("servd_request_duration_us", &[], DURATION_US_BUCKETS)
+            })
+            .observe(took_us);
+    }
+
+    /// Counts one response-cache lookup.
+    fn cache(&mut self, hit: bool) {
+        let (slot, name) = if hit {
+            (&mut self.cache_hits, "servd_cache_hits_total")
+        } else {
+            (&mut self.cache_misses, "servd_cache_misses_total")
+        };
+        slot.get_or_insert_with(|| obs::counter(name, &[])).inc();
     }
 }
 
@@ -162,16 +209,13 @@ fn dispatch(
     let lookup = obs::span("cache_lookup");
     let cached = cache.get(published.id, &key);
     drop(lookup);
+    if obs::is_enabled() {
+        RouteSeries::with(|s| s.cache(cached.is_some()));
+    }
     if let Some(cached) = cached {
-        if obs::is_enabled() {
-            obs::counter("servd_cache_hits_total", &[]).inc();
-        }
         return cached
             .with_header("X-Snapshot", published.id.to_string())
             .with_header("X-Cache", "hit");
-    }
-    if obs::is_enabled() {
-        obs::counter("servd_cache_misses_total", &[]).inc();
     }
 
     let render = obs::span("render");

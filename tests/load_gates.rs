@@ -11,9 +11,10 @@
 //!   `max(2 × idle p99, 25 ms)` while a whole corpus is POSTed to
 //!   `/ingest/*` and published.
 //! - While a log streams in at 4 KiB, 1 MiB or whole, the engine's
-//!   serialized state stays under `max(log bytes, 4096)`; streaming the
-//!   whole log runs at no less than 0.2× the batch lenient scan (0.1×
-//!   on one core).
+//!   serialized state stays under `max(log bytes, 4096)`, and so it does
+//!   with the GPU, CPU and outage exports fed after the log; streaming
+//!   the whole log runs at no less than 0.2× the batch lenient scan
+//!   (0.1× on one core).
 //! - With obs recording, the batch and streaming passes take at most
 //!   1.10× their time with it off, summed over at least 15 pairs and
 //!   4 s.
@@ -322,6 +323,59 @@ fn stream_state_stays_under_the_log_bytes() {
         assert!(
             peak < bound,
             "chunk={chunk}: serialized state ({peak} B) outgrew the {} B log",
+            log.len()
+        );
+    }
+}
+
+/// The state bound with the exports fed too: after the log, the GPU,
+/// CPU and outage exports in feed order, each at the same chunk size.
+/// Each job export is held as its index, not its rows, so the serialized
+/// state, sampled at about 32 points and at the end, still stays under
+/// the log bytes (4 KiB at least).
+#[test]
+fn stream_state_with_exports_stays_under_the_log_bytes() {
+    let _guard = suite_lock();
+    let corpus = smoke_corpus();
+    let log = corpus.log();
+    let bound = log.len().max(4096);
+    let exports = [corpus.gpu_csv(), corpus.cpu_csv(), corpus.out_csv()];
+    for chunk in [4096, 1 << 20, log.len()] {
+        let mut engine = StreamingPipeline::new(corpus.pipeline, LOG_YEAR);
+        let pieces = log.len().div_ceil(chunk)
+            + exports
+                .iter()
+                .map(|csv| csv.len().div_ceil(chunk))
+                .sum::<usize>();
+        let stride = (pieces / 32).max(1);
+        let mut fed = 0;
+        let mut peak = 0;
+        let mut sample = |engine: &StreamingPipeline| {
+            if fed % stride == 0 {
+                peak = peak.max(engine.state_size_bytes());
+            }
+            fed += 1;
+        };
+        for piece in log.chunks(chunk) {
+            engine.push_log(piece);
+            sample(&engine);
+        }
+        engine.finish_log();
+        for (stream, csv) in exports.iter().enumerate() {
+            for piece in csv.as_bytes().chunks(chunk) {
+                let text = std::str::from_utf8(piece).expect("ASCII export");
+                match stream {
+                    0 => engine.push_gpu_jobs_csv(text),
+                    1 => engine.push_cpu_jobs_csv(text),
+                    _ => engine.push_outages_csv(text),
+                }
+                sample(&engine);
+            }
+        }
+        peak = peak.max(engine.state_size_bytes());
+        assert!(
+            peak < bound,
+            "chunk={chunk}: serialized state with the exports ({peak} B) outgrew the {} B log",
             log.len()
         );
     }
