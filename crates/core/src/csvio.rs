@@ -11,11 +11,16 @@
 //!
 //! A job row has one decoder, which makes every check, parses the GPU
 //! slot field once into slots of the caller's type, and borrows the
-//! name from the text. [`JobIndex::from_csv`](crate::impact::JobIndex::from_csv)
-//! and the streaming engine take each decoded row, its slot hosts
-//! borrowed too, straight into the index, so no owned row exists;
-//! [`parse_jobs`], the lenient parser and a streaming view's partial row
-//! build each [`AccountedJob`] through the same decoder.
+//! name from the text. [`JobIndex::from_csv`](crate::impact::JobIndex::from_csv),
+//! [`JobIndex::read_csv`](crate::impact::JobIndex::read_csv) and the
+//! streaming engine take each decoded row, its slot hosts borrowed too,
+//! straight into the index, so no owned row exists; [`parse_jobs`], the
+//! lenient parser and a streaming view's partial row build each
+//! [`AccountedJob`] through the same decoder.
+//!
+//! A strict export has one line walker, fed the whole text or, by
+//! [`read_outages`] and `JobIndex::read_csv`, the complete lines of each
+//! block read from a stream, so an export on disk is never held whole.
 //!
 //! ## Job schema
 //!
@@ -40,6 +45,7 @@ use hpclog::quarantine::{QuarantineCategory, QuarantineLedger};
 use simtime::{Duration, Timestamp};
 use std::error::Error;
 use std::fmt;
+use std::io::{self, Read};
 
 /// Error returned when a CSV export cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,6 +76,17 @@ impl fmt::Display for CsvError {
 
 impl Error for CsvError {}
 
+/// Why an export read from a stream was refused.
+#[derive(Debug)]
+pub enum ReadCsvError {
+    /// The read failed, or the bytes are not UTF-8. This wins over a
+    /// [`CsvError`] anywhere in the same export, as it would if the
+    /// export were read whole before any row was decoded.
+    Read(io::Error),
+    /// The export was read, and a line of it is malformed.
+    Csv(CsvError),
+}
+
 /// The job CSV header.
 pub const JOB_HEADER: &str = "id,name,submit,start,end,gpus,gpu_slots,state";
 
@@ -92,49 +109,173 @@ pub fn parse_jobs(text: &str) -> Result<Vec<AccountedJob>, CsvError> {
 
 /// Decodes a job export row by row without owning any of it: each
 /// checked row goes to `each` in input order, its name and slot hosts
-/// borrowed from `text`. Fails with the error [`parse_jobs`] returns, at
-/// the first malformed line; the rows before it have gone to `each`.
-pub(crate) fn decode_jobs<'a>(
-    text: &'a str,
-    mut each: impl FnMut(&JobRow<'a>),
-) -> Result<(), CsvError> {
-    // One slot buffer serves every row.
+/// borrowed from the line. Returns the row handler for [`strict_rows`] or
+/// [`read_rows`]; the export fails with the error [`parse_jobs`] returns
+/// on the same text, at the first malformed line, after the rows before
+/// it have gone to `each`.
+pub(crate) fn job_rows(
+    mut each: impl FnMut(&JobRow<'_>),
+) -> impl FnMut(&str, usize) -> Result<(), CsvError> {
+    // One slot buffer serves every row, emptied between rows.
     let mut slots = Vec::new();
-    strict_rows(text, JOB_HEADER, |raw, line_no| {
-        let row = JobRow::decode(raw, line_no, std::mem::take(&mut slots), |host, gpu| {
-            (host, gpu)
-        })?;
+    move |raw, line_no| {
+        let row = JobRow::decode(
+            raw,
+            line_no,
+            reuse(std::mem::take(&mut slots)),
+            |host, gpu| (host, gpu),
+        )?;
         each(&row);
-        slots = row.slots;
+        slots = reuse(row.slots);
         Ok(())
-    })
+    }
+}
+
+/// `slots`, emptied, as a buffer for slots borrowed from another line.
+/// Collecting a `Vec`'s own iterator into a `Vec` of a same-sized type
+/// keeps its allocation.
+fn reuse<'b>(mut slots: Vec<(&str, u8)>) -> Vec<(&'b str, u8)> {
+    slots.clear();
+    slots.into_iter().map(|_| unreachable!("emptied")).collect()
 }
 
 /// Checks the header line of `text` against `header`, then hands every
 /// non-blank row after it, with its 1-based line number, to `row`,
 /// stopping at the first error.
-fn strict_rows<'a>(
-    text: &'a str,
+pub(crate) fn strict_rows(
+    text: &str,
     header: &str,
-    mut row: impl FnMut(&'a str, usize) -> Result<(), CsvError>,
+    row: impl FnMut(&str, usize) -> Result<(), CsvError>,
 ) -> Result<(), CsvError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, first)) if first.trim() == header => {}
-        Some((_, first)) => {
-            return Err(CsvError::new(
-                1,
-                format!("expected header {header:?}, got {first:?}"),
-            ))
+    let mut walk = StrictRows::new(header, row);
+    walk.lines(text);
+    walk.finish()
+}
+
+/// The block an export is read through by [`read_rows`]: one buffer for
+/// the whole export, grown only to hold a line longer than itself.
+const BLOCK: usize = 64 * 1024;
+
+/// [`strict_rows`] over an export read from `reader` through one reused
+/// [`BLOCK`]-sized buffer, so the export is never held whole. Each block's
+/// complete lines are checked as UTF-8 and walked; a line cut by the
+/// block's end waits for the rest of its bytes (`\n` never occurs inside
+/// a multi-byte sequence).
+///
+/// After a CSV error the rest of the export is still read and checked, no
+/// row decoded, so a read or UTF-8 error anywhere in it is the error, as
+/// it is when the export is read whole first.
+///
+/// # Errors
+///
+/// [`ReadCsvError::Read`] on a failed read or bytes that are not UTF-8
+/// (`InvalidData`, with the text `std::fs::read_to_string` gives), else
+/// [`ReadCsvError::Csv`] with [`strict_rows`]' error on the same text.
+pub(crate) fn read_rows(
+    mut reader: impl Read,
+    header: &str,
+    row: impl FnMut(&str, usize) -> Result<(), CsvError>,
+) -> Result<(), ReadCsvError> {
+    let mut walk = StrictRows::new(header, row);
+    let mut buf = vec![0; BLOCK];
+    // `buf[..held]` is the start of a line whose end is not read yet.
+    let mut held = 0;
+    loop {
+        if held == buf.len() {
+            buf.resize(2 * buf.len(), 0);
         }
-        None => return Err(CsvError::new(1, "empty input")),
-    }
-    for (i, raw) in lines {
-        if !raw.trim().is_empty() {
-            row(raw, i + 1)?;
+        let read = match reader.read(&mut buf[held..]) {
+            Ok(0) => break,
+            Ok(read) => read,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(ReadCsvError::Read(e)),
+        };
+        let filled = held + read;
+        match buf[held..filled].iter().rposition(|&b| b == b'\n') {
+            Some(last) => {
+                let cut = held + last + 1;
+                walk.lines(utf8(&buf[..cut])?);
+                buf.copy_within(cut..filled, 0);
+                held = filled - cut;
+            }
+            None => held = filled,
         }
     }
-    Ok(())
+    walk.lines(utf8(&buf[..held])?);
+    walk.finish().map_err(ReadCsvError::Csv)
+}
+
+/// `bytes` as text, or the read error `std::fs::read_to_string` gives
+/// for bytes that are not UTF-8.
+fn utf8(bytes: &[u8]) -> Result<&str, ReadCsvError> {
+    std::str::from_utf8(bytes).map_err(|_| {
+        ReadCsvError::Read(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        ))
+    })
+}
+
+/// The one strict walk over an export's lines, fed in pieces that each
+/// end at a line boundary or at the end of the export. Lines split as
+/// `str::lines` splits them (the pieces end after an LF, so walking each
+/// piece walks the whole text's lines): line 1 must be the header, blank
+/// lines are skipped but numbered, and the first error stops the rows.
+struct StrictRows<'h, F> {
+    header: &'h str,
+    /// Lines walked so far.
+    lines: usize,
+    row: F,
+    /// The first error; no row is decoded after it.
+    failed: Option<CsvError>,
+}
+
+impl<'h, F: FnMut(&str, usize) -> Result<(), CsvError>> StrictRows<'h, F> {
+    fn new(header: &'h str, row: F) -> Self {
+        StrictRows {
+            header,
+            lines: 0,
+            row,
+            failed: None,
+        }
+    }
+
+    /// Walks the lines of the next piece.
+    fn lines(&mut self, piece: &str) {
+        if self.failed.is_some() {
+            return;
+        }
+        for raw in piece.lines() {
+            self.lines += 1;
+            let checked = if self.lines == 1 {
+                if raw.trim() == self.header {
+                    Ok(())
+                } else {
+                    Err(CsvError::new(
+                        1,
+                        format!("expected header {:?}, got {raw:?}", self.header),
+                    ))
+                }
+            } else if raw.trim().is_empty() {
+                Ok(())
+            } else {
+                (self.row)(raw, self.lines)
+            };
+            if let Err(e) = checked {
+                self.failed = Some(e);
+                return;
+            }
+        }
+    }
+
+    /// The first error, or `empty input` when there was no line at all.
+    fn finish(self) -> Result<(), CsvError> {
+        match self.failed {
+            Some(e) => Err(e),
+            None if self.lines == 0 => Err(CsvError::new(1, "empty input")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Splits a row on `,` into exactly `N` fields, or reports the number of
@@ -174,7 +315,7 @@ pub(crate) fn parse_job_row(raw: &str, line_no: usize) -> Result<AccountedJob, C
 /// One row of a job export that passed every check the schema sets
 /// (eight fields, numeric id and GPU count, parseable times with
 /// `submit <= start <= end`, `host:index` slot pairs), borrowing its
-/// name from the export's text. Each slot is a `T`: [`decode_jobs`]
+/// name from the export's text. Each slot is a `T`: [`job_rows`]
 /// yields rows whose slots borrow their hosts; an [`AccountedJob`] owns
 /// them.
 #[derive(Debug)]
@@ -284,11 +425,34 @@ pub fn render_jobs(jobs: &[AccountedJob]) -> String {
 /// Returns [`CsvError`] naming the offending line on any malformed row.
 pub fn parse_outages(text: &str) -> Result<Vec<OutageRecord>, CsvError> {
     let mut outages = Vec::new();
-    strict_rows(text, OUTAGE_HEADER, |raw, line_no| {
+    strict_rows(text, OUTAGE_HEADER, outage_rows(&mut outages))?;
+    Ok(outages)
+}
+
+/// [`parse_outages`] over an export read from `reader` through one
+/// reused fixed-size block, as
+/// [`JobIndex::read_csv`](crate::impact::JobIndex::read_csv) reads a job
+/// export.
+///
+/// # Errors
+///
+/// [`ReadCsvError::Read`] when a read fails or the bytes are not UTF-8,
+/// anywhere in the export; else [`ReadCsvError::Csv`] with the error
+/// [`parse_outages`] returns on the same text.
+pub fn read_outages(reader: impl Read) -> Result<Vec<OutageRecord>, ReadCsvError> {
+    let mut outages = Vec::new();
+    read_rows(reader, OUTAGE_HEADER, outage_rows(&mut outages))?;
+    Ok(outages)
+}
+
+/// Parses each outage row onto `outages`.
+pub(crate) fn outage_rows(
+    outages: &mut Vec<OutageRecord>,
+) -> impl FnMut(&str, usize) -> Result<(), CsvError> + '_ {
+    move |raw, line_no| {
         outages.push(parse_outage_row(raw, line_no)?);
         Ok(())
-    })?;
-    Ok(outages)
+    }
 }
 
 pub(crate) fn parse_outage_row(raw: &str, line_no: usize) -> Result<OutageRecord, CsvError> {

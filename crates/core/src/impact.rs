@@ -21,11 +21,12 @@
 
 use crate::checkpoint::{CheckpointError, Decoder, Encoder};
 use crate::coalesce::CoalescedError;
-use crate::csvio::{self, CsvError, JobRow};
+use crate::csvio::{self, CsvError, JobRow, ReadCsvError};
 use crate::histogram::{mean, percentile_sorted};
 use crate::job::{is_ml_name, AccountedJob};
 use simtime::{Duration, Timestamp};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::io::Read;
 use xid::ErrorKind;
 
 /// The paper's attribution window between an error and a job failure.
@@ -281,9 +282,31 @@ impl JobIndex {
     /// The [`CsvError`] [`csvio::parse_jobs`] returns on the same text.
     pub fn from_csv(text: &str) -> Result<Self, CsvError> {
         let mut index = JobIndex::default();
-        csvio::decode_jobs(text, |row| index.push_row(row))?;
+        csvio::strict_rows(text, csvio::JOB_HEADER, index.rows())?;
         index.settle();
         Ok(index)
+    }
+
+    /// [`from_csv`](Self::from_csv) over an export read from `reader` in
+    /// fixed-size blocks, so the export is never held whole: the same
+    /// line walk and row decode, pushing each row as `from_csv` does.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadCsvError::Read`] when a read fails or the bytes are not
+    /// UTF-8, anywhere in the export; else [`ReadCsvError::Csv`] with the
+    /// error `from_csv` returns on the same text.
+    pub fn read_csv(reader: impl Read) -> Result<Self, ReadCsvError> {
+        let mut index = JobIndex::default();
+        csvio::read_rows(reader, csvio::JOB_HEADER, index.rows())?;
+        index.settle();
+        Ok(index)
+    }
+
+    /// Decodes each job row through the one `csvio` row decoder into
+    /// this index, to be settled.
+    pub(crate) fn rows(&mut self) -> impl FnMut(&str, usize) -> Result<(), CsvError> + '_ {
+        csvio::job_rows(|row| self.push_row(row))
     }
 
     /// Adds the rows that follow the indexed ones.
@@ -1156,5 +1179,112 @@ mod tests {
             assert_eq!(index.mix(tail), job_mix(&jobs));
             assert_eq!(index.success_rate(tail), success_rate(&jobs));
         });
+    }
+
+    /// A reader that returns at most `k` bytes per `read`, so the block
+    /// edges of [`JobIndex::read_csv`] fall anywhere.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        k: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.k.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn encoded(index: &JobIndex) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        index.encode(&mut enc);
+        enc.finish().into_bytes()
+    }
+
+    /// An export as bytes: random rows, some with multi-byte names, some
+    /// lines CRLF, blank and whitespace-only lines between them, maybe no
+    /// final newline, and maybe a malformed row at a random line and
+    /// invalid UTF-8 before or after it; or an empty file, or a header
+    /// alone.
+    fn export_bytes(g: &mut propcheck::Gen) -> Vec<u8> {
+        match g.u32_in(0, 10) {
+            0 => return Vec::new(),
+            1 => return format!("{}\n", csvio::JOB_HEADER).into_bytes(),
+            _ => {}
+        }
+        let mut jobs = g.vec_with(0, 40, random_job);
+        // Multi-byte names put block edges inside a character.
+        for job in jobs.iter_mut().filter(|_| g.bool_with(0.2)) {
+            job.name = "entraîné_模型".to_owned();
+        }
+        let mut lines: Vec<Vec<u8>> = csvio::render_jobs(&jobs)
+            .lines()
+            .map(|l| l.as_bytes().to_vec())
+            .collect();
+        for _ in 0..g.usize_in(0, 4) {
+            let at = g.usize_in(1, lines.len() + 1);
+            lines.insert(at, g.choose(&[&b""[..], b"  ", b"\t"]).to_vec());
+        }
+        if g.bool_with(0.4) {
+            let bad = g.usize_in(1, lines.len() + 1);
+            lines.insert(bad, b"1,a,b".to_vec());
+            if g.bool_with(0.5) {
+                let at = g.usize_in(0, lines.len());
+                let line = &mut lines[at];
+                let cut = g.usize_in(0, line.len() + 1);
+                line.insert(cut, 0xFF);
+            }
+        }
+        let mut bytes = Vec::new();
+        for line in &lines {
+            bytes.extend_from_slice(line);
+            bytes.extend_from_slice(if g.bool_with(0.3) { b"\r\n" } else { b"\n" });
+        }
+        if g.bool_with(0.3) {
+            while bytes.last().is_some_and(|b| b"\r\n".contains(b)) {
+                bytes.pop();
+            }
+        }
+        bytes
+    }
+
+    /// `bytes` streamed at every read size against the text read whole,
+    /// as `std::fs::read_to_string` and `from_csv` take it: the same
+    /// encoded index, the same CSV error, or the same read error.
+    fn assert_streams_as_whole(bytes: &[u8]) {
+        let mut text = String::new();
+        let whole =
+            Read::read_to_string(&mut &bytes[..], &mut text).map(|_| JobIndex::from_csv(&text));
+        for k in [1, 7, 4096, bytes.len().max(1)] {
+            let streamed = JobIndex::read_csv(Trickle { bytes, k });
+            match (&whole, streamed) {
+                (Ok(Ok(whole)), Ok(streamed)) => {
+                    assert_eq!(encoded(whole), encoded(&streamed), "k={k} {text:?}");
+                }
+                (Ok(Err(whole)), Err(ReadCsvError::Csv(streamed))) => {
+                    assert_eq!(whole, &streamed, "k={k}");
+                }
+                (Err(whole), Err(ReadCsvError::Read(streamed))) => {
+                    assert_eq!(whole.kind(), streamed.kind(), "k={k}");
+                    assert_eq!(whole.to_string(), streamed.to_string(), "k={k}");
+                }
+                (whole, streamed) => panic!("k={k}: whole {whole:?}, streamed {streamed:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_streamed_export_decodes_as_the_whole_text_at_any_block_edge() {
+        propcheck::run("streamed export", 300, |g| {
+            assert_streams_as_whole(&export_bytes(g));
+        });
+        // A row longer than the read buffer grows it.
+        let long = AccountedJob {
+            name: "x".repeat(200_000),
+            ..job(7, "n1", 0, 100, 200, false)
+        };
+        assert_streams_as_whole(csvio::render_jobs(&[long]).as_bytes());
     }
 }

@@ -85,7 +85,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Decoder, Encoder};
 use crate::coalesce::{CoalescedError, Coalescer, Pushed};
-use crate::csvio::{self, CsvError, JobRow, JOB_HEADER, OUTAGE_HEADER};
+use crate::csvio::{self, CsvError, JOB_HEADER, OUTAGE_HEADER};
 use crate::impact::JobIndex;
 use crate::job::{AccountedJob, OutageRecord};
 use crate::pipeline::{Pipeline, QuarantineReport, Records, StudyReport};
@@ -247,39 +247,18 @@ impl JobFeed {
     /// Feeds `text`, settling the index once its rows are in.
     fn push(&mut self, text: &str, ledger: &mut QuarantineLedger) {
         self.csv
-            .feed(text, JOB_HEADER, ledger, &mut index_rows(&mut self.index));
+            .feed(text, JOB_HEADER, ledger, &mut self.index.rows());
         self.index.settle();
     }
 
     fn finish(&mut self, ledger: &mut QuarantineLedger) {
-        self.csv
-            .finish(JOB_HEADER, ledger, &mut index_rows(&mut self.index));
+        self.csv.finish(JOB_HEADER, ledger, &mut self.index.rows());
         self.index.settle();
     }
 
     /// The partial row a view reads as a one-row owned tail.
     fn preview(&self, ledger: &mut QuarantineLedger) -> Option<AccountedJob> {
         self.csv.preview(JOB_HEADER, ledger, csvio::parse_job_row)
-    }
-}
-
-/// Decodes each job row through the one `csvio` row decoder straight
-/// into `index`, to be settled.
-fn index_rows(index: &mut JobIndex) -> impl FnMut(&str, usize) -> Result<(), CsvError> + '_ {
-    move |raw, line_no| {
-        let row = JobRow::decode(raw, line_no, Vec::new(), |host, gpu| (host, gpu))?;
-        index.push_row(&row);
-        Ok(())
-    }
-}
-
-/// Parses each outage row onto `outages`.
-fn outage_rows(
-    outages: &mut Vec<OutageRecord>,
-) -> impl FnMut(&str, usize) -> Result<(), CsvError> + '_ {
-    move |raw, line_no| {
-        outages.push(csvio::parse_outage_row(raw, line_no)?);
-        Ok(())
     }
 }
 
@@ -401,7 +380,7 @@ impl StreamingPipeline {
             text,
             OUTAGE_HEADER,
             &mut self.ledger,
-            &mut outage_rows(&mut self.outages),
+            &mut csvio::outage_rows(&mut self.outages),
         );
     }
 
@@ -544,7 +523,7 @@ impl StreamingPipeline {
         self.outage_feed.finish(
             OUTAGE_HEADER,
             &mut self.ledger,
-            &mut outage_rows(&mut self.outages),
+            &mut csvio::outage_rows(&mut self.outages),
         );
         self.flush_pending();
         self.materialize_full()

@@ -139,22 +139,29 @@ impl Pipeline {
     }
 
     /// Runs the pipeline from already-extracted events and job exports
-    /// already indexed, as the batch loader decodes them.
-    ///
-    /// Events are first put into the canonical `(time, host, seq)` order
-    /// (see [`hpclog::shard`]): a stable sort that every batch entry path
-    /// funnels through, and that the streaming engine reproduces online,
-    /// so equal inputs always produce byte-identical reports. Coalescing
-    /// never merges across hosts, so the sort cannot change any aggregate
-    /// number.
+    /// already indexed: [`coalesce_events`](Self::coalesce_events), then
+    /// [`assemble_indexed`](Self::assemble_indexed). The batch loader runs
+    /// the two halves apart, coalescing while the exports still decode.
     pub fn run_indexed(
         &self,
-        mut events: Vec<XidEvent>,
+        events: Vec<XidEvent>,
         extract_stats: Option<ExtractStats>,
         gpu_jobs: &JobIndex,
         cpu_jobs: &JobIndex,
         outages: &[OutageRecord],
     ) -> StudyReport {
+        let errors = self.coalesce_events(events);
+        self.assemble_indexed(errors, extract_stats, gpu_jobs, cpu_jobs, outages)
+    }
+
+    /// Stage ii: puts events into the canonical `(time, host, seq)` order
+    /// (see [`hpclog::shard`]), then coalesces them under
+    /// `coalesce_window`. The sort is stable, every batch entry path
+    /// funnels through it, and the streaming engine reproduces it online,
+    /// so equal inputs always produce byte-identical reports. Coalescing
+    /// never merges across hosts, so the sort cannot change any aggregate
+    /// number.
+    pub fn coalesce_events(&self, mut events: Vec<XidEvent>) -> Vec<CoalescedError> {
         hpclog::shard::canonical_sort(&mut events);
         let events_in = events.len() as u64;
         let errors = {
@@ -166,6 +173,19 @@ impl Pipeline {
             obs::counter("core_events_coalesced_total", &[]).add(events_in);
             obs::counter("core_coalesce_merges_total", &[]).add(events_in - errors.len() as u64);
         }
+        errors
+    }
+
+    /// Stages iii–v on errors [`coalesce_events`](Self::coalesce_events)
+    /// returned, joined against job exports already indexed.
+    pub fn assemble_indexed(
+        &self,
+        errors: Vec<CoalescedError>,
+        extract_stats: Option<ExtractStats>,
+        gpu_jobs: &JobIndex,
+        cpu_jobs: &JobIndex,
+        outages: &[OutageRecord],
+    ) -> StudyReport {
         let records = Records {
             gpu_jobs,
             gpu_tail: &[],
@@ -179,11 +199,11 @@ impl Pipeline {
 
     /// Stages iii–v on an already-coalesced, canonically ordered error set.
     ///
-    /// Shared tail of [`run_indexed`](Self::run_indexed) and the incremental
-    /// engine's materialization (`core::incremental`): both paths produce
-    /// their coalesced errors differently but must assemble the
-    /// [`StudyReport`] through the one code path, so equivalence reduces to
-    /// the error sets being equal.
+    /// Shared tail of [`assemble_indexed`](Self::assemble_indexed) and the
+    /// incremental engine's materialization (`core::incremental`): both
+    /// paths produce their coalesced errors differently but must assemble
+    /// the [`StudyReport`] through the one code path, so equivalence
+    /// reduces to the error sets being equal.
     pub(crate) fn assemble(
         &self,
         errors: Vec<CoalescedError>,

@@ -69,7 +69,7 @@ impl LogLine {
 /// A syslog line's fields, borrowed from the line: what
 /// [`LogLine::parse_with_year`] copies out, and what the lenient scan
 /// reads without allocating.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct LineFields<'a> {
     pub(crate) time: Timestamp,
     pub(crate) host: &'a str,
@@ -81,7 +81,66 @@ impl<'a> LineFields<'a> {
     /// Splits `Mon DD HH:MM:SS host tag: body...` and resolves the stamp
     /// against `year`, with the errors documented on
     /// [`LogLine::parse_with_year`].
+    ///
+    /// A line in the canonical layout takes a fixed-offset fast path;
+    /// every other line, and every stamp the fast path cannot resolve,
+    /// goes through the general parser, which reads the same fields from
+    /// a canonical line and owns every error.
     pub(crate) fn parse(line: &'a str, year: i32) -> Result<Self, ParseLogLineError> {
+        match Self::parse_canonical(line, year) {
+            Some(fields) => Ok(fields),
+            None => Self::parse_general(line, year),
+        }
+    }
+
+    /// The fast path of [`parse`](Self::parse): `Some` only for the month
+    /// at bytes 0..3, the day at 4..6 (two digits or space-padded),
+    /// `HH:MM:SS` at 7..15, the host from 16 to the next space and a rest
+    /// that is not empty and does not start with a space, with a date
+    /// [`Timestamp::from_ymd_hms`] accepts.
+    fn parse_canonical(line: &'a str, year: i32) -> Option<Self> {
+        let b = line.as_bytes();
+        if b.len() < 19
+            || b[3] != b' '
+            || b[6] != b' '
+            || b[9] != b':'
+            || b[12] != b':'
+            || b[15] != b' '
+            || b[16] == b' '
+        {
+            return None;
+        }
+        let digit = |at: usize| b[at].is_ascii_digit().then(|| u32::from(b[at] - b'0'));
+        let two = |at: usize| Some(digit(at)? * 10 + digit(at + 1)?);
+        let padded = b[4] == b' ';
+        let day = if padded { digit(5)? } else { two(4)? };
+        // Byte 3 is a space, so `..3` ends on a char boundary.
+        let month = Timestamp::syslog_month(&line[..3])?;
+        let time = Timestamp::from_ymd_hms(year, month, day, two(7)?, two(10)?, two(13)?).ok()?;
+        let host_len = b[16..].iter().position(|&c| c == b' ')?;
+        let host = &line[16..16 + host_len];
+        let mut rest = &line[17 + host_len..];
+        if rest.is_empty() || rest.starts_with(' ') {
+            return None;
+        }
+        // With a two-digit day the rest is `splitn`'s fifth and sixth
+        // pieces; when its only space ends it, the sixth is empty and the
+        // general parser drops it with that space.
+        if !padded && rest.find(' ') == Some(rest.len() - 1) {
+            rest = &rest[..rest.len() - 1];
+        }
+        let (tag, body) = split_tag(rest);
+        Some(LineFields {
+            time,
+            host,
+            tag,
+            body,
+        })
+    }
+
+    /// The general path of [`parse`](Self::parse): any spacing, and every
+    /// error.
+    fn parse_general(line: &'a str, year: i32) -> Result<Self, ParseLogLineError> {
         // A single-digit day is space-padded, so empty pieces are skipped.
         let mut fields = line.splitn(6, ' ').filter(|f| !f.is_empty());
         let mut next = |what| {
@@ -101,10 +160,7 @@ impl<'a> LineFields<'a> {
             Some(_) => &line[start(fifth)..],
             None => fifth,
         };
-        let (tag, body) = rest
-            .split_once(':')
-            .map(|(t, b)| (t.trim(), b.trim_start()))
-            .unwrap_or((rest.trim(), ""));
+        let (tag, body) = split_tag(rest);
         // `parse_syslog` splits on whitespace, so the stamp's three fields
         // can be read with the spaces between them as they stand.
         let stamp = &line[start(mon)..start(hms) + hms.len()];
@@ -116,6 +172,14 @@ impl<'a> LineFields<'a> {
             body,
         })
     }
+}
+
+/// Splits `tag: body` at the first colon; without one the whole rest is
+/// the tag.
+fn split_tag(rest: &str) -> (&str, &str) {
+    rest.split_once(':')
+        .map(|(t, b)| (t.trim(), b.trim_start()))
+        .unwrap_or((rest.trim(), ""))
 }
 
 impl fmt::Display for LogLine {
@@ -312,6 +376,70 @@ mod tests {
             let err = LogLine::parse_with_year(bad, 2024).unwrap_err();
             assert_eq!(err.kind(), LogLineErrorKind::BadTimestamp, "{bad:?}");
         }
+    }
+
+    /// A line in the canonical layout: a real or near-miss month, a day
+    /// two-digit, zero- or space-padded, any two-digit clock (out of range
+    /// too), and a host and rest with the spaces and colons that move
+    /// `splitn`'s pieces.
+    fn canonical_line(g: &mut propcheck::Gen) -> String {
+        let month = g.choose(&["Jan", "Feb", "Mar", "Jun", "Sep", "Dec", "Foo", "mar"]);
+        let day = g.u32_in(0, 33);
+        let day = match g.u32_in(0, 3) {
+            0 => format!("{day:2}"),
+            1 => format!("{day:02}"),
+            _ => format!("{:2}", day % 10),
+        };
+        let clock = |g: &mut propcheck::Gen, hi| g.u32_in(0, hi);
+        let (h, m, s) = (clock(g, 26), clock(g, 62), clock(g, 62));
+        let host = g.string_of(b"gpub0123:-", 1, 9);
+        let rest = g.string_of(b"kernl: NVRMXid,0123 \t", 1, 40);
+        format!("{month} {day} {h:02}:{m:02}:{s:02} {host} {rest}")
+    }
+
+    /// One byte replaced, inserted or removed, or the line cut short;
+    /// only mutations that leave valid UTF-8 are kept.
+    fn mutate(g: &mut propcheck::Gen, line: &str) -> String {
+        let mut bytes = line.as_bytes().to_vec();
+        let at = g.usize_in(0, bytes.len());
+        let byte = g.choose(b" :0129aZ\t\xC3");
+        match g.u32_in(0, 4) {
+            0 => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            2 => {
+                bytes.remove(at);
+            }
+            _ => bytes.truncate(at),
+        }
+        String::from_utf8(bytes).unwrap_or_else(|_| line.to_owned())
+    }
+
+    #[test]
+    fn the_fast_path_answers_as_the_general_parser_does() {
+        let mut answered = 0;
+        propcheck::run("canonical syslog fast path", 2000, |g| {
+            let year = g.choose(&[2022, 2023, 2024]);
+            let line = canonical_line(g);
+            let mutated = mutate(g, &line);
+            for line in [&line, &mutated] {
+                let general = LineFields::parse_general(line, year);
+                if let Some(fast) = LineFields::parse_canonical(line, year) {
+                    answered += 1;
+                    assert_eq!(Ok(fast), general, "{line:?}");
+                }
+                assert_eq!(LineFields::parse(line, year), general, "{line:?}");
+            }
+            // A canonical line whose date is real and whose rest does not
+            // start with a space always takes the fast path.
+            let (_, rest) = line[16..].split_once(' ').expect("a host, then the rest");
+            if LineFields::parse_general(&line, year).is_ok() && !rest.starts_with(' ') {
+                assert!(
+                    LineFields::parse_canonical(&line, year).is_some(),
+                    "{line:?}"
+                );
+            }
+        });
+        assert!(answered > 500, "fast path answered {answered} lines");
     }
 
     #[test]

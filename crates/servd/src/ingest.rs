@@ -27,7 +27,10 @@
 //! Each publish step is its own `obs` span inside `servd_ingest_publish`
 //! (`servd_ingest_materialize`, `servd_store_build`,
 //! `servd_ingest_checkpoint`, `servd_ingest_wal_compact`), so `/metrics`
-//! splits a live publish the way an offline trace would.
+//! splits a live publish the way an offline trace would. Applying each
+//! queued chunk to the engine is a `servd_ingest_apply` span counting the
+//! chunk's bytes, so the worker's share of a flush barrier shows beside
+//! the publish.
 //!
 //! # The recovery invariant
 //!
@@ -857,7 +860,12 @@ fn worker_loop(mut engine: StreamingPipeline, handle: &IngestHandle, store: &Sto
     }
 }
 
+/// Feeds one chunk to the engine under a `servd_ingest_apply` span
+/// counting its bytes, so `/metrics` shows the worker's share of a flush
+/// barrier (and a recovery's replay).
 fn apply_record(engine: &mut StreamingPipeline, record: &Record) {
+    let mut span = obs::span("servd_ingest_apply");
+    span.add_items(record.payload.len() as u64);
     match record.stream {
         IngestStream::Logs => engine.push_log(&record.payload),
         IngestStream::GpuJobs => {
@@ -1254,6 +1262,7 @@ mod tests {
 
         let metrics = get_on(&mut conn, "/metrics").text();
         for span in [
+            "servd_ingest_apply",
             "servd_ingest_materialize",
             "servd_ingest_checkpoint",
             "servd_ingest_wal_compact",

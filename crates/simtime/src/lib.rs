@@ -241,6 +241,11 @@ impl Timestamp {
         )
     }
 
+    /// The 1-based month a syslog stamp's abbreviation names (`Jan` → 1).
+    pub fn syslog_month(name: &str) -> Option<u32> {
+        MONTHS.iter().position(|&m| m == name).map(|i| i as u32 + 1)
+    }
+
     /// Parses a syslog timestamp, taking the year from context.
     ///
     /// # Errors
@@ -252,12 +257,8 @@ impl Timestamp {
         let mon_str = parts
             .next()
             .ok_or_else(|| ParseTimestampError::new("missing month"))?;
-        let month = MONTHS
-            .iter()
-            .position(|&m| m == mon_str)
-            .ok_or_else(|| ParseTimestampError::new(format!("unknown month {mon_str:?}")))?
-            as u32
-            + 1;
+        let month = Timestamp::syslog_month(mon_str)
+            .ok_or_else(|| ParseTimestampError::new(format!("unknown month {mon_str:?}")))?;
         let day: u32 = parts
             .next()
             .ok_or_else(|| ParseTimestampError::new("missing day"))?

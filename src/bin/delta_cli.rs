@@ -112,7 +112,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     }
     let metrics = MetricsSink::from_flags(&flags)?;
 
-    let inputs = cli::load_study(&flags, |logs| {
+    let mut inputs = cli::load_study(&flags, |logs| {
         println!(
             "ingested {} lines over {} days ({} unparseable lines skipped)",
             logs.lines(),
@@ -121,18 +121,17 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         );
     })?;
 
-    let mut pipeline = cli::pipeline_from_flags(&flags)?;
     match flags.value("periods").unwrap_or("delta") {
         "delta" => {}
         "auto" => {
-            pipeline.periods =
-                infer_periods(inputs.logs.span, &inputs.gpu_jobs).ok_or_else(|| {
-                    CliError::Invalid("cannot infer periods from empty data".to_owned())
-                })?;
+            let periods = infer_periods(inputs.logs.span, &inputs.gpu_jobs).ok_or_else(|| {
+                CliError::Invalid("cannot infer periods from empty data".to_owned())
+            })?;
             println!(
                 "inferred calendar: pre-op {} .. op {} .. {}",
-                pipeline.periods.pre_op.start, pipeline.periods.op.start, pipeline.periods.op.end
+                periods.pre_op.start, periods.op.start, periods.op.end
             );
+            inputs.pipeline.periods = periods;
         }
         other => {
             return Err(CliError::Usage(format!(
@@ -141,7 +140,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         }
     }
     let (has_jobs, has_outages) = (inputs.gpu_jobs.jobs() > 0, !inputs.outages.is_empty());
-    let (report_out, _) = inputs.run(&pipeline);
+    let (report_out, _) = inputs.run();
 
     let render = obs::span("stage_render");
     println!("\n=== Table I ===\n{}", report::table1(&report_out));

@@ -175,8 +175,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
     // Load the study exactly as `delta-cli analyze` does: the same Stage I
     // over the day files, the same strict CSV decode.
-    let inputs = cli::load_study(&flags, |_| {})?;
-    let (report, quarantine) = inputs.run(&cli::pipeline_from_flags(&flags)?);
+    let (report, quarantine) = cli::load_study(&flags, |_| {})?.run();
     println!(
         "study ready: {} coalesced errors, {} GPU jobs joined, {} outages",
         report.errors.len(),

@@ -11,10 +11,13 @@
 //! It also owns the one batch loader, [`load_study`]: `delta-cli analyze`
 //! and batch `delta-serve` read their day files and CSV exports through
 //! it, so both run the same Stage I (the lenient scan, with its year
-//! rule) and hand the same inputs to [`Pipeline::run_indexed`]. The job
-//! exports decode row by row straight into their
-//! [`JobIndex`]es on the loader's one decode thread, so the batch path
-//! holds no job rows and builds no index after the join.
+//! rule) and the same two halves of [`Pipeline::run_indexed`]. Two
+//! threads share the work: the main thread scans the logs and coalesces
+//! their events, a helper starts on `--jobs`, and whichever thread is
+//! free claims the next export. Each export is streamed from disk in
+//! fixed-size blocks and decoded row by row, a job row straight into its
+//! [`JobIndex`], so the batch path holds neither an export's text nor its
+//! rows, and builds no index after the join.
 //!
 //! It also owns the observability surface of the binaries:
 //! [`MetricsSink`] interprets the `--metrics-out` / `--metrics-format`
@@ -26,12 +29,18 @@ use hpclog::extract::ExtractStats;
 use hpclog::quarantine::QuarantineLedger;
 use hpclog::stream::LenientScan;
 use hpclog::{LogLine, Timestamp, XidEvent};
+use resilience::csvio::ReadCsvError;
 use resilience::error::{CsvInput, PipelineError};
 use resilience::impact::JobIndex;
-use resilience::{CheckpointError, OutageRecord, Pipeline, QuarantineReport, StudyReport};
+use resilience::{
+    CheckpointError, CoalescedError, OutageRecord, Pipeline, QuarantineReport, StudyReport,
+};
 use std::fmt;
-use std::io::{self, IsTerminal};
+use std::fs::File;
+use std::io::{self, IsTerminal, Read};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Everything that can go wrong between `main()` and the pipeline.
@@ -252,12 +261,6 @@ pub fn index_jobs_csv(text: &str, input: CsvInput) -> Result<JobIndex, CliError>
     JobIndex::from_csv(text).map_err(|e| CliError::Pipeline(PipelineError::csv(input, e)))
 }
 
-/// Parses a CSV outage export with the same error tagging.
-pub fn parse_outages_csv(text: &str) -> Result<Vec<OutageRecord>, CliError> {
-    resilience::csvio::parse_outages(text)
-        .map_err(|e| CliError::Pipeline(PipelineError::csv(CsvInput::Outages, e)))
-}
-
 /// Parses a `--rollup BUCKET[@TZ]` spec (e.g. `day`, `week@UTC`,
 /// `hour@America/Chicago`) into the bucket granularity and builtin
 /// timezone for a civil-time rollup. The timezone defaults to UTC.
@@ -361,11 +364,9 @@ pub fn pipeline_from_flags(flags: &Flags) -> Result<Pipeline, CliError> {
     Ok(pipeline)
 }
 
-/// What Stage I kept of a batch study's day files.
+/// What Stage I kept of a batch study's day files, besides their events.
 #[derive(Debug)]
 pub struct LogScan {
-    /// Accepted XID events that pass the study filter, in log order.
-    pub events: Vec<XidEvent>,
     /// The scan's counters.
     pub stats: ExtractStats,
     /// The quarantined lines and the caveats they raise.
@@ -383,12 +384,19 @@ impl LogScan {
     }
 }
 
-/// A batch study's inputs: the scanned logs, the job exports as the
-/// indexes the report reads, and the outages.
+/// A batch study's inputs: the scanned logs and their coalesced events,
+/// the job exports as the indexes the report reads, and the outages.
 #[derive(Debug)]
 pub struct StudyInputs {
-    /// Stage I's output.
+    /// The pipeline the events were coalesced under (`--window`
+    /// applied). A caller may still set its periods before
+    /// [`run`](Self::run).
+    pub pipeline: Pipeline,
+    /// Stage I's counters and quarantine.
     pub logs: LogScan,
+    /// The accepted XID events that pass the study filter, coalesced
+    /// under `pipeline`'s window ([`Pipeline::coalesce_events`]).
+    pub errors: Vec<CoalescedError>,
     /// `--jobs`, indexed (empty without the flag).
     pub gpu_jobs: JobIndex,
     /// `--cpu-jobs`, indexed (empty without the flag).
@@ -398,11 +406,11 @@ pub struct StudyInputs {
 }
 
 impl StudyInputs {
-    /// Runs stages ii–v over the inputs ([`Pipeline::run_indexed`]) and
-    /// returns the report with the scan's quarantine report.
-    pub fn run(self, pipeline: &Pipeline) -> (StudyReport, QuarantineReport) {
-        let report = pipeline.run_indexed(
-            self.logs.events,
+    /// Runs stages iii–v over the inputs ([`Pipeline::assemble_indexed`])
+    /// and returns the report with the scan's quarantine report.
+    pub fn run(self) -> (StudyReport, QuarantineReport) {
+        let report = self.pipeline.assemble_indexed(
+            self.errors,
             Some(self.logs.stats),
             &self.gpu_jobs,
             &self.cpu_jobs,
@@ -412,37 +420,55 @@ impl StudyInputs {
     }
 }
 
-/// Loads a batch study: the log files named by `flags.positionals` go
-/// through the lenient scan ([`LenientScan`]) on this thread while
-/// `--jobs`, `--cpu-jobs` and `--outages` decode strictly on one scoped
-/// thread, each job row straight into its export's [`JobIndex`].
+/// Loads a batch study on two threads. The main thread puts the log
+/// files named by `flags.positionals` through the lenient scan
+/// ([`LenientScan`]), calls `scanned`, and sorts and coalesces the
+/// events; a helper thread decodes `--jobs` meanwhile. Whichever thread
+/// is free then claims the next export in flag order (`--jobs`,
+/// `--cpu-jobs`, `--outages`), each streamed from disk and decoded
+/// strictly, a job row straight into its export's [`JobIndex`].
 ///
 /// Nothing in the logs is fatal: defective lines are quarantined, and
-/// each caveat they raise is printed to stderr. `scanned` then runs on
-/// this thread while the exports may still be decoding. Errors keep the
-/// serial order: a log error first, then `--jobs`, `--cpu-jobs`,
-/// `--outages`.
+/// each caveat they raise is printed to stderr before `scanned` runs.
+/// Errors keep the serial order: a log error first, then `--jobs`,
+/// `--cpu-jobs`, `--outages`, then a bad `--window`, which is parsed
+/// before the scan because the coalesce needs it.
 pub fn load_study(flags: &Flags, scanned: impl FnOnce(&LogScan)) -> Result<StudyInputs, CliError> {
-    std::thread::scope(|scope| {
-        let csvs = scope.spawn(|| decode_csvs(flags));
-        let logs = scan_logs(&flags.positionals);
-        if let Ok(logs) = &logs {
+    let pipeline = pipeline_from_flags(flags);
+    let exports = Exports::new(flags);
+    let scan = std::thread::scope(|scope| {
+        let helper = scope.spawn(|| exports.decode_from(0));
+        let scan = scan_logs(&flags.positionals).map(|(logs, events)| {
             for caveat in &logs.quarantine.caveats {
                 eprintln!("caveat: {caveat:?}");
             }
-            scanned(logs);
-        }
-        let csvs = csvs
+            scanned(&logs);
+            // With a bad window the load fails below, after the inputs.
+            let errors = match &pipeline {
+                Ok(pipeline) => pipeline.coalesce_events(events),
+                Err(_) => Vec::new(),
+            };
+            (logs, errors)
+        });
+        exports.decode_from(exports.claim());
+        let _idle = obs::span("stage_join");
+        helper
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        let logs = logs?;
-        let (gpu_jobs, cpu_jobs, outages) = csvs?;
-        Ok(StudyInputs {
-            logs,
-            gpu_jobs,
-            cpu_jobs,
-            outages,
-        })
+        scan
+    });
+    let (logs, errors) = scan?;
+    let claimed = "every export is claimed before the join";
+    let gpu_jobs = exports.gpu_jobs.into_inner().expect(claimed)?;
+    let cpu_jobs = exports.cpu_jobs.into_inner().expect(claimed)?;
+    let outages = exports.outages.into_inner().expect(claimed)?;
+    Ok(StudyInputs {
+        pipeline: pipeline?,
+        logs,
+        errors,
+        gpu_jobs,
+        cpu_jobs,
+        outages,
     })
 }
 
@@ -450,8 +476,9 @@ pub fn load_study(flags: &Flags, scanned: impl FnOnce(&LogScan)) -> Result<Study
 /// the [`starting_year`]. A file whose name carries a date makes that
 /// date the year reference ([`LenientScan::set_reference`]), and a file
 /// that does not end in a newline is given one, so every file ends on a
-/// line boundary.
-fn scan_logs(paths: &[String]) -> Result<LogScan, CliError> {
+/// line boundary. Returns the scan with its accepted XID events that pass
+/// the study filter, in log order.
+fn scan_logs(paths: &[String]) -> Result<(LogScan, Vec<XidEvent>), CliError> {
     let mut span = obs::span("stage_ingest");
     let files = collect_log_files(paths)?;
     let mut scan = LenientScan::studied_only(starting_year(&files)?);
@@ -489,41 +516,113 @@ fn scan_logs(paths: &[String]) -> Result<LogScan, CliError> {
     }
     let stats = scan.stats();
     span.add_items(stats.lines_seen);
-    Ok(LogScan {
-        events,
+    let logs = LogScan {
         stats,
         quarantine: QuarantineReport::from_scan(ledger, stats),
         days,
         span: range,
-    })
+    };
+    Ok((logs, events))
 }
 
-/// The indexed `--jobs` and `--cpu-jobs` exports and the decoded
-/// `--outages`.
-type Csvs = (JobIndex, JobIndex, Vec<OutageRecord>);
+/// The CSV exports of a batch study and what each decoded to. The two
+/// loader threads claim them one at a time, in flag order.
+struct Exports<'f> {
+    flags: &'f Flags,
+    /// The next export to claim, an index into [`Exports::FLAGS`]. Claims
+    /// publish nothing: the results are read after the join, which
+    /// orders them.
+    next: AtomicUsize,
+    gpu_jobs: OnceLock<Result<JobIndex, CliError>>,
+    cpu_jobs: OnceLock<Result<JobIndex, CliError>>,
+    outages: OnceLock<Result<Vec<OutageRecord>, CliError>>,
+}
 
-/// Reads and decodes the CSV exports in flag order, stopping at the first
-/// error; an absent flag decodes as empty.
-fn decode_csvs(flags: &Flags) -> Result<Csvs, CliError> {
+impl<'f> Exports<'f> {
+    /// The export flags in claim and error order.
+    const FLAGS: [(&'static str, CsvInput); 3] = [
+        ("jobs", CsvInput::GpuJobs),
+        ("cpu-jobs", CsvInput::CpuJobs),
+        ("outages", CsvInput::Outages),
+    ];
+
+    /// Export 0 (`--jobs`) is the helper thread's from the start.
+    fn new(flags: &'f Flags) -> Self {
+        Exports {
+            flags,
+            next: AtomicUsize::new(1),
+            gpu_jobs: OnceLock::new(),
+            cpu_jobs: OnceLock::new(),
+            outages: OnceLock::new(),
+        }
+    }
+
+    /// The next unclaimed export, or past the end when none is left.
+    fn claim(&self) -> usize {
+        self.next.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Decodes export `first`, then claims and decodes the next until
+    /// none is left.
+    fn decode_from(&self, first: usize) {
+        let mut at = first;
+        while let Some(&(flag, input)) = Self::FLAGS.get(at) {
+            let path = self.flags.value(flag);
+            let jobs = || read_export(path, input, JobIndex::read_csv, JobIndex::jobs);
+            let filled = match input {
+                CsvInput::GpuJobs => self.gpu_jobs.set(jobs()).is_ok(),
+                CsvInput::CpuJobs => self.cpu_jobs.set(jobs()).is_ok(),
+                CsvInput::Outages => {
+                    let outages = read_export(path, input, resilience::csvio::read_outages, |o| {
+                        o.len() as u64
+                    });
+                    self.outages.set(outages).is_ok()
+                }
+            };
+            assert!(filled, "export {flag} claimed twice");
+            at = self.claim();
+        }
+    }
+}
+
+/// Streams the export at `path` (empty without one) into `decode`, under
+/// one `stage_csv` span counting its `rows`, each read a `stage_csv_read`
+/// span counting its bytes. A read error reads as [`read_to_string`]'s
+/// does; a CSV error is tagged with `input`.
+fn read_export<T: Default>(
+    path: Option<&str>,
+    input: CsvInput,
+    decode: impl FnOnce(SpannedReads) -> Result<T, ReadCsvError>,
+    rows: impl FnOnce(&T) -> u64,
+) -> Result<T, CliError> {
+    let Some(path) = path else {
+        return Ok(T::default());
+    };
     let mut span = obs::span("stage_csv");
-    let read = |path: &str| {
+    let read_error = |source| CliError::Io {
+        action: "reading",
+        path: PathBuf::from(path),
+        source,
+    };
+    let file = File::open(path).map_err(read_error)?;
+    let decoded = decode(SpannedReads(file)).map_err(|e| match e {
+        ReadCsvError::Read(source) => read_error(source),
+        ReadCsvError::Csv(e) => CliError::Pipeline(PipelineError::csv(input, e)),
+    })?;
+    span.add_items(rows(&decoded));
+    Ok(decoded)
+}
+
+/// A file whose every read is a `stage_csv_read` span.
+struct SpannedReads(File);
+
+impl Read for SpannedReads {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let mut span = obs::span("stage_csv_read");
-        let text = read_to_string(path)?;
-        span.add_items(text.len() as u64);
-        Ok::<_, CliError>(text)
-    };
-    let jobs = |flag: &str, input: CsvInput| match flags.value(flag) {
-        Some(path) => index_jobs_csv(&read(path)?, input),
-        None => Ok(JobIndex::default()),
-    };
-    let gpu_jobs = jobs("jobs", CsvInput::GpuJobs)?;
-    let cpu_jobs = jobs("cpu-jobs", CsvInput::CpuJobs)?;
-    let outages = match flags.value("outages") {
-        Some(path) => parse_outages_csv(&read(path)?)?,
-        None => Vec::new(),
-    };
-    span.add_items(gpu_jobs.jobs() + cpu_jobs.jobs() + outages.len() as u64);
-    Ok((gpu_jobs, cpu_jobs, outages))
+        let read = self.0.read(buf)?;
+        span.add_items(read as u64);
+        Ok(read)
+    }
 }
 
 /// Output encodings for `--metrics-out`.
@@ -735,7 +834,9 @@ mod tests {
     }
 
     /// Writes `(name, contents)` day files into a fresh directory and
-    /// loads them with no exports.
+    /// loads them with no exports, under a zero coalescing window, so
+    /// each event line stays its own error and [`event_days`] sees them
+    /// all.
     fn load_day_files(tag: &str, files: &[(&str, String)]) -> StudyInputs {
         let dir = std::env::temp_dir().join(format!("cli-load-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -743,7 +844,11 @@ mod tests {
         for (name, text) in files {
             std::fs::write(dir.join(name), text).unwrap();
         }
-        let flags = parse_flags(&[dir.display().to_string()], &[]).unwrap();
+        let flags = parse_flags(
+            &args(&[&dir.display().to_string(), "--window", "0"]),
+            &["window"],
+        )
+        .unwrap();
         let inputs = load_study(&flags, |_| {}).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         inputs
@@ -753,8 +858,9 @@ mod tests {
         format!("{stamp} gpub001 kernel: NVRM: Xid (PCI:0000:07:00): 119, GSP timeout\n")
     }
 
+    /// The days of the loaded errors, in canonical order.
     fn event_days(inputs: &StudyInputs) -> Vec<(i32, u32, u32)> {
-        inputs.logs.events.iter().map(|e| e.time.ymd()).collect()
+        inputs.errors.iter().map(|e| e.time.ymd()).collect()
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `delta_cli analyze` driven as a process: its stdout against the
 //! in-process pipeline, the stage spans its `--metrics-out` exports, and
-//! the error order it keeps while the CSV decode overlaps the log ingest.
+//! the error order it keeps while the CSV decodes overlap the log ingest.
 //!
 //! The `--periods auto` stdout is pinned by a committed golden. To
 //! regenerate it after an *intentional* change:
@@ -96,27 +96,32 @@ fn analyze_stdout_matches_in_process_pipeline() {
     assert!(out.status.success(), "{}", text(&out.stderr));
     assert_eq!(text(&out.stdout), expected_stdout(&dir));
 
-    // The CSV decode runs under its own span, counting the rows it read;
-    // the printing and every file read have theirs, day files and CSVs
-    // under separate names. The job exports decode into their indexes,
-    // so no index is built after the join.
+    // Each CSV export decodes under its own span, counting its rows, and
+    // is read in blocks, each read a span counting its bytes; the
+    // printing and every day file read have theirs. The job exports
+    // decode into their indexes, so no index is built after the join.
     let prom = dir.join("metrics.prom");
     let mut args = analyze_args(&dir);
     args.extend([PathBuf::from("--metrics-out"), prom.clone()]);
     let out = delta_cli(args);
     assert!(out.status.success(), "{}", text(&out.stderr));
-    let rows: usize = ["gpu_jobs.csv", "cpu_jobs.csv", "outages.csv"]
-        .iter()
-        .map(|f| read(&dir.join(f)).lines().skip(1).count())
-        .sum();
+    let csvs = ["gpu_jobs.csv", "cpu_jobs.csv", "outages.csv"].map(|f| read(&dir.join(f)));
+    let rows: usize = csvs.iter().map(|csv| csv.lines().skip(1).count()).sum();
+    let bytes: usize = csvs.iter().map(String::len).sum();
     let metrics = read(&prom);
     assert!(
-        metrics.contains("obs_span_count{span=\"stage_csv\"} 1\n"),
-        "{metrics}"
+        metrics.contains("obs_span_count{span=\"stage_csv\"} 3\n"),
+        "one stage_csv per export: {metrics}"
     );
     assert!(
         metrics.contains(&format!("obs_span_items{{span=\"stage_csv\"}} {rows}\n")),
         "{metrics}"
+    );
+    assert!(
+        metrics.contains(&format!(
+            "obs_span_items{{span=\"stage_csv_read\"}} {bytes}\n"
+        )),
+        "the CSV reads cover every byte: {metrics}"
     );
     assert!(
         metrics.contains("obs_span_count{span=\"stage_render\"} 1\n"),
@@ -134,10 +139,6 @@ fn analyze_stdout_matches_in_process_pipeline() {
             "obs_span_count{{span=\"stage_read\"}} {day_files}\n"
         )),
         "one stage_read per day file: {metrics}"
-    );
-    assert!(
-        metrics.contains("obs_span_count{span=\"stage_csv_read\"} 3\n"),
-        "one stage_csv_read per CSV: {metrics}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -296,7 +297,7 @@ fn input_errors_keep_the_serial_order() {
     let absent = dir.join("absent.csv");
     let out = delta_cli([
         flag("analyze"),
-        log,
+        log.clone(),
         flag("--jobs"),
         absent.clone(),
         flag("--outages"),
@@ -307,6 +308,41 @@ fn input_errors_keep_the_serial_order() {
     assert!(
         stderr.starts_with(&format!("error: reading {}: ", absent.display())),
         "{stderr}"
+    );
+
+    // Bytes that are not UTF-8 anywhere in an export are a read error,
+    // even after a malformed row: the export reads as if read whole
+    // before any row is decoded.
+    let late_bad_bytes = dir.join("late.csv");
+    let mut bytes = format!("{}\n1,a,b\n", csvio::JOB_HEADER).into_bytes();
+    bytes.extend_from_slice(b"\xFF\n");
+    std::fs::write(&late_bad_bytes, bytes).unwrap();
+    let out = delta_cli([
+        flag("analyze"),
+        log.clone(),
+        flag("--jobs"),
+        late_bad_bytes.clone(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        text(&out.stderr),
+        format!(
+            "error: reading {}: stream did not contain valid UTF-8\n",
+            late_bad_bytes.display()
+        )
+    );
+
+    // A bad `--window` comes after the ingest line and the inputs.
+    let out = delta_cli([flag("analyze"), log, flag("--window"), flag("x")]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        text(&out.stderr).starts_with("error: bad --window \"x\"\n"),
+        "{}",
+        text(&out.stderr)
+    );
+    assert_eq!(
+        text(&out.stdout),
+        "ingested 1 lines over 1 days (0 unparseable lines skipped)\n"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
