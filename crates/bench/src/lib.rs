@@ -1,5 +1,5 @@
-//! Shared harness code for the benchmark suite and the table/figure
-//! regeneration binaries.
+//! Shared harness code for the table/figure regeneration binaries and
+//! the serving load gates.
 //!
 //! Every regeneration binary accepts the same two optional arguments:
 //!
@@ -255,51 +255,6 @@ pub fn human_ns(ns: u64) -> String {
         format!("{:.2} ms", us / 1e3)
     } else {
         format!("{us:.0} us")
-    }
-}
-
-/// A minimal wall-clock micro-benchmark harness.
-///
-/// The Criterion dependency was dropped so the workspace builds offline
-/// (DESIGN.md §4); these benches need only medians and throughput, which
-/// ~40 lines of `std::time::Instant` provide. Timings are indicative, not
-/// statistically rigorous — EXPERIMENTS.md records them as such.
-pub mod stopwatch {
-    use std::time::Instant;
-
-    /// Runs `f` once as warm-up and then `iters` timed times, printing
-    /// `name: median per-iter time` plus per-element throughput when
-    /// `elements` is non-zero.
-    pub fn bench<T>(name: &str, elements: u64, iters: u32, mut f: impl FnMut() -> T) {
-        std::hint::black_box(f());
-        let mut samples: Vec<f64> = (0..iters.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(f());
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let median = samples[samples.len() / 2];
-        if elements > 0 && median > 0.0 {
-            println!(
-                "{name:<40} {:>12} /iter  {:>14.0} elem/s",
-                human_time(median),
-                elements as f64 / median,
-            );
-        } else {
-            println!("{name:<40} {:>12} /iter", human_time(median));
-        }
-    }
-
-    fn human_time(secs: f64) -> String {
-        if secs >= 1.0 {
-            format!("{secs:.2} s")
-        } else if secs >= 1e-3 {
-            format!("{:.2} ms", secs * 1e3)
-        } else {
-            format!("{:.2} us", secs * 1e6)
-        }
     }
 }
 

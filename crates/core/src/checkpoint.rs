@@ -166,9 +166,8 @@ impl std::error::Error for CheckpointError {}
 /// torn-checkpoint failure mode cannot occur — and once this returns,
 /// a power loss cannot bring back the old name: a rename is durable only
 /// once its directory is synced, and the `servd` ingest tier compacts
-/// its write-ahead log behind the new checkpoint. Both
-/// `stream_study --checkpoint` and that tier route their snapshot writes
-/// through here.
+/// its write-ahead log behind the new checkpoint. That tier routes its
+/// snapshot writes through here.
 ///
 /// # Errors
 ///

@@ -424,12 +424,6 @@ impl StreamingPipeline {
         &self.ledger
     }
 
-    /// Coalesced errors flushed so far (pre-outlier-rule; the tie buffer
-    /// of the newest timestamp is not yet included).
-    pub fn errors(&self) -> &[CoalescedError] {
-        self.coalescer.errors()
-    }
-
     /// Log bytes fed so far; a resuming reader seeks here.
     pub fn log_bytes_fed(&self) -> u64 {
         self.scan.bytes_fed()

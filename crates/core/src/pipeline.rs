@@ -121,7 +121,8 @@ impl Pipeline {
 
     /// Runs the pipeline from already-extracted events (Stage I done
     /// elsewhere, e.g. when replaying a pre-parsed export): indexes the
-    /// job rows, then [`run_indexed`](Self::run_indexed).
+    /// job rows, then [`coalesce_events`](Self::coalesce_events) and
+    /// [`assemble_indexed`](Self::assemble_indexed).
     pub fn run_events(
         &self,
         events: Vec<XidEvent>,
@@ -135,23 +136,8 @@ impl Pipeline {
             span.add_items((gpu_jobs.len() + cpu_jobs.len()) as u64);
             (JobIndex::build(gpu_jobs), JobIndex::build(cpu_jobs))
         };
-        self.run_indexed(events, extract_stats, &gpu, &cpu, outages)
-    }
-
-    /// Runs the pipeline from already-extracted events and job exports
-    /// already indexed: [`coalesce_events`](Self::coalesce_events), then
-    /// [`assemble_indexed`](Self::assemble_indexed). The batch loader runs
-    /// the two halves apart, coalescing while the exports still decode.
-    pub fn run_indexed(
-        &self,
-        events: Vec<XidEvent>,
-        extract_stats: Option<ExtractStats>,
-        gpu_jobs: &JobIndex,
-        cpu_jobs: &JobIndex,
-        outages: &[OutageRecord],
-    ) -> StudyReport {
         let errors = self.coalesce_events(events);
-        self.assemble_indexed(errors, extract_stats, gpu_jobs, cpu_jobs, outages)
+        self.assemble_indexed(errors, extract_stats, &gpu, &cpu, outages)
     }
 
     /// Stage ii: puts events into the canonical `(time, host, seq)` order

@@ -290,7 +290,8 @@ fn decoded_indexes_report_like_the_row_path() {
             let cpu_index = JobIndex::from_csv(&cpu_text).unwrap();
             let pipeline = Pipeline::delta();
             let want = pipeline.run_events(events.clone(), None, &rows, &cpu_rows, &[]);
-            let got = pipeline.run_indexed(events.clone(), None, &index, &cpu_index, &[]);
+            let errors = pipeline.coalesce_events(events.clone());
+            let got = pipeline.assemble_indexed(errors, None, &index, &cpu_index, &[]);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
             assert_eq!(index.jobs(), rows.len() as u64);
             let span = rows.iter().map(|j| (j.submit, j.end));

@@ -35,9 +35,10 @@
 //! # The recovery invariant
 //!
 //! A `200` on `/ingest/*` means the chunk survives a process kill, not a
-//! power loss or kernel crash (ROADMAP item 5): the chunk's bytes are
-//! written to the write-ahead log *before* the response is written, but
-//! the append is not fsynced, so they may still sit in the page cache.
+//! power loss or kernel crash (ROADMAP item 6, "Honest durability"): the
+//! chunk's bytes are written to the write-ahead log *before* the response
+//! is written, but the append is not fsynced, so they may still sit in
+//! the page cache.
 //! The WAL is only compacted after a checkpoint capturing those bytes'
 //! effect has been fsynced and atomically renamed into place. At every
 //! instant
@@ -165,8 +166,6 @@ pub struct IngestConfig {
     pub publish_every_events: u64,
     /// …or after this long with unpublished input, whichever first.
     pub publish_every: Duration,
-    /// Seconds suggested to a shed client via `Retry-After`.
-    pub retry_after_secs: u32,
 }
 
 impl IngestConfig {
@@ -177,16 +176,18 @@ impl IngestConfig {
             queue_capacity: 256,
             publish_every_events: 5_000,
             publish_every: Duration::from_secs(2),
-            retry_after_secs: 1,
         }
     }
+
+    /// Seconds suggested to a shed client via `Retry-After`.
+    const RETRY_AFTER_SECS: u32 = 1;
 
     /// The shared shed contract this queue enforces.
     pub fn admission(&self) -> AdmissionPolicy {
         AdmissionPolicy {
             rejected_metric: "servd_ingest_rejected_total",
             queue_capacity: self.queue_capacity,
-            retry_after_secs: self.retry_after_secs,
+            retry_after_secs: Self::RETRY_AFTER_SECS,
         }
     }
 }
@@ -361,8 +362,8 @@ impl IngestHandle {
 
     /// Offers one chunk for ingest. On [`Offer::Accepted`] the bytes are
     /// already written to the WAL, so they survive a process kill, not a
-    /// power loss or kernel crash (ROADMAP item 5) — the caller can
-    /// acknowledge `200`.
+    /// power loss or kernel crash (ROADMAP item 6, "Honest durability") —
+    /// the caller can acknowledge `200`.
     pub fn offer(&self, stream: IngestStream, seq: Option<u64>, payload: &[u8]) -> Offer {
         let i = stream.index();
         let mut state = self.lock();

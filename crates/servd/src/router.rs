@@ -995,7 +995,6 @@ mod tests {
         let whatif = WhatifHandle::new(WhatifConfig {
             workers: 0,
             queue_capacity: 1,
-            retry_after_secs: 2,
             ..WhatifConfig::default()
         });
         let first = traced_whatif(&get("/whatif", &[("reps", "8")]), &store, &whatif);

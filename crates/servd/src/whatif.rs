@@ -69,8 +69,6 @@ pub struct WhatifConfig {
     pub queue_capacity: usize,
     /// Upper bound a request's `reps=` may ask for.
     pub rep_cap: u32,
-    /// Seconds suggested to a shed client via `Retry-After`.
-    pub retry_after_secs: u32,
 }
 
 impl Default for WhatifConfig {
@@ -79,18 +77,20 @@ impl Default for WhatifConfig {
             workers: 2,
             queue_capacity: 8,
             rep_cap: 32,
-            retry_after_secs: 2,
         }
     }
 }
 
 impl WhatifConfig {
+    /// Seconds suggested to a shed client via `Retry-After`.
+    const RETRY_AFTER_SECS: u32 = 2;
+
     /// The shared shed contract this queue enforces.
     pub fn admission(&self) -> AdmissionPolicy {
         AdmissionPolicy {
             rejected_metric: "servd_whatif_rejected_total",
             queue_capacity: self.queue_capacity,
-            retry_after_secs: self.retry_after_secs,
+            retry_after_secs: Self::RETRY_AFTER_SECS,
         }
     }
 }

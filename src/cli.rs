@@ -1,5 +1,4 @@
-//! Shared command-line infrastructure for `delta_cli`, `delta_serve` and
-//! `stream_study`.
+//! Shared command-line infrastructure for `delta_cli` and `delta_serve`.
 //!
 //! The binaries historically carried private copies of flag parsing, log
 //! collection and file I/O, each reporting failures as bare `String`s.
@@ -11,7 +10,9 @@
 //! It also owns the one batch loader, [`load_study`]: `delta-cli analyze`
 //! and batch `delta-serve` read their day files and CSV exports through
 //! it, so both run the same Stage I (the lenient scan, with its year
-//! rule) and the same two halves of [`Pipeline::run_indexed`]. Two
+//! rule), [`Pipeline::coalesce_events`] and [`Pipeline::assemble_indexed`].
+//! The main thread first lists the day files and picks the starting year,
+//! so a missing log path fails before any export is opened. Then two
 //! threads share the work: the main thread scans the logs and coalesces
 //! their events, a helper starts on `--jobs`, and whichever thread is
 //! free claims the next export. Each export is streamed from disk in
@@ -22,8 +23,7 @@
 //! It also owns the observability surface of the binaries:
 //! [`MetricsSink`] interprets the `--metrics-out` / `--metrics-format`
 //! flags, enables the global [`obs`] registry for the run, and renders the
-//! final [`obs::ObsReport`] as Prometheus text or JSON; [`Progress`] is
-//! the periodic stderr progress line for streaming mode.
+//! final [`obs::ObsReport`] as Prometheus text or JSON.
 
 use hpclog::extract::ExtractStats;
 use hpclog::quarantine::QuarantineLedger;
@@ -32,29 +32,25 @@ use hpclog::{LogLine, Timestamp, XidEvent};
 use resilience::csvio::ReadCsvError;
 use resilience::error::{CsvInput, PipelineError};
 use resilience::impact::JobIndex;
-use resilience::{
-    CheckpointError, CoalescedError, OutageRecord, Pipeline, QuarantineReport, StudyReport,
-};
+use resilience::{CoalescedError, OutageRecord, Pipeline, QuarantineReport, StudyReport};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, IsTerminal, Read};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 /// Everything that can go wrong between `main()` and the pipeline.
 ///
 /// The taxonomy separates *how the user invoked us* ([`Usage`]) from *what
 /// the filesystem did* ([`Io`]) from *what the data contained*
-/// ([`Invalid`], [`Pipeline`], [`Checkpoint`]), so callers can decide
+/// ([`Invalid`], [`Pipeline`]), so callers can decide
 /// whether to print usage help and exit codes stay honest.
 ///
 /// [`Usage`]: CliError::Usage
 /// [`Io`]: CliError::Io
 /// [`Invalid`]: CliError::Invalid
 /// [`Pipeline`]: CliError::Pipeline
-/// [`Checkpoint`]: CliError::Checkpoint
 #[derive(Debug)]
 pub enum CliError {
     /// The command line itself was malformed (unknown flag shape, missing
@@ -74,8 +70,6 @@ pub enum CliError {
     /// The analysis pipeline rejected its inputs (CSV schema errors carry
     /// the offending export and line number).
     Pipeline(PipelineError),
-    /// A checkpoint snapshot failed to load or validate.
-    Checkpoint(CheckpointError),
     /// The serving subsystem failed to start (bind errors and friends).
     Serve(servd::ServeError),
     /// The live-ingest subsystem failed to recover or persist its state.
@@ -93,7 +87,6 @@ impl fmt::Display for CliError {
             } => write!(f, "{action} {}: {source}", path.display()),
             CliError::Invalid(msg) => write!(f, "{msg}"),
             CliError::Pipeline(e) => write!(f, "{e}"),
-            CliError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             CliError::Serve(e) => write!(f, "serve: {e}"),
             CliError::Ingest(e) => write!(f, "ingest: {e}"),
         }
@@ -105,7 +98,6 @@ impl std::error::Error for CliError {
         match self {
             CliError::Io { source, .. } => Some(source),
             CliError::Pipeline(e) => Some(e),
-            CliError::Checkpoint(e) => Some(e),
             CliError::Serve(e) => Some(e),
             CliError::Ingest(e) => Some(e),
             _ => None,
@@ -116,12 +108,6 @@ impl std::error::Error for CliError {
 impl From<PipelineError> for CliError {
     fn from(e: PipelineError) -> Self {
         CliError::Pipeline(e)
-    }
-}
-
-impl From<CheckpointError> for CliError {
-    fn from(e: CheckpointError) -> Self {
-        CliError::Checkpoint(e)
     }
 }
 
@@ -232,23 +218,6 @@ pub fn write_file(
 ) -> Result<(), CliError> {
     let path = path.as_ref();
     std::fs::write(path, contents).map_err(|source| CliError::Io {
-        action,
-        path: path.to_path_buf(),
-        source,
-    })
-}
-
-/// Writes `contents` to `path` via temp-file + atomic rename
-/// ([`resilience::checkpoint::write_atomic`]), so a crash mid-write can
-/// never leave a torn file — the write path for checkpoints and anything
-/// else a restart must be able to trust.
-pub fn write_file_atomic(
-    path: impl AsRef<Path>,
-    contents: impl AsRef<[u8]>,
-    action: &'static str,
-) -> Result<(), CliError> {
-    let path = path.as_ref();
-    resilience::checkpoint::write_atomic(path, contents.as_ref()).map_err(|source| CliError::Io {
         action,
         path: path.to_path_buf(),
         source,
@@ -420,13 +389,15 @@ impl StudyInputs {
     }
 }
 
-/// Loads a batch study on two threads. The main thread puts the log
-/// files named by `flags.positionals` through the lenient scan
-/// ([`LenientScan`]), calls `scanned`, and sorts and coalesces the
-/// events; a helper thread decodes `--jobs` meanwhile. Whichever thread
-/// is free then claims the next export in flag order (`--jobs`,
-/// `--cpu-jobs`, `--outages`), each streamed from disk and decoded
-/// strictly, a job row straight into its export's [`JobIndex`].
+/// Loads a batch study on two threads. The main thread lists the log
+/// files named by `flags.positionals` and picks their [`starting_year`]
+/// before any export is opened, so a missing log path fails at once. It
+/// then puts the files through the lenient scan ([`LenientScan`]), calls
+/// `scanned`, and sorts and coalesces the events; a helper thread decodes
+/// `--jobs` meanwhile. Whichever thread is free then claims the next
+/// export in flag order (`--jobs`, `--cpu-jobs`, `--outages`), each
+/// streamed from disk and decoded strictly, a job row straight into its
+/// export's [`JobIndex`].
 ///
 /// Nothing in the logs is fatal: defective lines are quarantined, and
 /// each caveat they raise is printed to stderr before `scanned` runs.
@@ -435,10 +406,12 @@ impl StudyInputs {
 /// before the scan because the coalesce needs it.
 pub fn load_study(flags: &Flags, scanned: impl FnOnce(&LogScan)) -> Result<StudyInputs, CliError> {
     let pipeline = pipeline_from_flags(flags);
+    let files = collect_log_files(&flags.positionals)?;
+    let year = starting_year(&files)?;
     let exports = Exports::new(flags);
     let scan = std::thread::scope(|scope| {
         let helper = scope.spawn(|| exports.decode_from(0));
-        let scan = scan_logs(&flags.positionals).map(|(logs, events)| {
+        let scan = scan_logs(&files, year).map(|(logs, events)| {
             for caveat in &logs.quarantine.caveats {
                 eprintln!("caveat: {caveat:?}");
             }
@@ -472,16 +445,15 @@ pub fn load_study(flags: &Flags, scanned: impl FnOnce(&LogScan)) -> Result<Study
     })
 }
 
-/// Feeds the log files, in path order, through one [`LenientScan`] from
-/// the [`starting_year`]. A file whose name carries a date makes that
-/// date the year reference ([`LenientScan::set_reference`]), and a file
-/// that does not end in a newline is given one, so every file ends on a
-/// line boundary. Returns the scan with its accepted XID events that pass
-/// the study filter, in log order.
-fn scan_logs(paths: &[String]) -> Result<(LogScan, Vec<XidEvent>), CliError> {
+/// Feeds the log `files`, in path order, through one [`LenientScan`]
+/// from `year`. A file whose name carries a date makes that date the
+/// year reference ([`LenientScan::set_reference`]), and a file that does
+/// not end in a newline is given one, so every file ends on a line
+/// boundary. Returns the scan with its accepted XID events that pass the
+/// study filter, in log order.
+fn scan_logs(files: &[PathBuf], year: i32) -> Result<(LogScan, Vec<XidEvent>), CliError> {
     let mut span = obs::span("stage_ingest");
-    let files = collect_log_files(paths)?;
-    let mut scan = LenientScan::studied_only(starting_year(&files)?);
+    let mut scan = LenientScan::studied_only(year);
     let mut ledger = QuarantineLedger::new();
     let mut events = Vec::new();
     let mut days = 0;
@@ -499,7 +471,7 @@ fn scan_logs(paths: &[String]) -> Result<(LogScan, Vec<XidEvent>), CliError> {
             range = Some((time, time));
         }
     };
-    for file in &files {
+    for file in files {
         let bytes = {
             let mut read = obs::span("stage_read");
             let bytes = read_bytes(file)?;
@@ -690,58 +662,6 @@ impl MetricsSink {
             MetricsFormat::Json => report.to_json(),
         };
         write_file(&self.path, text, "writing metrics to")
-    }
-}
-
-/// A periodic progress line on stderr.
-///
-/// Rate-limited to one line per second so the hot streaming loop can call
-/// [`tick`](Progress::tick) per chunk without flooding the terminal. Off
-/// by default when stderr is not a terminal (CI logs stay clean); forced
-/// on with `--progress`.
-#[derive(Debug)]
-pub struct Progress {
-    enabled: bool,
-    last: Instant,
-    interval: Duration,
-    printed: bool,
-}
-
-impl Progress {
-    /// Creates the reporter: enabled when `force` is set or stderr is a
-    /// terminal.
-    pub fn new(force: bool) -> Progress {
-        Progress {
-            enabled: force || io::stderr().is_terminal(),
-            last: Instant::now(),
-            interval: Duration::from_secs(1),
-            printed: false,
-        }
-    }
-
-    /// Emits `line()` to stderr if enough time has passed since the last
-    /// emission. The closure only runs when a line will actually print.
-    pub fn tick(&mut self, line: impl FnOnce() -> String) {
-        if !self.enabled || self.last.elapsed() < self.interval {
-            return;
-        }
-        self.last = Instant::now();
-        self.printed = true;
-        eprintln!("{}", line());
-    }
-
-    /// Emits a final line unconditionally (when enabled), so short runs
-    /// that never crossed the interval still report once.
-    pub fn finish(&mut self, line: impl FnOnce() -> String) {
-        if self.enabled {
-            eprintln!("{}", line());
-            self.printed = true;
-        }
-    }
-
-    /// Whether any line has been printed so far.
-    pub fn printed(&self) -> bool {
-        self.printed
     }
 }
 
@@ -986,32 +906,5 @@ mod tests {
     fn csv_errors_carry_the_input_name() {
         let err = index_jobs_csv("not,a,header\n", CsvInput::GpuJobs).unwrap_err();
         assert!(err.to_string().contains("gpu-jobs"), "{err}");
-    }
-
-    #[test]
-    fn progress_rate_limits_and_finishes() {
-        let mut progress = Progress {
-            enabled: true,
-            last: Instant::now(),
-            interval: Duration::from_secs(3600),
-            printed: false,
-        };
-        progress.tick(|| unreachable!("inside the rate-limit window"));
-        assert!(!progress.printed());
-        progress.finish(|| "done".to_owned());
-        assert!(progress.printed());
-    }
-
-    #[test]
-    fn disabled_progress_stays_silent() {
-        let mut progress = Progress {
-            enabled: false,
-            last: Instant::now() - Duration::from_secs(10),
-            interval: Duration::from_secs(1),
-            printed: false,
-        };
-        progress.tick(|| unreachable!("disabled"));
-        progress.finish(|| unreachable!("disabled"));
-        assert!(!progress.printed());
     }
 }

@@ -16,7 +16,8 @@ use hpclog::archive::Archive;
 use resilience::csvio;
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cli-analyze-{tag}-{}", std::process::id()));
@@ -345,4 +346,45 @@ fn input_errors_keep_the_serial_order() {
         "ingested 1 lines over 1 days (0 unparseable lines skipped)\n"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A missing log path fails before any export is opened. The `--jobs`
+/// export here is a FIFO that no writer ever opens, so opening it would
+/// block for good: the run must end with the log error on its own.
+#[test]
+fn a_missing_log_fails_before_any_export_is_opened() {
+    let dir = scratch("fifo");
+    let fifo = dir.join("gpu_jobs.fifo");
+    let made = Command::new("mkfifo").arg(&fifo).status();
+    assert!(made.expect("spawn mkfifo").success(), "mkfifo failed");
+    let missing = dir.join("no-such-logs");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_delta_cli"))
+        .args([OsStr::new("analyze"), missing.as_os_str()])
+        .args([OsStr::new("--jobs"), fifo.as_os_str()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn delta_cli");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("poll delta_cli").is_none() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            let _ = std::fs::remove_dir_all(&dir);
+            panic!("analyze with a missing log still ran after 30 s: it opened --jobs");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("collect delta_cli output");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = text(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!(
+            "error: {}: no such file or directory\n",
+            missing.display()
+        )),
+        "{stderr}"
+    );
+    assert_eq!(text(&out.stdout), "");
 }
