@@ -26,7 +26,7 @@
 //! # Determinism
 //!
 //! Same spec + seed ⇒ identical [`CampaignResult`] regardless of where
-//! or how often it runs: every reptition's fault campaign and scheduler
+//! or how often it runs: every repetition's fault campaign and scheduler
 //! simulation seed forks deterministically from the spec seed, and the
 //! baseline arm of rep `r` shares rep `r`'s seed so the comparison is
 //! paired (the counterfactual re-rolls *decisions*, not *luck*). No knob
@@ -46,9 +46,11 @@ use xid::{ErrorKind, XidCode};
 
 /// Fraction of the two-year Delta study each repetition simulates. At
 /// 0.02 (~a week of pre-op plus ~2.5 weeks of operation over the full
-/// 448-GPU cluster) one paired rep costs a few tens of milliseconds —
-/// small enough for an interactive service, large enough that the op
-/// phase sees hundreds of errors.
+/// 448-GPU cluster) one paired rep costs 16–24 ms in release on a
+/// 2-vCPU VM ([`run_campaign`] at `reps=1`, median over 120 specs, five
+/// runs): 2.4–2.8 ms generates the rep's 28,902 GPU jobs and each arm's
+/// schedule takes 5–9 ms. That is small enough for an interactive
+/// service, and large enough that the op phase sees hundreds of errors.
 pub const SIM_SCALE: f64 = 0.02;
 
 /// Defaults for unspecified spec axes.

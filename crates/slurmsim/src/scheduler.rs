@@ -283,7 +283,7 @@ impl<'c> Simulation<'c> {
         holds: &[Outage],
     ) -> SchedulerStats {
         let mut span = obs::span("stage_schedule");
-        let stats = self.engine(specs, errors, holds).stats;
+        let stats = self.engine(specs, errors, holds, false).stats;
         span.add_items(specs.len() as u64);
         record_scheduler_metrics(&stats, specs.len(), None);
         stats
@@ -300,15 +300,15 @@ impl<'c> Simulation<'c> {
         let cpu_specs = self
             .workload
             .generate_cpu(&mut Rng::seed_from(self.seed).fork(2));
-        let engine = self.engine(&specs, errors, holds);
+        let engine = self.engine(&specs, errors, holds, true);
         let stats = engine.stats;
-        let jobs = engine.into_records(specs);
+        let jobs = engine.records(&specs);
         let cpu_jobs = cpu_specs
             .into_iter()
             .enumerate()
             .map(|(i, s)| JobRecord {
                 id: JobId(1_000_000_000 + i as u64),
-                name: s.name,
+                name: s.name.to_string(),
                 submit: s.submit,
                 start: s.submit,
                 end: s.submit + s.duration,
@@ -329,11 +329,17 @@ impl<'c> Simulation<'c> {
     }
 
     /// The one scheduling event loop behind [`Simulation::run`] and
-    /// [`Simulation::schedule`].
-    fn engine(&self, specs: &[JobSpec], errors: &[GpuErrorEvent], holds: &[Outage]) -> Engine<'c> {
+    /// [`Simulation::schedule`]; only `run` asks it to keep `records`.
+    fn engine(
+        &self,
+        specs: &[JobSpec],
+        errors: &[GpuErrorEvent],
+        holds: &[Outage],
+        records: bool,
+    ) -> Engine<'c> {
         let mut engine = Engine::new(
             self.cluster,
-            specs.len(),
+            records.then_some(specs.len()),
             self.kill,
             self.requeue,
             self.policy,
@@ -361,12 +367,43 @@ fn record_scheduler_metrics(stats: &SchedulerStats, gpu_jobs: usize, cpu_jobs: O
     obs::gauge("slurmsim_peak_queue_depth", &[]).set_max(stats.peak_queue as u64);
 }
 
+/// The most GPUs a node holds (Delta's eight-way nodes): jobs up to this
+/// wide are placed on one node, an attempt's GPUs on one node are a `u8`
+/// mask, and [`Engine::owner`] gives every node this many slots.
+const NODE_SLOTS: usize = 8;
+
+/// The mask of a node's GPUs `0..gpu_count`.
+fn all_gpus(gpu_count: u8) -> u8 {
+    ((1u16 << gpu_count) - 1) as u8
+}
+
+/// The `want` lowest set bits of `mask` (which has at least that many).
+fn lowest_bits(mut mask: u8, want: u32) -> u8 {
+    let mut taken = 0;
+    for _ in 0..want {
+        let low = mask & mask.wrapping_neg();
+        taken |= low;
+        mask ^= low;
+    }
+    taken
+}
+
+/// The GPUs an attempt holds.
+#[derive(Debug, Clone, Copy)]
+enum GpuSet {
+    /// GPUs of node `node`: bit `g` of `mask` is GPU `g`, allocated in
+    /// ascending order.
+    Node { node: usize, mask: u8 },
+    /// Whole nodes, in node order: `Engine::whole[start..start + len]`.
+    Nodes { start: usize, len: usize },
+}
+
 /// A started job's live state.
 #[derive(Debug, Clone)]
 struct RunJob {
     spec_idx: usize,
     start: Timestamp,
-    gpus: Vec<GpuId>,
+    gpus: GpuSet,
     done: bool,
     /// Sticky NVLink fate: whether this job actively uses the faulted
     /// link. Rolled once on first exposure — a job that CRC retries saved
@@ -390,14 +427,14 @@ struct RetryState {
 }
 
 /// A finished job's accounting, kept compact until
-/// [`Engine::into_records`] joins it with its spec.
-#[derive(Debug, Clone)]
+/// [`Engine::records`] joins it with its spec.
+#[derive(Debug, Clone, Copy)]
 struct Placement {
     /// Start of the first attempt.
     start: Timestamp,
     end: Timestamp,
-    /// The last attempt's GPUs, in allocation order.
-    gpus: Vec<GpuId>,
+    /// The last attempt's GPUs.
+    gpus: GpuSet,
     state: JobState,
 }
 
@@ -484,19 +521,26 @@ struct Engine<'c> {
     policy: SchedPolicy,
     rng: Rng,
     node_up: Vec<bool>,
+    /// `free[n]` has bit `g` set while GPU `g` of node `n` is unallocated.
     free: Vec<u8>,
     /// Mirrors `node_up` and `free`; every change to either goes
     /// through [`Engine::sync_node`].
     index: FreeIndex,
-    /// `owner[node][gpu]` = index into `running`.
-    owner: Vec<Vec<Option<usize>>>,
+    /// `owner[n * NODE_SLOTS + g]` = the index into `running` of the
+    /// attempt holding GPU `g` of node `n`.
+    owner: Vec<Option<usize>>,
+    /// The node lists of whole-node attempts ([`GpuSet::Nodes`]),
+    /// appended as they start.
+    whole: Vec<usize>,
     running: Vec<RunJob>,
     queue: VecDeque<usize>,
     finish: BinaryHeap<Reverse<(Timestamp, usize)>>,
     /// Killed jobs waiting out their restart delay: (resume time, spec).
     resume: BinaryHeap<Reverse<(Timestamp, usize)>>,
     retry: std::collections::HashMap<usize, RetryState>,
-    placements: Vec<Option<Placement>>,
+    /// Each job's placement by spec index, once it finishes; `None` when
+    /// the caller reads only the counters.
+    placements: Option<Vec<Option<Placement>>>,
     stats: SchedulerStats,
     /// Every attempt's start instant and GPUs, for the hold-window
     /// property.
@@ -505,14 +549,28 @@ struct Engine<'c> {
 }
 
 impl<'c> Engine<'c> {
+    /// An engine over `cluster` with every node up and idle. With
+    /// `records` = `Some(job count)` it keeps each finished job's
+    /// placement for [`Engine::records`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node has more than [`NODE_SLOTS`] GPUs.
     fn new(
         cluster: &'c Cluster,
-        job_count: usize,
+        records: Option<usize>,
         kill: KillModel,
         requeue: RequeuePolicy,
         policy: SchedPolicy,
         rng: Rng,
     ) -> Self {
+        assert!(
+            cluster
+                .nodes()
+                .iter()
+                .all(|n| usize::from(n.gpu_count()) <= NODE_SLOTS),
+            "a node holds more than {NODE_SLOTS} GPUs"
+        );
         Engine {
             cluster,
             total_gpus: cluster.gpu_count() as u32,
@@ -521,19 +579,20 @@ impl<'c> Engine<'c> {
             policy,
             rng,
             node_up: vec![true; cluster.node_count()],
-            free: cluster.nodes().iter().map(|n| n.gpu_count()).collect(),
-            index: FreeIndex::new(cluster),
-            owner: cluster
+            free: cluster
                 .nodes()
                 .iter()
-                .map(|n| vec![None; n.gpu_count() as usize])
+                .map(|n| all_gpus(n.gpu_count()))
                 .collect(),
+            index: FreeIndex::new(cluster),
+            owner: vec![None; cluster.node_count() * NODE_SLOTS],
+            whole: Vec::new(),
             running: Vec::new(),
             queue: VecDeque::new(),
             finish: BinaryHeap::new(),
             resume: BinaryHeap::new(),
             retry: std::collections::HashMap::new(),
-            placements: vec![None; job_count],
+            placements: records.map(|jobs| vec![None; jobs]),
             stats: SchedulerStats::default(),
             #[cfg(test)]
             starts: Vec::new(),
@@ -550,22 +609,31 @@ impl<'c> Engine<'c> {
             }
         }
         edges.sort_by_key(|&(t, n, d)| (t, n, d));
+        self.running.reserve(specs.len());
 
+        // An exhausted stream's next time, after every real instant.
+        const NEVER: u64 = u64::MAX;
         let (mut si, mut ei, mut oi) = (0usize, 0usize, 0usize);
         loop {
             // Next pending time from each stream; tie-break priority:
             // finishes (free resources) < resumes < hold edges < errors
-            // < submits.
-            let tf = self.finish.peek().map(|Reverse((t, _))| *t);
-            let tr = self.resume.peek().map(|Reverse((t, _))| *t);
-            let to = edges.get(oi).map(|e| e.0);
-            let te = errors.get(ei).map(|e| e.time);
-            let ts = specs.get(si).map(|s| s.submit);
-            let next = [(tf, 0u8), (tr, 1), (to, 2), (te, 3), (ts, 4)]
-                .into_iter()
-                .filter_map(|(t, tag)| t.map(|t| (t, tag)))
-                .min();
-            let Some((_, tag)) = next else { break };
+            // < submits, so a later stream wins only if strictly earlier.
+            let times = [
+                self.finish.peek().map_or(NEVER, |Reverse((t, _))| t.unix()),
+                self.resume.peek().map_or(NEVER, |Reverse((t, _))| t.unix()),
+                edges.get(oi).map_or(NEVER, |e| e.0.unix()),
+                errors.get(ei).map_or(NEVER, |e| e.time.unix()),
+                specs.get(si).map_or(NEVER, |s| s.submit.unix()),
+            ];
+            let mut tag = 0;
+            for (stream, &t) in times.iter().enumerate().skip(1) {
+                if t < times[tag] {
+                    tag = stream;
+                }
+            }
+            if times[tag] == NEVER {
+                break;
+            }
             match tag {
                 0 => {
                     let Reverse((t, idx)) = self.finish.pop().expect("peeked non-empty");
@@ -608,17 +676,16 @@ impl<'c> Engine<'c> {
     /// Attempts to allocate and start job `idx` at time `t`.
     fn try_start(&mut self, idx: usize, t: Timestamp, specs: &[JobSpec]) -> bool {
         let want = specs[idx].gpus.min(self.total_gpus).max(1);
-        let alloc = self.find_allocation(want);
-        let Some(gpus) = alloc else { return false };
+        let Some(gpus) = self.find_allocation(want) else {
+            return false;
+        };
         let run_idx = self.running.len();
-        for gpu in &gpus {
-            let n = gpu.node.index() as usize;
-            self.owner[n][gpu.index as usize] = Some(run_idx);
-            self.free[n] -= 1;
-            self.sync_node(n);
-        }
+        self.assign(gpus, Some(run_idx));
         #[cfg(test)]
-        self.starts.push((t, gpus.clone()));
+        {
+            let ids = self.gpu_ids(gpus);
+            self.starts.push((t, ids));
+        }
         let duration = self
             .retry
             .get(&idx)
@@ -640,58 +707,56 @@ impl<'c> Engine<'c> {
     /// Finds GPUs for a `want`-wide job: single-node first-fit for jobs
     /// that fit on one node, whole-node accumulation for larger jobs.
     /// The index answers a no-fit without touching a node.
-    fn find_allocation(&self, want: u32) -> Option<Vec<GpuId>> {
-        let nodes = self.cluster.nodes();
-        let found = if want <= 8 {
-            self.index.first_fit(want as u8).map(|n| {
-                let node = &nodes[n];
-                let mut gpus = Vec::with_capacity(want as usize);
-                for g in 0..node.gpu_count() {
-                    if self.owner[n][g as usize].is_none() {
-                        gpus.push(GpuId::new(node.id(), g));
-                        if gpus.len() as u32 == want {
-                            break;
-                        }
-                    }
-                }
-                gpus
+    fn find_allocation(&mut self, want: u32) -> Option<GpuSet> {
+        let found = if want <= NODE_SLOTS as u32 {
+            self.index.first_fit(want as u8).map(|node| GpuSet::Node {
+                node,
+                mask: lowest_bits(self.free[node], want),
             })
         } else if self.index.idle_gpus < want {
             None
         } else {
-            // Multi-node: accumulate fully idle nodes.
-            let mut gpus = Vec::with_capacity(want as usize);
-            for (n, node) in nodes.iter().enumerate() {
-                if self.node_up[n] && self.free[n] == node.gpu_count() {
-                    gpus.extend(node.gpus());
-                    if gpus.len() as u32 >= want {
+            // Multi-node: accumulate fully idle nodes; the idle count
+            // says there are enough.
+            let start = self.whole.len();
+            let mut got = 0;
+            for (n, node) in self.cluster.nodes().iter().enumerate() {
+                if self.node_up[n] && self.free[n] == all_gpus(node.gpu_count()) {
+                    self.whole.push(n);
+                    got += u32::from(node.gpu_count());
+                    if got >= want {
                         break;
                     }
                 }
             }
-            Some(gpus)
+            Some(GpuSet::Nodes {
+                start,
+                len: self.whole.len() - start,
+            })
         };
         #[cfg(test)]
         assert_eq!(
-            found,
+            found.map(|gpus| self.gpu_ids(gpus)),
             self.scan_allocation(want),
             "allocation index disagrees with the scan for a {want}-GPU job"
         );
         found
     }
 
-    /// The reference allocator: a first-fit walk over every node, which
-    /// [`Engine::find_allocation`] must answer identically.
+    /// The reference allocator: a first-fit walk over every node and its
+    /// owner slots, which [`Engine::find_allocation`] must answer
+    /// identically.
     #[cfg(test)]
     fn scan_allocation(&self, want: u32) -> Option<Vec<GpuId>> {
         let nodes = self.cluster.nodes();
+        let idle = |n: usize, g: u8| self.owner[n * NODE_SLOTS + g as usize].is_none();
+        let free = |n: usize| (0..nodes[n].gpu_count()).filter(|&g| idle(n, g)).count() as u32;
         if want <= 8 {
             for (n, node) in nodes.iter().enumerate() {
-                if self.node_up[n] && node.gpu_count() as u32 >= want && self.free[n] as u32 >= want
-                {
+                if self.node_up[n] && node.gpu_count() as u32 >= want && free(n) >= want {
                     let mut gpus = Vec::with_capacity(want as usize);
                     for g in 0..node.gpu_count() {
-                        if self.owner[n][g as usize].is_none() {
+                        if idle(n, g) {
                             gpus.push(GpuId::new(node.id(), g));
                             if gpus.len() as u32 == want {
                                 return Some(gpus);
@@ -705,7 +770,7 @@ impl<'c> Engine<'c> {
         // Multi-node: accumulate fully idle nodes.
         let mut gpus = Vec::with_capacity(want as usize);
         for (n, node) in nodes.iter().enumerate() {
-            if self.node_up[n] && self.free[n] == node.gpu_count() {
+            if self.node_up[n] && free(n) == u32::from(node.gpu_count()) {
                 for g in 0..node.gpu_count() {
                     gpus.push(GpuId::new(node.id(), g));
                 }
@@ -717,21 +782,71 @@ impl<'c> Engine<'c> {
         None
     }
 
-    /// Pushes node `n`'s `node_up`/`free` state into the index.
-    fn sync_node(&mut self, n: usize) {
-        let schedulable = if self.node_up[n] { self.free[n] } else { 0 };
-        self.index
-            .set(n, schedulable, self.cluster.nodes()[n].gpu_count());
+    /// The GPUs of `gpus`, in allocation order.
+    fn gpu_ids(&self, gpus: GpuSet) -> Vec<GpuId> {
+        let nodes = self.cluster.nodes();
+        match gpus {
+            GpuSet::Node { node, mask } => (0..nodes[node].gpu_count())
+                .filter(|g| mask >> g & 1 == 1)
+                .map(|g| GpuId::new(nodes[node].id(), g))
+                .collect(),
+            GpuSet::Nodes { start, len } => self.whole[start..start + len]
+                .iter()
+                .flat_map(|&n| nodes[n].gpus())
+                .collect(),
+        }
     }
 
-    /// Frees GPUs a finished or killed attempt held.
-    fn release(&mut self, gpus: &[GpuId]) {
-        for gpu in gpus {
-            let n = gpu.node.index() as usize;
-            self.owner[n][gpu.index as usize] = None;
-            self.free[n] += 1;
-            self.sync_node(n);
+    /// How many GPUs `gpus` holds.
+    fn gpu_count(&self, gpus: GpuSet) -> u32 {
+        match gpus {
+            GpuSet::Node { mask, .. } => mask.count_ones(),
+            GpuSet::Nodes { start, len } => self.whole[start..start + len]
+                .iter()
+                .map(|&n| u32::from(self.cluster.nodes()[n].gpu_count()))
+                .sum(),
         }
+    }
+
+    /// Gives `gpus` to attempt `owner`, or frees them with `None`.
+    fn assign(&mut self, gpus: GpuSet, owner: Option<usize>) {
+        match gpus {
+            GpuSet::Node { node, mask } => self.assign_on(node, mask, owner),
+            GpuSet::Nodes { start, len } => {
+                for i in start..start + len {
+                    let n = self.whole[i];
+                    self.assign_on(n, all_gpus(self.cluster.nodes()[n].gpu_count()), owner);
+                }
+            }
+        }
+    }
+
+    /// Gives the GPUs of node `n` in `mask` to `owner` (frees them with
+    /// `None`), then syncs the node once.
+    fn assign_on(&mut self, n: usize, mask: u8, owner: Option<usize>) {
+        let slots = &mut self.owner[n * NODE_SLOTS..][..NODE_SLOTS];
+        let mut bits = mask;
+        while bits != 0 {
+            slots[bits.trailing_zeros() as usize] = owner;
+            bits &= bits - 1;
+        }
+        if owner.is_some() {
+            self.free[n] &= !mask;
+        } else {
+            self.free[n] |= mask;
+        }
+        self.sync_node(n);
+    }
+
+    /// Pushes node `n`'s `node_up`/`free` state into the index.
+    fn sync_node(&mut self, n: usize) {
+        let schedulable = if self.node_up[n] {
+            self.free[n].count_ones() as u8
+        } else {
+            0
+        };
+        self.index
+            .set(n, schedulable, self.cluster.nodes()[n].gpu_count());
     }
 
     /// Starts whatever the drain policy allows: strict FIFO stops at the
@@ -784,26 +899,33 @@ impl<'c> Engine<'c> {
 
     fn on_error(&mut self, ev: &GpuErrorEvent, specs: &[JobSpec]) {
         let n = ev.gpu.node.index() as usize;
-        if n >= self.owner.len() || ev.gpu.index as usize >= self.owner[n].len() {
+        let g = ev.gpu.index as usize;
+        if n >= self.node_up.len() || g >= usize::from(self.cluster.nodes()[n].gpu_count()) {
             return;
         }
         // Blast radius: node-scoped kinds (GSP, bus drop) wedge the whole
-        // node's driver, so every resident job rolls the dice.
-        let victims: Vec<usize> = match self.kill.scope(ev.kind) {
-            KillScope::Gpu => self.owner[n][ev.gpu.index as usize].into_iter().collect(),
-            KillScope::Node => {
-                let mut v: Vec<usize> = self.owner[n].iter().flatten().copied().collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            }
+        // node's driver, so every resident job rolls the dice, in
+        // ascending run order.
+        let slots = match self.kill.scope(ev.kind) {
+            KillScope::Gpu => g..g + 1,
+            KillScope::Node => 0..NODE_SLOTS,
         };
-        if victims.is_empty() || victims.iter().all(|&run_idx| self.running[run_idx].done) {
+        let mut victims = [0usize; NODE_SLOTS];
+        let mut count = 0;
+        for &run_idx in self.owner[n * NODE_SLOTS..][slots].iter().flatten() {
+            if !victims[..count].contains(&run_idx) {
+                victims[count] = run_idx;
+                count += 1;
+            }
+        }
+        let victims = &mut victims[..count];
+        victims.sort_unstable();
+        if victims.iter().all(|&run_idx| self.running[run_idx].done) {
             self.stats.errors_on_idle += 1;
             return;
         }
         let mut any = false;
-        for run_idx in victims {
+        for &run_idx in victims.iter() {
             if self.running[run_idx].done {
                 continue;
             }
@@ -844,9 +966,13 @@ impl<'c> Engine<'c> {
     /// an active [`RequeuePolicy`] with retries left — releasing its GPUs
     /// and scheduling a restart from the last checkpoint.
     fn kill_with_requeue(&mut self, run_idx: usize, t: Timestamp, specs: &[JobSpec]) {
-        let spec_idx = self.running[run_idx].spec_idx;
-        let start = self.running[run_idx].start;
-        let gpus = self.running[run_idx].gpus.len() as f64;
+        let RunJob {
+            spec_idx,
+            start,
+            gpus,
+            ..
+        } = self.running[run_idx];
+        let gpu_count = f64::from(self.gpu_count(gpus));
         let attempts = self.retry.get(&spec_idx).map_or(0, |r| r.attempts);
         let done_this_attempt = t - start;
         let remaining_before = self
@@ -864,7 +990,7 @@ impl<'c> Engine<'c> {
                 }
                 _ => done_this_attempt,
             };
-            self.stats.lost_gpu_hours += gpus * lost.as_hours_f64();
+            self.stats.lost_gpu_hours += gpu_count * lost.as_hours_f64();
             self.finalize(run_idx, t, JobState::NodeFail);
             return;
         }
@@ -877,7 +1003,7 @@ impl<'c> Engine<'c> {
             None => simtime::Duration::ZERO,
         };
         let lost = done_this_attempt - kept;
-        self.stats.lost_gpu_hours += gpus * lost.as_hours_f64();
+        self.stats.lost_gpu_hours += gpu_count * lost.as_hours_f64();
         self.stats.requeues += 1;
         let first_start = self.retry.get(&spec_idx).map_or(start, |r| r.first_start);
         self.retry.insert(
@@ -890,56 +1016,65 @@ impl<'c> Engine<'c> {
         );
         // Release the GPUs without writing a record.
         self.running[run_idx].done = true;
-        let gpus_vec = std::mem::take(&mut self.running[run_idx].gpus);
-        self.release(&gpus_vec);
+        self.assign(gpus, None);
         self.resume
             .push(Reverse((t + self.requeue.restart_delay, spec_idx)));
     }
 
-    /// Records the job's placement and releases its GPUs.
+    /// Releases the job's GPUs and, when records are kept, its placement.
     fn finalize(&mut self, run_idx: usize, end: Timestamp, state: JobState) {
         let run = &mut self.running[run_idx];
         run.done = true;
-        let (spec_idx, start) = (run.spec_idx, run.start);
-        let gpus = std::mem::take(&mut run.gpus);
-        self.release(&gpus);
-        self.placements[spec_idx] = Some(Placement {
-            start: self.retry.get(&spec_idx).map_or(start, |r| r.first_start),
-            // A job killed at its start instant still occupies one second
-            // of accounting so elapsed times stay positive.
-            end: end.max(start + simtime::Duration::from_secs(1)),
-            gpus,
-            state,
-        });
+        let (spec_idx, start, gpus) = (run.spec_idx, run.start, run.gpus);
+        self.assign(gpus, None);
+        if let Some(placements) = &mut self.placements {
+            placements[spec_idx] = Some(Placement {
+                start: self.retry.get(&spec_idx).map_or(start, |r| r.first_start),
+                // A job killed at its start instant still occupies one
+                // second of accounting so elapsed times stay positive.
+                end: end.max(start + simtime::Duration::from_secs(1)),
+                gpus,
+                state,
+            });
+        }
     }
 
-    /// Joins each placement with its spec into a [`JobRecord`],
-    /// synthesising CANCELLED records for jobs that never started (queued
-    /// past the end of the trace).
-    fn into_records(self, specs: Vec<JobSpec>) -> Vec<JobRecord> {
-        self.placements
-            .into_iter()
+    /// Joins each placement with its spec into a [`JobRecord`], rendering
+    /// its name, and synthesises CANCELLED records for jobs that never
+    /// started (queued past the end of the trace).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine was built without `records`.
+    fn records(&self, specs: &[JobSpec]) -> Vec<JobRecord> {
+        let placements = self
+            .placements
+            .as_ref()
+            .expect("the engine keeps placements");
+        placements
+            .iter()
             .zip(specs)
             .enumerate()
             .map(|(i, (placed, spec))| match placed {
                 Some(p) => {
-                    let mut nodes: Vec<NodeId> = p.gpus.iter().map(|g| g.node).collect();
+                    let gpu_ids = self.gpu_ids(p.gpus);
+                    let mut nodes: Vec<NodeId> = gpu_ids.iter().map(|g| g.node).collect();
                     nodes.dedup();
                     JobRecord {
                         id: JobId(i as u64),
-                        name: spec.name,
+                        name: spec.name.to_string(),
                         submit: spec.submit,
                         start: p.start,
                         end: p.end,
-                        gpus: p.gpus.len() as u32,
+                        gpus: gpu_ids.len() as u32,
                         nodes,
-                        gpu_ids: p.gpus,
+                        gpu_ids,
                         state: p.state,
                     }
                 }
                 None => JobRecord {
                     id: JobId(i as u64),
-                    name: spec.name,
+                    name: spec.name.to_string(),
                     submit: spec.submit,
                     start: spec.submit,
                     end: spec.submit,
@@ -956,6 +1091,7 @@ impl<'c> Engine<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::JobName;
     use clustersim::{ClusterSpec, IncidentId};
     use simtime::Duration;
     use xid::ErrorKind;
@@ -990,7 +1126,7 @@ mod tests {
         let t0 = Timestamp::from_unix(1_000_000);
         let spec = |submit_off: u64, gpus: u32, dur_secs: u64| JobSpec {
             submit: t0 + Duration::from_secs(submit_off),
-            name: format!("j{submit_off}"),
+            name: JobName::new("j", submit_off),
             gpus,
             duration: Duration::from_secs(dur_secs),
             baseline_state: JobState::Completed,
@@ -1010,14 +1146,14 @@ mod tests {
         for (policy, expect_start) in [(SchedPolicy::Backfill, 500), (SchedPolicy::Fifo, 2000)] {
             let mut engine = Engine::new(
                 &cluster,
-                specs.len(),
+                Some(specs.len()),
                 KillModel::delta(),
                 RequeuePolicy::none(),
                 policy,
                 Rng::seed_from(1),
             );
             engine.run(&specs, &[], &[hold]);
-            let records = engine.into_records(specs.clone());
+            let records = engine.records(&specs);
             assert_eq!(
                 records[2].start,
                 t0 + Duration::from_secs(expect_start),
@@ -1275,14 +1411,14 @@ mod tests {
         let cluster = tiny_cluster();
         let specs = [JobSpec {
             submit: Timestamp::from_unix(1_000),
-            name: "edge".to_owned(),
+            name: JobName::new("edge", 0),
             gpus: 2,
             duration: Duration::from_secs(duration_secs),
             baseline_state: JobState::Completed,
         }];
         let mut engine = Engine::new(
             &cluster,
-            specs.len(),
+            Some(specs.len()),
             KillModel::delta(),
             RequeuePolicy::none(),
             SchedPolicy::Backfill,
@@ -1290,7 +1426,7 @@ mod tests {
         );
         engine.run(&specs, errors, &[]);
         let stats = engine.stats;
-        let mut records = engine.into_records(specs.to_vec());
+        let mut records = engine.records(&specs);
         (records.remove(0), stats)
     }
 
@@ -1440,7 +1576,7 @@ mod tests {
                 };
                 JobSpec {
                     submit: t0 + Duration::from_secs(g.u64_below(2 * 24 * 3600)),
-                    name: format!("job{i}"),
+                    name: JobName::new("job", i as u64),
                     gpus,
                     duration: Duration::from_secs(g.u64_in(1, 24 * 3600)),
                     baseline_state: if g.bool() {
@@ -1456,10 +1592,11 @@ mod tests {
     }
 
     /// The allocation index answers every query with the GPUs the linear
-    /// scan picks (`find_allocation` asserts it in test builds), and no
+    /// scan picks (`find_allocation` asserts it in test builds), no
     /// attempt starts on a node strictly inside one of that node's hold
-    /// windows — over random cluster shapes, workloads, hold windows and
-    /// error streams, under both policies, with requeue on and off.
+    /// windows, and keeping placements changes no start and no counter —
+    /// over random cluster shapes, workloads, hold windows and error
+    /// streams, under both policies, with requeue on and off.
     #[test]
     fn allocation_index_matches_the_scan_and_honours_holds() {
         propcheck::run("allocation_index_matches_the_scan", 32, |g| {
@@ -1478,15 +1615,23 @@ mod tests {
             } else {
                 RequeuePolicy::none()
             };
-            let mut engine = Engine::new(
-                &cluster,
-                specs.len(),
-                KillModel::delta(),
-                requeue,
-                policy,
-                Rng::seed_from(g.u64()),
-            );
-            engine.run(&specs, &errors, &holds);
+            let seed = g.u64();
+            let run = |records| {
+                let mut engine = Engine::new(
+                    &cluster,
+                    records,
+                    KillModel::delta(),
+                    requeue,
+                    policy,
+                    Rng::seed_from(seed),
+                );
+                engine.run(&specs, &errors, &holds);
+                engine
+            };
+            let engine = run(None);
+            let recorded = run(Some(specs.len()));
+            assert_eq!(engine.stats, recorded.stats, "{policy:?}");
+            assert_eq!(engine.starts, recorded.starts, "{policy:?}");
             for (t, gpus) in &engine.starts {
                 for hold in holds
                     .iter()

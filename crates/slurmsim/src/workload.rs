@@ -142,12 +142,12 @@ pub const TABLE_III_BUCKETS: [GpuBucket; 8] = [
 ];
 
 /// One job to be submitted, before scheduling.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSpec {
     /// Submission time.
     pub submit: Timestamp,
     /// User-visible job name.
-    pub name: String,
+    pub name: JobName,
     /// Requested GPU count (0 for CPU jobs).
     pub gpus: u32,
     /// How long the job would run if nothing killed it.
@@ -319,8 +319,33 @@ impl BucketSampler {
     }
 }
 
+/// A job's name as a stem and the job's index, rendered `"{stem}_{index}"`.
+///
+/// A generated workload carries tens of thousands of names that only its
+/// accounting records print, so a name is kept as this `Copy` value and
+/// formatted where a [`crate::JobRecord`] is built: scheduling a workload
+/// formats none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JobName {
+    stem: &'static str,
+    index: u64,
+}
+
+impl JobName {
+    /// The name `"{stem}_{index}"`.
+    pub(crate) const fn new(stem: &'static str, index: u64) -> Self {
+        JobName { stem, index }
+    }
+}
+
+impl fmt::Display for JobName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}_{}", self.stem, self.index)
+    }
+}
+
 /// Generates a plausible job name; ML names carry the §V-A keywords.
-fn job_name(ml: bool, index: u64, rng: &mut Rng) -> String {
+fn job_name(ml: bool, index: u64, rng: &mut Rng) -> JobName {
     const ML_STEMS: [&str; 8] = [
         "train_resnet50",
         "bert_finetune",
@@ -348,7 +373,7 @@ fn job_name(ml: bool, index: u64, rng: &mut Rng) -> String {
     } else {
         HPC_STEMS[rng.range_u64(HPC_STEMS.len() as u64) as usize]
     };
-    format!("{stem}_{index}")
+    JobName::new(stem, index)
 }
 
 #[cfg(test)]
@@ -360,7 +385,7 @@ mod tests {
     fn spec_to_record(spec: &JobSpec) -> JobRecord {
         JobRecord {
             id: JobId(0),
-            name: spec.name.clone(),
+            name: spec.name.to_string(),
             submit: spec.submit,
             start: spec.submit,
             end: spec.submit + spec.duration,

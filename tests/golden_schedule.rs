@@ -8,7 +8,9 @@
 //! accounting CSV plus every [`SchedulerStats`] field. The fault
 //! campaigns are real (holds and error kills included), so any change in
 //! allocation order, hold handling, kill rolls or requeue bookkeeping
-//! moves a digest.
+//! moves a digest. Each case also schedules the same `gpu_specs()`
+//! through `Simulation::schedule`, the counters-only path the what-if
+//! arms take, and its [`SchedulerStats`] must equal `run`'s.
 
 use delta_gpu_resilience::prelude::*;
 use resilience::csvio;
@@ -115,7 +117,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn schedule(case: &Case) -> (u64, SchedulerStats) {
+/// One case's GPU-job CSV digest and counters through
+/// `Simulation::run`, and the counters `Simulation::schedule` returns
+/// over the same `gpu_specs()`.
+fn schedule(case: &Case) -> (u64, SchedulerStats, SchedulerStats) {
     let mut config = FaultConfig::delta_scaled(case.scale);
     config.emit_logs = false;
     config.seed = case.seed;
@@ -126,26 +131,28 @@ fn schedule(case: &Case) -> (u64, SchedulerStats) {
     } else {
         RequeuePolicy::none()
     };
-    let outcome = Simulation::new(
+    let sim = Simulation::new(
         &cluster,
         WorkloadConfig::delta_scaled(case.scale),
         case.seed,
     )
     .with_policy(case.policy)
-    .with_requeue(requeue)
-    .run(&campaign.ground_truth, &campaign.holds);
+    .with_requeue(requeue);
+    let outcome = sim.run(&campaign.ground_truth, &campaign.holds);
+    let counters = sim.schedule(&sim.gpu_specs(), &campaign.ground_truth, &campaign.holds);
     let csv = csvio::render_jobs(&bridge::jobs(&outcome.jobs));
-    (fnv1a(csv.as_bytes()), outcome.stats)
+    (fnv1a(csv.as_bytes()), outcome.stats, counters)
 }
 
 #[test]
 fn golden_schedules_match() {
     let mut drifted = Vec::new();
     for case in CASES {
-        let (digest, got) = schedule(case);
-        if digest != case.digest || got != case.stats {
+        let (digest, got, counters) = schedule(case);
+        if digest != case.digest || got != case.stats || counters != got {
             drifted.push(format!(
-                "scale {} seed {} {:?} requeue={}: digest {digest:#018x} stats {got:?}",
+                "scale {} seed {} {:?} requeue={}: digest {digest:#018x} stats {got:?} \
+                 counters-only {counters:?}",
                 case.scale, case.seed, case.policy, case.requeue
             ));
         }
